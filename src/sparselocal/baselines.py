@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
+from .gate import topk_select
 
 
 @dataclass
@@ -86,13 +87,17 @@ def lasso_fit(Z, y, alpha, max_sweeps=10_000, tol=1e-8):
 
 
 def topk_truncate(weights, k):
-    """Keep the k largest-|w| entries (ties to the lowest index), zero the rest."""
+    """Keep the k largest-|w| entries of each row, zero the rest.
+
+    The selection is :func:`~sparselocal.gate.topk_select` over every
+    entry, so ties go to the lowest index.
+    """
     weights = np.asarray(weights, dtype=np.float64)
-    if k >= weights.size:
+    if k >= weights.shape[-1]:
         return weights.copy()
-    keep = np.argsort(-np.abs(weights), kind="stable")[:k]
+    keep = topk_select(weights, True, k)
     out = np.zeros_like(weights)
-    out[keep] = weights[keep]
+    np.put_along_axis(out, keep, np.take_along_axis(weights, keep, axis=-1), axis=-1)
     return out
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 
 import numpy as np
@@ -22,6 +23,7 @@ from .model import GatedLocalLinear, ModelConfig
 
 MAGIC = b"SLLM"
 VERSION = 1
+DTYPE = "<f8"  # the only payload dtype
 
 
 def save_checkpoint(path, model, schedule=None, phase_log=None, manifest_sha256=None):
@@ -32,10 +34,10 @@ def save_checkpoint(path, model, schedule=None, phase_log=None, manifest_sha256=
     chunks = []
     offset = 0
     for name in names:
-        data = np.ascontiguousarray(named[name].data, dtype="<f8")
+        data = np.ascontiguousarray(named[name].data, dtype=DTYPE)
         raw = data.tobytes()
         entries.append(
-            {"name": name, "shape": list(data.shape), "dtype": "<f8", "offset": offset, "nbytes": len(raw)}
+            {"name": name, "shape": list(data.shape), "dtype": DTYPE, "offset": offset, "nbytes": len(raw)}
         )
         chunks.append(raw)
         offset += len(raw)
@@ -78,26 +80,58 @@ def load_checkpoint(path):
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
     payload = raw[12 + header_len :]
+    _check_header(path, header, len(payload))
     digest = hashlib.sha256(payload).hexdigest()
     if digest != header["payload_sha256"]:
         raise CheckpointError(f"{path}: payload checksum mismatch; file is corrupt")
 
-    config = ModelConfig.from_dict(header["config"])
-    model = GatedLocalLinear(config, np.random.default_rng(0))
+    try:
+        config = ModelConfig.from_dict(header["config"])
+        model = GatedLocalLinear(config, np.random.default_rng(0))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: invalid model config ({exc!r})") from exc
     named = model.named_parameters()
     expected = set(named)
     stored = {entry["name"] for entry in header["params"]}
-    if stored != expected:
+    if stored != expected or len(stored) != len(header["params"]):
         raise CheckpointError(
             f"{path}: parameter set mismatch (missing {sorted(expected - stored)[:3]},"
             f" unexpected {sorted(stored - expected)[:3]})"
         )
     for entry in header["params"]:
         tensor = named[entry["name"]]
-        lo, nbytes = entry["offset"], entry["nbytes"]
-        values = np.frombuffer(payload[lo : lo + nbytes], dtype=entry["dtype"])
         shape = tuple(entry["shape"])
-        if values.size != int(np.prod(shape)) or shape != tensor.data.shape:
+        if shape != tensor.data.shape:
             raise CheckpointError(f"{path}: shape mismatch for parameter {entry['name']!r}")
+        lo = entry["offset"]
+        values = np.frombuffer(payload[lo : lo + entry["nbytes"]], dtype=DTYPE)
         tensor.data[...] = values.reshape(shape).astype(np.float64)
     return model, header
+
+
+def _is_count(value):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _check_header(path, header, payload_len):
+    """Raise CheckpointError unless the header has the schema that save_checkpoint writes."""
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
+    for field, kind in (("payload_sha256", str), ("config", dict), ("params", list)):
+        if not isinstance(header.get(field), kind):
+            raise CheckpointError(f"{path}: header field {field!r} is missing or not a {kind.__name__}")
+    for i, entry in enumerate(header["params"]):
+        ok = (
+            isinstance(entry, dict)
+            and isinstance(entry.get("name"), str)
+            and entry.get("dtype") == DTYPE
+            and isinstance(entry.get("shape"), list)
+            and all(_is_count(v) for v in entry["shape"])
+            and _is_count(entry.get("offset"))
+            and _is_count(entry.get("nbytes"))
+        )
+        if not ok:
+            raise CheckpointError(f"{path}: malformed entry {i} in header 'params' (dtype must be {DTYPE!r})")
+        end = entry["offset"] + entry["nbytes"]
+        if entry["nbytes"] != 8 * math.prod(entry["shape"]) or end > payload_len:
+            raise CheckpointError(f"{path}: parameter {entry['name']!r} does not fit the payload")

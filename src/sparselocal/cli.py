@@ -44,12 +44,12 @@ from .data import (
     Sample,
     build_text_dataset,
     downsample_7x7,
+    featurize_text,
     load_image_dataset,
     make_synthetic,
     parse_idx,
     split_dataset,
     tokenize,
-    STOPWORDS,
 )
 from .errors import CheckpointError, ConfigError, DataFormatError, GateExhaustedError
 from .model import GatedLocalLinear, ModelConfig
@@ -236,11 +236,16 @@ def cmd_eval(args):
     if args.dense:
         if model.config.num_classes != 2:
             raise ConfigError("dense truncation evaluation supports binary models only")
+        if not data.test:
+            raise ConfigError("dense truncation evaluation needs a non-empty test split")
+        rows = np.concatenate([
+            model.generator.rows([s.x for s in data.test[lo : lo + 256]]).data
+            for lo in range(0, len(data.test), 256)
+        ])
         for k in ks:
             correct = 0
-            for s in data.test:
-                w = bl.topk_truncate(model.generate_weights(s.x), k)
-                margin = float(np.asarray(s.z) @ w)
+            for s, w in zip(data.test, bl.topk_truncate(rows, k)):
+                margin = float(np.asarray(s.z, dtype=np.float64) @ w)
                 correct += (1 if margin >= 0 else -1) == s.y
             _emit({"model": "dense_topk", "k": k, "accuracy": correct / len(data.test)})
     if args.baselines:
@@ -262,15 +267,11 @@ def cmd_eval(args):
 def _sample_from_file(path, data):
     """Build an unlabeled sample from a raw input file (text line or IDX image)."""
     if data.dataset.kind == "text":
+        ds = data.dataset
         text = Path(path).read_text(encoding="utf-8").strip()
-        tokens = [t for t in tokenize(text) if t not in STOPWORDS]
-        vocab = data.dataset.vocab
-        ids = np.array([vocab.id_of(t) for t in tokens], dtype=np.int64)
-        z = np.zeros(data.dataset.d)
-        if ids.size:
-            np.add.at(z, ids, 1.0)
-        z = (z > 0).astype(np.float64)
-        return Sample(id=str(path), x=ids, z=z, y=1, m=(z == 0).astype(np.int64), tokens=tokens)
+        tokens = [t for t in tokenize(text) if t not in ds.stopwords]
+        ids, z, m = featurize_text(tokens, ds.vocab, ds.counts)
+        return Sample(id=str(path), x=ids, z=z, y=1, m=m, tokens=tokens)
     if data.dataset.kind == "image":
         images = parse_idx(path)
         if images.ndim != 3:

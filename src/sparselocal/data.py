@@ -86,6 +86,8 @@ class Dataset:
     feature_names: list
     samples: list
     vocab: Vocabulary | None = None
+    stopwords: frozenset | None = None  # text only: the stopwords removed before featurizing
+    counts: bool = False  # text only: z holds occurrence counts instead of presence
 
 
 # --- IDX containers ---------------------------------------------------------
@@ -244,25 +246,35 @@ def build_text_dataset(path, min_freq=2, stopwords=None, counts=False):
         to_y = lambda s: mapping[s]
         num_classes = len(label_set)
 
-    d = len(vocab)
     samples = []
     for lineno, label, tokens in rows:
-        ids = np.array([vocab.id_of(t) for t in tokens], dtype=np.int64)
-        z = np.zeros(d)
-        if ids.size:
-            np.add.at(z, ids, 1.0)
-        if not counts:
-            z = (z > 0).astype(np.float64)
-        m = (z == 0).astype(np.int64)
+        ids, z, m = featurize_text(tokens, vocab, counts)
         samples.append(Sample(id=f"line{lineno}", x=ids, z=z, y=to_y(label), m=m, tokens=tokens))
     return Dataset(
         kind="text",
-        d=d,
+        d=len(vocab),
         num_classes=num_classes,
         feature_names=list(vocab.tokens),
         samples=samples,
         vocab=vocab,
+        stopwords=stopwords,
+        counts=bool(counts),
     )
+
+
+def featurize_text(tokens, vocab, counts=False):
+    """Token ids x, bag-of-words z and mask m for a stopword-filtered token list.
+
+    z holds binary presence, or occurrence counts with ``counts=True``;
+    the mask flags exactly the zero entries of z.
+    """
+    ids = np.array([vocab.id_of(t) for t in tokens], dtype=np.int64)
+    z = np.zeros(len(vocab))
+    if ids.size:
+        np.add.at(z, ids, 1.0)
+    if not counts:
+        z = (z > 0).astype(np.float64)
+    return ids, z, (z == 0).astype(np.int64)
 
 
 # --- synthetic oracle -------------------------------------------------------

@@ -29,5 +29,9 @@ class ConfigError(ValueError):
     """A run configuration is missing required fields or malformed."""
 
 
+class NonFiniteLossError(RuntimeError):
+    """A training loss became NaN or infinite."""
+
+
 class SolverError(RuntimeError):
     """A linear solver could not produce a solution."""

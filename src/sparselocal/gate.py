@@ -9,9 +9,11 @@ no feature can be chosen twice. Summing the draws gives the gate.
 In soft mode each draw is a relaxed simplex vector and the whole
 construction is differentiable with respect to the weights (the mask
 updates are treated as gradient-stopped). In hard mode the noise is
-dropped and each draw is the exact one-hot argmax, which reduces to
-deterministic greedy top-k selection on squared weights; that is the
-inference-time behaviour.
+dropped and each draw is the exact one-hot argmax. Noise-free greedy
+draws are exactly a top-k, so hard mode is computed in one step by
+:func:`topk_select`: an exact stable top-k over the live ``w**2``, ties
+going to the lowest index. That is the inference-time behaviour, and it
+works on whole ``(..., d)`` batches at once.
 
 Masked-out entries are excluded from every softmax sum and carry an
 infinite negative sentinel in log space, so their gate values are exact
@@ -97,6 +99,21 @@ def gate_step(log_pi, lam, tau):
     return _masked_softmax(scores, live)
 
 
+def topk_select(w, live, k):
+    """Indices of the k largest ``w**2`` among live entries, along the last axis.
+
+    ``w`` is any ``(..., d)`` array and ``live`` a boolean array that
+    broadcasts against it. Each row of the ``(..., k)`` result lists its
+    indices in descending ``w**2`` order, ties going to the lowest index.
+    Dead entries sort after every live one, so a row with fewer than k
+    live entries ends with dead indices; callers clamp k to the live
+    count.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    keys = np.where(live, -(w * w), np.inf)
+    return np.argsort(keys, axis=-1, kind="stable")[..., :k]
+
+
 def update_mask(mask, step):
     """Mark the winning index of one draw as used; ties resolve to the lowest index."""
     values = step.data if isinstance(step, ad.Tensor) else np.asarray(step)
@@ -132,7 +149,8 @@ def k_hot_gate(w, mask, k, tau=1.0, mode="soft", rng=None, noise=None):
 
     ``noise``, when given, holds k rows of pre-drawn Gumbel values and
     overrides ``rng``; freezing it makes soft mode deterministic, which
-    the finite-difference checks rely on. Hard mode ignores noise.
+    the finite-difference checks rely on. Hard mode ignores noise and
+    takes its draws from :func:`topk_select`.
     """
     w = ad.as_tensor(w)
     if w.data.ndim != 1:
@@ -151,18 +169,21 @@ def k_hot_gate(w, mask, k, tau=1.0, mode="soft", rng=None, noise=None):
     if mode == "soft" and rng is None and noise is None:
         raise ValueError("soft mode needs an rng or pre-drawn noise")
 
+    if mode == "hard":
+        order = topk_select(w.data, mask == 0, k)
+        steps = np.zeros((k, d))
+        steps[np.arange(k), order] = 1.0
+        final = mask.copy()
+        final[order] = 1
+        return GateResult(steps=list(steps), gate=steps.sum(axis=0), final_mask=final, mode=mode)
+
     steps = []
     gate = None
     current = mask
     for t in range(k):
         log_pi = masked_log_prob(w, current)
-        if mode == "soft":
-            lam = noise[t] if noise is not None else sample_gumbel(d, rng)
-            step = gate_step(log_pi, lam, tau)
-        else:
-            onehot = np.zeros(d)
-            onehot[int(np.argmax(log_pi.data))] = 1.0
-            step = onehot
+        lam = noise[t] if noise is not None else sample_gumbel(d, rng)
+        step = gate_step(log_pi, lam, tau)
         current = update_mask(current, step)
         steps.append(step)
         gate = step if gate is None else gate + step

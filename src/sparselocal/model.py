@@ -284,6 +284,11 @@ def _class_targets(samples, num_classes):
     return y
 
 
+def _live(samples):
+    """Boolean (n, d) array of the samples' unmasked features."""
+    return np.array([s.m for s in samples]) == 0
+
+
 class GatedLocalLinear:
     """Per-sample linear classifier whose weights pass through a k-hot gate."""
 
@@ -433,39 +438,64 @@ class GatedLocalLinear:
         return self.batch_loss(samples, gated=False)
 
     # -- inference --------------------------------------------------------
-    def _hard_margin(self, w_row, z, m, k):
-        k_eff = min(k, int((m == 0).sum()))
-        if k_eff < 1:
-            raise GateExhaustedError("sample has no unmasked features")
-        result = gt.k_hot_gate(w_row, m, k_eff, mode="hard")
-        return float(z @ (result.values * w_row)), result
+    def _weight_grid(self, samples):
+        """Weight rows for a batch of samples, shape (n, heads, d)."""
+        rows = self.generator.rows([s.x for s in samples]).data
+        return rows.reshape(len(samples), self.config.heads, self.config.d)
+
+    @staticmethod
+    def _hard_scores(samples, grid, live, k):
+        """Hard-gated scores (n, heads) and the selected indices (n, heads, min(k, d)).
+
+        ``live`` is the (n, d) boolean of unmasked features. Dead indices
+        sort after live ones, so keeping the live entries of each top-k
+        clamps its gate count to the sample's live features; a sample
+        with none gets the empty-sum score of zero. Every score is the
+        per-row dot z . (g * w).
+        """
+        if k < 1:
+            raise ValueError(f"k must be at least 1, got {k}")
+        n, heads, d = grid.shape
+        live = live[:, None, :]
+        order = gt.topk_select(grid, live, k)
+        g = np.zeros(grid.size)  # a flat scatter costs half of put_along_axis on one sample
+        g[(np.arange(0, grid.size, d).reshape(n, heads, 1) + order).ravel()] = 1.0
+        g = g.reshape(grid.shape) * live
+        scores = np.empty((n, heads))
+        for i, s in enumerate(samples):
+            z = np.asarray(s.z, dtype=np.float64)
+            for c in range(heads):
+                scores[i, c] = z @ (g[i, c] * grid[i, c])
+        return scores, order
 
     def margin(self, sample, k=None):
-        """Hard-gated prediction: a signed margin (binary) or class scores."""
-        k = self.config.k if k is None else int(k)
-        z = np.asarray(sample.z, dtype=np.float64)
-        m = np.asarray(sample.m, dtype=np.int64)
-        weights = self.generate_weights(sample.x)
-        if self.config.num_classes == 2:
-            return self._hard_margin(weights, z, m, k)[0]
-        return [self._hard_margin(weights[c], z, m, k)[0] for c in range(self.config.heads)]
+        """Hard-gated prediction: a signed margin (binary) or class scores.
 
-    def _sample_margin(self, w_row, z, m, k, mode, rng):
+        The gate count clamps to the sample's unmasked features; with none
+        the prediction is the empty sum, zero.
+        """
+        k = self.config.k if k is None else int(k)
+        scores = self._hard_scores([sample], self._weight_grid([sample]), _live([sample]), k)[0][0]
+        if self.config.num_classes == 2:
+            return float(scores[0])
+        return [float(v) for v in scores]
+
+    def _soft_margin(self, w_row, sample, k, rng):
+        m = np.asarray(sample.m, dtype=np.int64)
         k_eff = min(k, int((m == 0).sum()))
         if k_eff < 1:
             return 0.0  # every gate closed: the prediction is an empty sum
-        if mode == "hard":
-            return self._hard_margin(w_row, z, m, k)[0]
         result = gt.k_hot_gate(w_row, m, k_eff, tau=self.config.tau_fine, mode="soft", rng=rng)
-        return float(z @ (result.values * w_row))
+        return float(np.asarray(sample.z, dtype=np.float64) @ (result.values * w_row))
 
     def predict_labels(self, samples, k=None, mode="hard", rng=None, chunk=256):
         """Gated labels for a list of samples; +1/-1 or class indices.
 
-        Hard mode is the deterministic deployment path; soft mode draws
-        relaxed gates from ``rng`` and exists for inspecting the training
-        objective. Gate counts clamp to each sample's unmasked features;
-        a sample with none gets the empty-sum margin of zero.
+        Hard mode is the deterministic deployment path and selects the
+        gates of a whole chunk at once; soft mode draws relaxed gates
+        from ``rng`` and exists for inspecting the training objective.
+        Gate counts clamp to each sample's unmasked features; a sample
+        with none gets the empty-sum margin of zero.
         """
         k = self.config.k if k is None else int(k)
         if mode == "soft" and rng is None:
@@ -473,44 +503,55 @@ class GatedLocalLinear:
         out = np.empty(len(samples), dtype=np.int64)
         for lo in range(0, len(samples), chunk):
             batch = samples[lo : lo + chunk]
-            rows = self.generator.rows([s.x for s in batch]).data
-            for i, s in enumerate(batch):
-                z = np.asarray(s.z, dtype=np.float64)
-                m = np.asarray(s.m, dtype=np.int64)
-                if self.config.num_classes == 2:
-                    margin = self._sample_margin(rows[i], z, m, k, mode, rng)
-                    out[lo + i] = 1 if margin >= 0 else -1
-                else:
-                    grid = rows[i].reshape(self.config.heads, self.config.d)
-                    scores = [
-                        self._sample_margin(grid[c], z, m, k, mode, rng)
-                        for c in range(self.config.heads)
-                    ]
-                    out[lo + i] = int(np.argmax(scores))
+            grid = self._weight_grid(batch)
+            if mode == "hard":
+                scores = self._hard_scores(batch, grid, _live(batch), k)[0]
+            else:
+                scores = np.array([
+                    [self._soft_margin(grid[i, c], s, k, rng) for c in range(self.config.heads)]
+                    for i, s in enumerate(batch)
+                ])
+            if self.config.num_classes == 2:
+                out[lo : lo + len(batch)] = np.where(scores[:, 0] >= 0, 1, -1)
+            else:
+                out[lo : lo + len(batch)] = np.argmax(scores, axis=1)
         return out
 
     def explain(self, sample, k=None, feature_names=None):
         """Hard-gated explanation: the k open features with their signed weights."""
+        return self.explain_batch([sample], k=k, feature_names=feature_names)[0]
+
+    def explain_batch(self, samples, k=None, feature_names=None):
+        """Explanations for a list of samples from one batched weight pass and gate selection.
+
+        Each entry lists the k live features with the largest ``w**2`` of
+        the predicted class's weights (ties to the lowest index) with
+        their signed weights. Every sample needs at least k unmasked
+        features.
+        """
         k = self.config.k if k is None else int(k)
-        z = np.asarray(sample.z, dtype=np.float64)
-        m = np.asarray(sample.m, dtype=np.int64)
-        if int((m == 0).sum()) < k:
+        if not samples:
+            return []
+        live = _live(samples)
+        counts = live.sum(axis=1)
+        if (counts < k).any():
+            i = int(np.argmax(counts < k))
             raise GateExhaustedError(
-                f"sample {sample.id!r} has {int((m == 0).sum())} unmasked features, fewer than k={k}"
+                f"sample {samples[i].id!r} has {int(counts[i])} unmasked features, fewer than k={k}"
             )
         names = feature_names if feature_names is not None else [f"f{j}" for j in range(self.config.d)]
-        weights = self.generate_weights(sample.x)
-        if self.config.num_classes == 2:
-            result = gt.k_hot_gate(weights, m, k, mode="hard")
-            prediction = float(z @ (result.values * weights))
-            chosen = weights
-        else:
-            per_class = [gt.k_hot_gate(weights[c], m, k, mode="hard") for c in range(self.config.heads)]
-            scores = [float(z @ (r.values * weights[c])) for c, r in enumerate(per_class)]
-            label = int(np.argmax(scores))
-            prediction, result, chosen = label, per_class[label], weights[label]
-        entries = [(j, names[j], float(chosen[j])) for j in result.selection_order()]
-        return Explanation(prediction=prediction, entries=entries, mode="hard", sample_id=sample.id)
+        grid = self._weight_grid(samples)
+        scores, order = self._hard_scores(samples, grid, live, k)
+        out = []
+        for i, s in enumerate(samples):
+            if self.config.num_classes == 2:
+                head, prediction = 0, float(scores[i, 0])
+            else:
+                head = int(np.argmax(scores[i]))
+                prediction = head
+            entries = [(int(j), names[j], float(grid[i, head, j])) for j in order[i, head]]
+            out.append(Explanation(prediction=prediction, entries=entries, mode="hard", sample_id=s.id))
+        return out
 
 
 class DirectClassifier:

@@ -11,11 +11,12 @@ epoch budget to zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GateExhaustedError
+from .errors import GateExhaustedError, NonFiniteLossError
 
 
 class Adam:
@@ -116,6 +117,14 @@ def _batches(n, batch_size, rng):
         yield order[lo : lo + batch_size]
 
 
+def _check_finite(loss, phase, epoch, batch):
+    """Raise NonFiniteLossError before a NaN or infinite loss reaches backward()."""
+    value = float(loss.data)
+    if not math.isfinite(value):
+        raise NonFiniteLossError(f"loss is {value} in phase {phase!r}, epoch {epoch}, batch {batch}")
+    return value
+
+
 def _mean_loss(model, samples, batch_size, k, tau, rng):
     total = 0.0
     for lo in range(0, len(samples), batch_size):
@@ -140,13 +149,14 @@ def _run_phase(model, phase, optimizer, k, tau, train, val, schedule, rng, log, 
     stale = 0
     for _ in range(schedule.max_coarse_epochs if phase == "coarse" else schedule.max_fine_epochs):
         total = 0.0
-        for idx in _batches(len(train), schedule.batch_size, rng):
+        for b, idx in enumerate(_batches(len(train), schedule.batch_size, rng)):
             batch = [train[i] for i in idx]
             zero_grads(params)
             loss = model.batch_loss(batch, k=k, tau=tau, rng=rng)
+            value = _check_finite(loss, phase, len(log) + 1, b)
             loss.backward()
             optimizer.step()
-            total += float(loss.data) * len(batch)
+            total += value * len(batch)
         val_loss = _mean_loss(model, val, schedule.batch_size, k, tau, rng)
         record = {
             "epoch": len(log) + 1,
@@ -223,13 +233,14 @@ def train_plain(model, train, val, *, epochs, lr=1e-3, batch_size=64, rng=None, 
     stale = 0
     for epoch in range(epochs):
         total = 0.0
-        for idx in _batches(len(train), batch_size, rng):
+        for b, idx in enumerate(_batches(len(train), batch_size, rng)):
             batch = [train[i] for i in idx]
             zero_grads(params)
             loss = loss_fn(batch, rng)
+            value = _check_finite(loss, "plain", epoch + 1, b)
             loss.backward()
             optimizer.step()
-            total += float(loss.data) * len(batch)
+            total += value * len(batch)
         record = {"epoch": epoch + 1, "train_loss": total / len(train)}
         if val:
             vtotal = 0.0

@@ -325,20 +325,22 @@ def test_c6_latency_scales_gently_with_k(report):
         x = rng.uniform(size=(1, 28, 28))
         samples.append(Sample(id=i, x=x, z=rng.normal(size=49), y=1, m=np.zeros(49, dtype=np.int64)))
     reps = 300
-    means = {}
-    for k in (1, 5, 10):
-        for i in range(20):  # warm-up
+    ks = (1, 5, 10)
+    for i in range(20):  # warm-up
+        for k in ks:
             model.explain(samples[i % len(samples)], k=k)
-        times = np.empty(reps)
-        for i in range(reps):
-            s = samples[i % len(samples)]
+    times = {k: np.empty(reps) for k in ks}
+    for i in range(reps):  # k interleaved within each rep, so host drift hits every k alike
+        s = samples[i % len(samples)]
+        for k in ks:
             t0 = time.perf_counter()
             model.explain(s, k=k)
-            times[i] = time.perf_counter() - t0
-        means[k] = float(times.mean() * 1e3)
+            times[k][i] = time.perf_counter() - t0
+    means = {k: float(times[k].mean() * 1e3) for k in ks}
     ratio = means[10] / means[1]
-    assert means[1] <= means[5] <= means[10], f"latency not non-decreasing: {means}"
-    assert ratio <= 12.0, f"latency ratio k=10 vs k=1 is {ratio:.2f} > 12"
+    for k in ks:
+        assert len(model.explain(samples[0], k=k).entries) == k
+    assert ratio <= 1.5, f"latency ratio k=10 vs k=1 is {ratio:.2f} > 1.5"
     report(
         "C6",
         f"mean ms per explanation: k=1 {means[1]:.3f}, k=5 {means[5]:.3f}, "

@@ -271,3 +271,79 @@ class TestBatchedRows:
         mask = np.array([[0, 0, 0, 0], [1, 1, 1, 0]])
         with pytest.raises(GateExhaustedError, match="row 1"):
             gt.k_hot_gate_rows(ad.Tensor(w), mask, 2, tau=1.0, rng=np.random.default_rng(0))
+
+
+def reference_topk(w, live, k):
+    """Stable argsort of -w**2 over the live entries of one row, first k."""
+    idx = np.flatnonzero(live)
+    return idx[np.argsort(-(w[idx] ** 2), kind="stable")][:k]
+
+
+def random_topk_rows(rng, shape):
+    """Weights spanning magnitudes down to 1e-12 relative, with exact ties and dead entries."""
+    scale = 10.0 ** rng.uniform(-12, 0, size=shape)
+    w = rng.choice([-1.0, 1.0], size=shape) * scale
+    d = shape[-1]
+    ties = rng.random(shape) < 0.3
+    w = np.where(ties, rng.choice([-1.0, 1.0], size=shape) * w[..., :1], w)  # copies of the row's first magnitude
+    live = rng.random(shape) < rng.uniform(0.3, 1.0)
+    if rng.random() < 0.2:
+        w[..., rng.integers(d)] = 0.0
+    return w, live
+
+
+class TestTopkSelect:
+    def test_underflow_regression(self):
+        # the log-softmax draw loop rounded the small weights to one value and returned [0, 1, 2]
+        w = np.array([1.0, 1e-9, 2e-9, 3e-9])
+        assert gt.topk_select(w, True, 3).tolist() == [0, 3, 2]
+        res = gt.k_hot_gate(w, np.zeros(4, dtype=int), 3, mode="hard")
+        assert res.selection_order() == [0, 3, 2]
+        np.testing.assert_array_equal(res.values, [1.0, 0.0, 1.0, 1.0])
+
+    def test_ties_go_to_lowest_index_and_sign_is_ignored(self):
+        w = np.array([0.5, -2.0, 2.0, -0.5, 2.0])
+        assert gt.topk_select(w, True, 5).tolist() == [1, 2, 4, 0, 3]
+
+    def test_dead_entries_sort_last(self):
+        w = np.array([5.0, 1.0, 4.0, 3.0])
+        live = np.array([False, True, False, True])
+        assert gt.topk_select(w, live, 4).tolist() == [3, 1, 0, 2]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_reference_on_vectors(self, seed):
+        rng = np.random.default_rng(7000 + seed)
+        for _ in range(100):
+            d = int(rng.integers(1, 40))
+            w, live = random_topk_rows(rng, (d,))
+            k = int(rng.integers(1, d + 1))
+            got = gt.topk_select(w, live, k)
+            ref = reference_topk(w, live, k)
+            np.testing.assert_array_equal(got[: ref.size], ref)
+            assert not live[got[ref.size :]].any()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_reference_on_batches(self, seed):
+        rng = np.random.default_rng(8000 + seed)
+        for _ in range(20):
+            n, heads, d = (int(v) for v in rng.integers(1, [12, 4, 30]))
+            w, _ = random_topk_rows(rng, (n, heads, d))
+            live = rng.random((n, 1, d)) < 0.7  # one mask per sample, shared by its heads
+            k = int(rng.integers(1, d + 1))
+            got = gt.topk_select(w, live, k)
+            assert got.shape == (n, heads, k)
+            for i in range(n):
+                for c in range(heads):
+                    ref = reference_topk(w[i, c], live[i, 0], k)
+                    np.testing.assert_array_equal(got[i, c, : ref.size], ref)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_hard_gate_matches_reference(self, seed):
+        rng = np.random.default_rng(9000 + seed)
+        w, live = random_topk_rows(rng, (int(rng.integers(2, 30)),))
+        live[rng.integers(w.size)] = True
+        k = int(rng.integers(1, int(live.sum()) + 1))
+        res = gt.k_hot_gate(w, (~live).astype(int), k, mode="hard")
+        ref = reference_topk(w, live, k)
+        assert res.selection_order() == ref.tolist()
+        assert np.flatnonzero(res.values).tolist() == sorted(ref.tolist())

@@ -362,3 +362,68 @@ class TestExplain:
         exp = model.explain(s, k=2)
         assert exp.prediction in (0, 1, 2)
         assert len(exp.entries) == 2
+
+
+def masked_samples(rng, d, n, num_classes=2):
+    """Vector samples with random masks: some clamped below k, some with no live feature."""
+    samples = []
+    for i in range(n):
+        y = int(rng.choice([-1, 1])) if num_classes == 2 else int(rng.integers(num_classes))
+        s = vector_sample(rng, d=d, y=y, sid=i)
+        s.m = (rng.random(d) < rng.uniform(0.0, 1.0)).astype(np.int64)
+        if i % 7 == 0:
+            s.m[:] = 1
+        samples.append(s)
+    return samples
+
+
+class TestBatchedHardGate:
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    def test_predict_labels_equal_per_sample_margins(self, num_classes):
+        rng = np.random.default_rng(71)
+        model = GatedLocalLinear(vector_config(d=8, k=4, num_classes=num_classes), rng)
+        samples = masked_samples(rng, 8, 60, num_classes)
+        assert any(0 < s.live_count < 4 for s in samples) and any(s.live_count == 0 for s in samples)
+        labels = model.predict_labels(samples, chunk=16)
+        for s, label in zip(samples, labels):
+            margin = model.margin(s)
+            if num_classes == 2:
+                assert label == (1 if margin >= 0 else -1)
+            else:
+                assert label == int(np.argmax(margin))
+            if s.live_count == 0:
+                assert np.all(np.asarray(margin) == 0.0)
+
+    def test_margin_matches_reference_dot(self):
+        rng = np.random.default_rng(72)
+        model = GatedLocalLinear(vector_config(d=8, k=3), rng)
+        for s in masked_samples(rng, 8, 20):
+            w = model.generate_weights(s.x)
+            live = np.flatnonzero(s.m == 0)
+            g = np.zeros(8)
+            g[live[np.argsort(-(w[live] ** 2), kind="stable")][:3]] = 1.0
+            assert model.margin(s) == float(s.z @ (g * w))
+
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    def test_explain_batch_equals_explain(self, num_classes):
+        rng = np.random.default_rng(73)
+        model = GatedLocalLinear(vector_config(d=8, k=3, num_classes=num_classes), rng)
+        samples = [s for s in masked_samples(rng, 8, 40, num_classes) if s.live_count >= 3]
+        names = [f"n{j}" for j in range(8)]
+        batch = model.explain_batch(samples, k=3, feature_names=names)
+        assert len(batch) == len(samples)
+        for s, got in zip(samples, batch):
+            one = model.explain(s, k=3, feature_names=names)
+            assert got.sample_id == one.sample_id and got.mode == one.mode == "hard"
+            assert got.indices == one.indices
+            assert got.prediction == pytest.approx(one.prediction, rel=1e-12, abs=1e-15)
+            np.testing.assert_allclose([e[2] for e in got.entries], [e[2] for e in one.entries], rtol=1e-12)
+
+    def test_explain_batch_rejects_infeasible_sample(self):
+        rng = np.random.default_rng(74)
+        model = GatedLocalLinear(vector_config(d=6, k=3), rng)
+        ok, short = vector_sample(rng, sid="ok"), vector_sample(rng, sid="short")
+        short.m = np.array([1, 1, 1, 1, 0, 0])
+        with pytest.raises(GateExhaustedError, match="'short' has 2 unmasked features, fewer than k=3"):
+            model.explain_batch([ok, short], k=3)
+        assert model.explain_batch([], k=3) == []

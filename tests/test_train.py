@@ -5,7 +5,7 @@ import pytest
 
 from sparselocal import autodiff as ad
 from sparselocal.data import make_synthetic, split_dataset
-from sparselocal.errors import GateExhaustedError
+from sparselocal.errors import GateExhaustedError, NonFiniteLossError
 from sparselocal.model import GatedLocalLinear, ModelConfig
 from sparselocal.train import (
     Adam,
@@ -293,3 +293,39 @@ class TestReferenceClassifierParity:
         # the plain classifier is the accuracy reference the gated model chases
         assert dnn_acc >= gated_acc - 0.02, f"dnn {dnn_acc:.3f} vs gated {gated_acc:.3f}"
         assert gated_acc >= 0.9 and dnn_acc >= 0.9
+
+
+class TestNonFiniteLoss:
+    @pytest.mark.parametrize("poison, where", [
+        (lambda calls, tau: len(calls) == 3, "phase 'coarse', epoch 1, batch 2"),
+        (lambda calls, tau: tau == 0.1, "phase 'fine', epoch 2, batch 0"),
+    ])
+    def test_coarse_to_fine_names_phase_epoch_and_batch(self, monkeypatch, poison, where):
+        cfg, train, val, _ = small_problem()
+        model = GatedLocalLinear(cfg, np.random.default_rng(0))
+        sched = TrainSchedule(k_coarse=4, batch_size=64, max_coarse_epochs=1, max_fine_epochs=2, patience=10)
+        original = model.batch_loss
+        calls = []
+
+        def poisoned(batch, **kw):
+            loss = original(batch, **kw)
+            calls.append(kw["tau"])
+            if poison(calls, kw["tau"]):
+                loss.data = np.asarray(np.nan)
+            return loss
+
+        monkeypatch.setattr(model, "batch_loss", poisoned)
+        with pytest.raises(NonFiniteLossError, match=where):
+            coarse_to_fine_train(model, train, val, sched, np.random.default_rng(0))
+        assert all(p.grad is None for p in model.parameters())  # backward never ran on the bad loss
+
+    def test_nan_parameters_stop_train_plain_before_backward(self):
+        ds = make_synthetic(200, 6, seed=9)
+        train, val, _ = split_dataset(ds.samples, [0.7, 0.15, 0.15], seed=1)
+        model = GatedLocalLinear(ModelConfig(d=6, k=6, extractor={"kind": "vector", "dim": 8}, fc_width=8),
+                                 np.random.default_rng(3))
+        model.named_parameters()["head.bias"].data[0, 0] = np.inf
+        with pytest.raises(NonFiniteLossError, match=r"phase 'plain', epoch 1, batch 0"):
+            train_plain(model, train, val, epochs=2, rng=np.random.default_rng(3),
+                        loss_fn=lambda batch, rng: model.dense_batch_loss(batch))
+        assert all(p.grad is None for p in model.parameters())
