@@ -228,6 +228,8 @@ def _parse_k_list(text):
 def cmd_eval(args):
     model, _header = load_checkpoint(args.checkpoint)
     data = load_manifest(args.dataset)
+    if not data.test:
+        raise ConfigError("evaluation needs a non-empty test split")
     ks = _parse_k_list(args.k)
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     for k in ks:
@@ -236,8 +238,6 @@ def cmd_eval(args):
     if args.dense:
         if model.config.num_classes != 2:
             raise ConfigError("dense truncation evaluation supports binary models only")
-        if not data.test:
-            raise ConfigError("dense truncation evaluation needs a non-empty test split")
         rows = np.concatenate([
             model.generator.rows([s.x for s in data.test[lo : lo + 256]]).data
             for lo in range(0, len(data.test), 256)

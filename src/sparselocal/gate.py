@@ -8,7 +8,9 @@ no feature can be chosen twice. Summing the draws gives the gate.
 
 In soft mode each draw is a relaxed simplex vector and the whole
 construction is differentiable with respect to the weights (the mask
-updates are treated as gradient-stopped). In hard mode the noise is
+updates are treated as gradient-stopped). One draw loop serves soft
+mode: it runs over ``(n, d)`` rows, and a single vector is a one-row
+batch. In hard mode the noise is
 dropped and each draw is the exact one-hot argmax. Noise-free greedy
 draws are exactly a top-k, so hard mode is computed in one step by
 :func:`topk_select`: an exact stable top-k over the live ``w**2``, ties
@@ -177,17 +179,13 @@ def k_hot_gate(w, mask, k, tau=1.0, mode="soft", rng=None, noise=None):
         final[order] = 1
         return GateResult(steps=list(steps), gate=steps.sum(axis=0), final_mask=final, mode=mode)
 
-    steps = []
-    gate = None
-    current = mask
-    for t in range(k):
-        log_pi = masked_log_prob(w, current)
-        lam = noise[t] if noise is not None else sample_gumbel(d, rng)
-        step = gate_step(log_pi, lam, tau)
-        current = update_mask(current, step)
-        steps.append(step)
-        gate = step if gate is None else gate + step
-    return GateResult(steps=steps, gate=gate, final_mask=current, mode=mode)
+    if tau <= 0:
+        raise ValueError(f"temperature must be positive, got {tau}")
+    noise = None if noise is None else np.asarray(noise)[:, None, :]
+    gate, steps, live = _soft_draws(w.reshape((1, d)), (mask == 0)[None], k, tau, rng, noise)
+    final = mask.copy()
+    final[(mask == 0) & ~live[0]] = 1
+    return GateResult(steps=[s.reshape((d,)) for s in steps], gate=gate.reshape((d,)), final_mask=final, mode=mode)
 
 
 def k_hot_gate_rows(w, mask, k, tau, rng=None, noise=None):
@@ -215,8 +213,15 @@ def k_hot_gate_rows(w, mask, k, tau, rng=None, noise=None):
     if rng is None and noise is None:
         raise ValueError("soft gating needs an rng or pre-drawn noise")
 
+    return _soft_draws(w, live, k, tau, rng, noise)[0]
+
+
+def _soft_draws(w, live, k, tau, rng, noise):
+    """The soft draw loop over (n, d) rows: the gate, the k draws and the live mask left after them."""
+    n, d = w.data.shape
     w2 = ad.square(w)
     gate = None
+    steps = []
     for t in range(k):
         log_pi = _masked_log_softmax(w2, live)
         lam = noise[t] if noise is not None else sample_gumbel((n, d), rng)
@@ -225,5 +230,6 @@ def k_hot_gate_rows(w, mask, k, tau, rng=None, noise=None):
         winners = np.argmax(step.data, axis=1)
         live = live.copy()
         live[np.arange(n), winners] = False
+        steps.append(step)
         gate = step if gate is None else gate + step
-    return gate
+    return gate, steps, live

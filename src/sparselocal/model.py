@@ -8,9 +8,10 @@ the inner product of the gated weights with the simplified
 representation, so every prediction decomposes into k named, signed
 contributions.
 
-Two reference variants live here as well: the dense variant that skips
-the gate entirely, and a plain classifier with the same extractor stack
-whose last layer outputs class logits directly.
+Both models share one network trunk (``WeightGenerator``) and differ
+only in its head width: d weights per class for the gated model, class
+logits for the plain ``DirectClassifier`` reference. The dense ablation
+is ``batch_loss(gated=False)``, the same loss with every gate open.
 """
 
 from __future__ import annotations
@@ -222,17 +223,17 @@ def _build_extractor(spec, rng):
 
 
 class WeightGenerator:
-    """Maps rich representations to one dense weight row per sample and head."""
+    """The one network trunk: extractor, hidden layers and a linear head of ``width`` outputs."""
 
-    def __init__(self, config: ModelConfig, rng):
+    def __init__(self, config: ModelConfig, rng, width):
         self.config = config
         self.extractor = _build_extractor(config.extractor, rng)
         self.hidden = []
-        width = self.extractor.out_dim
+        n_in = self.extractor.out_dim
         for _ in range(config.fc_layers):
-            self.hidden.append(_Linear(width, config.fc_width, rng))
-            width = config.fc_width
-        self.head = _Linear(width, config.d * config.heads, rng, std=math.sqrt(1.0 / width))
+            self.hidden.append(_Linear(n_in, config.fc_width, rng))
+            n_in = config.fc_width
+        self.head = _Linear(n_in, width, rng, std=math.sqrt(1.0 / n_in))
 
     def features(self, xs):
         if self.extractor.stackable:
@@ -240,7 +241,7 @@ class WeightGenerator:
         return ad.concat([self.extractor.encode(x) for x in xs], axis=0)
 
     def rows(self, xs):
-        """Weight rows for a batch of rich representations, shape (n, d * heads)."""
+        """Head outputs for a batch of rich representations, shape (n, width)."""
         h = self.features(xs)
         for layer in self.hidden:
             h = ad.relu(layer(h))
@@ -289,19 +290,25 @@ def _live(samples):
     return np.array([s.m for s in samples]) == 0
 
 
-class GatedLocalLinear:
-    """Per-sample linear classifier whose weights pass through a k-hot gate."""
+class _TrunkModel:
+    """A model whose parameters are those of one ``WeightGenerator`` trunk."""
 
-    def __init__(self, config: ModelConfig, rng):
+    def __init__(self, config: ModelConfig, rng, width):
         self.config = config
-        self.generator = WeightGenerator(config, rng)
+        self.generator = WeightGenerator(config, rng, width)
 
-    # -- parameters ----------------------------------------------------
     def named_parameters(self):
         return self.generator.named_parameters()
 
     def parameters(self):
         return list(self.named_parameters().values())
+
+
+class GatedLocalLinear(_TrunkModel):
+    """Per-sample linear classifier whose weights pass through a k-hot gate."""
+
+    def __init__(self, config: ModelConfig, rng):
+        super().__init__(config, rng, config.d * config.heads)
 
     # -- weight generation ----------------------------------------------
     def generate_weights(self, x):
@@ -329,36 +336,37 @@ class GatedLocalLinear:
         k = self.config.k if k is None else int(k)
         tau = self.config.tau_fine if tau is None else float(tau)
         w = self.generator.rows([s.x for s in samples])
-        z = np.stack([np.asarray(s.z, dtype=np.float64) for s in samples])
+        if not gated:
+            return self._losses(samples, self._heads(w), None).mean()
+
         m = np.stack([np.asarray(s.m, dtype=np.int64) for s in samples])
+        live = (m == 0).sum(axis=1)
+        if (live < 1).any():
+            bad = samples[int(np.argmin(live))].id
+            raise GateExhaustedError(f"sample {bad!r} has no unmasked features")
+        eff_k = np.minimum(k, live)
+        order = np.argsort(eff_k, kind="stable")
+        if not np.array_equal(order, np.arange(len(samples))):
+            w = ad.gather_rows(w, order)
+            m = m[order]
+            samples = [samples[i] for i in order]
+            noise = noise[:, order, :] if noise is not None else None
+        eff_k = eff_k[order]
+        bounds = np.flatnonzero(np.diff(eff_k)) + 1
+        groups = [
+            (int(lo), int(hi), int(eff_k[lo]))
+            for lo, hi in zip(np.concatenate([[0], bounds]), np.concatenate([bounds, [len(samples)]]))
+        ]
+        heads = self._heads(w)
+        gates = [self._grouped_gate(wc, m, groups, tau, rng, noise) for wc in heads]
+        return self._losses(samples, heads, gates).mean()
 
-        groups = None
-        if gated:
-            live = (m == 0).sum(axis=1)
-            if (live < 1).any():
-                bad = samples[int(np.argmin(live))].id
-                raise GateExhaustedError(f"sample {bad!r} has no unmasked features")
-            eff_k = np.minimum(k, live)
-            order = np.argsort(eff_k, kind="stable")
-            if not np.array_equal(order, np.arange(len(samples))):
-                w = ad.gather_rows(w, order)
-                z, m = z[order], m[order]
-                samples = [samples[i] for i in order]
-                noise = noise[:, order, :] if noise is not None else None
-            eff_k = eff_k[order]
-            bounds = np.flatnonzero(np.diff(eff_k)) + 1
-            groups = [
-                (int(lo), int(hi), int(eff_k[lo]))
-                for lo, hi in zip(np.concatenate([[0], bounds]), np.concatenate([bounds, [len(samples)]]))
-            ]
-
-        if self.config.num_classes == 2:
-            y = _binary_targets(samples)
-            losses = self._binary_losses(w, z, m, y, groups, tau, rng, noise, gated)
-        else:
-            y = _class_targets(samples, self.config.num_classes)
-            losses = self._multiclass_losses(w, z, m, y, groups, tau, rng, noise, gated)
-        return losses.mean()
+    def _heads(self, w):
+        """Per-head (n, d) weight columns of generator rows w."""
+        d = self.config.d
+        if self.config.heads == 1:
+            return [w]
+        return [ad.slice_cols(w, c * d, (c + 1) * d) for c in range(self.config.heads)]
 
     def _grouped_gate(self, w, m, groups, tau, rng, noise):
         """Soft gates for rows pre-sorted into contiguous equal-k groups."""
@@ -369,33 +377,23 @@ class GatedLocalLinear:
             pieces.append(gt.k_hot_gate_rows(wb, m[lo:hi], kb, tau, rng=rng, noise=nb))
         return pieces[0] if len(pieces) == 1 else ad.concat(pieces, axis=0)
 
-    def _binary_losses(self, w, z, m, y, groups, tau, rng, noise, gated):
-        if gated:
-            gate = self._grouped_gate(w, m, groups, tau, rng, noise)
-            margins = (ad.Tensor(z) * gate * w).sum(axis=1)
-        else:
-            margins = (ad.Tensor(z) * w).sum(axis=1)
-        return ad.softplus(margins * ad.Tensor(-y))
+    def _losses(self, samples, heads, gates):
+        """Per-sample losses from each head's weight rows and gate; ``gates=None`` opens every gate.
 
-    def _multiclass_losses(self, w, z, m, y, groups, tau, rng, noise, gated):
-        d, heads = self.config.d, self.config.heads
-        zt = ad.Tensor(z)
-        n = z.shape[0]
-        cols = []
-        for c in range(heads):
-            wc = ad.slice_cols(w, c * d, (c + 1) * d)
-            if gated:
-                gate = self._grouped_gate(wc, m, groups, tau, rng, noise)
-                col = (zt * gate * wc).sum(axis=1)
-            else:
-                col = (zt * wc).sum(axis=1)
-            cols.append(col.reshape((n, 1)))
-        logits = ad.concat(cols, axis=1)
-        picked = ad.take_along(ad.log_softmax(logits, axis=1), y)
+        Binary models take the logistic loss of the margin, multiclass
+        models the softmax cross-entropy of the per-head scores.
+        """
+        z = ad.Tensor(np.stack([np.asarray(s.z, dtype=np.float64) for s in samples]))
+        gates = gates or [None] * len(heads)
+        cols = [(z * w if g is None else z * g * w).sum(axis=1) for w, g in zip(heads, gates)]
+        if self.config.num_classes == 2:
+            return ad.softplus(cols[0] * ad.Tensor(-_binary_targets(samples)))
+        logits = ad.concat([c.reshape((len(samples), 1)) for c in cols], axis=1)
+        picked = ad.take_along(ad.log_softmax(logits, axis=1), _class_targets(samples, self.config.num_classes))
         return picked * (-1.0)
 
     def forward_loss(self, sample, mode="soft", k=None, tau=None, rng=None, noise=None):
-        """Loss and gate trace for a single sample.
+        """Loss and gate trace for a single sample: the one-sample batch loss, gated by ``k_hot_gate``.
 
         Returns (loss tensor, GateResult); multiclass models return the
         list of per-class gate results instead.
@@ -406,36 +404,12 @@ class GatedLocalLinear:
         k_eff = min(k, int((m == 0).sum()))
         if k_eff < 1:
             raise GateExhaustedError(f"sample {sample.id!r} has no unmasked features")
-        w = self.generator.rows([sample.x])
-        z = np.asarray(sample.z, dtype=np.float64)
-        if self.config.num_classes == 2:
-            if sample.y not in (-1, 1):
-                raise ValueError(f"binary label must be +1 or -1, got {sample.y!r}")
-            wv = w.reshape((self.config.d,))
-            result = gt.k_hot_gate(wv, m, k_eff, tau=tau, mode=mode, rng=rng, noise=noise)
-            gate = result.gate if mode == "soft" else ad.Tensor(result.values)
-            margin = (ad.Tensor(z) * gate * wv).sum()
-            loss = ad.softplus(margin * (-float(sample.y)))
-            return loss, result
-        y = _class_targets([sample], self.config.num_classes)
-        results, cols = [], []
-        for c in range(self.config.heads):
-            wc = ad.slice_cols(w, c * self.config.d, (c + 1) * self.config.d).reshape((self.config.d,))
-            res = gt.k_hot_gate(wc, m, k_eff, tau=tau, mode=mode, rng=rng, noise=noise)
-            gate = res.gate if mode == "soft" else ad.Tensor(res.values)
-            cols.append(((ad.Tensor(z) * gate * wc).sum()).reshape((1, 1)))
-            results.append(res)
-        logits = ad.concat(cols, axis=1)
-        loss = ad.take_along(ad.log_softmax(logits, axis=1), y) * (-1.0)
-        return loss.reshape(()), results
-
-    def dense_forward(self, sample, rng=None):
-        """Loss with every gate open; pairs with top-k truncation at evaluation."""
-        loss = self.batch_loss([sample], gated=False)
-        return loss, self.generate_weights(sample.x)
-
-    def dense_batch_loss(self, samples):
-        return self.batch_loss(samples, gated=False)
+        d = self.config.d
+        heads = self._heads(self.generator.rows([sample.x]))
+        results = [gt.k_hot_gate(wc.reshape((d,)), m, k_eff, tau=tau, mode=mode, rng=rng, noise=noise) for wc in heads]
+        gates = [ad.as_tensor(r.gate).reshape((1, d)) for r in results]
+        loss = self._losses([sample], heads, gates).reshape(())
+        return loss, results[0] if self.config.num_classes == 2 else results
 
     # -- inference --------------------------------------------------------
     def _weight_grid(self, samples):
@@ -554,37 +528,14 @@ class GatedLocalLinear:
         return out
 
 
-class DirectClassifier:
-    """Same extractor and hidden stack, but the last layer emits class logits."""
+class DirectClassifier(_TrunkModel):
+    """The same trunk with a head of class logits in place of weight rows."""
 
     def __init__(self, config: ModelConfig, rng):
-        self.config = config
-        self.extractor = _build_extractor(config.extractor, rng)
-        self.hidden = []
-        width = self.extractor.out_dim
-        for _ in range(config.fc_layers):
-            self.hidden.append(_Linear(width, config.fc_width, rng))
-            width = config.fc_width
-        self.head = _Linear(width, config.num_classes, rng, std=math.sqrt(1.0 / width))
-
-    def named_parameters(self):
-        out = dict(self.extractor.params())
-        for i, layer in enumerate(self.hidden):
-            out.update(layer.params(f"hidden{i}"))
-        out.update(self.head.params("head"))
-        return out
-
-    def parameters(self):
-        return list(self.named_parameters().values())
+        super().__init__(config, rng, config.num_classes)
 
     def logits(self, xs):
-        if self.extractor.stackable:
-            h = self.extractor(ad.Tensor(np.stack([np.asarray(x, dtype=np.float64) for x in xs])))
-        else:
-            h = ad.concat([self.extractor.encode(x) for x in xs], axis=0)
-        for layer in self.hidden:
-            h = ad.relu(layer(h))
-        return self.head(h)
+        return self.generator.rows(xs)
 
     def dnn_forward(self, x):
         """Logits for one rich representation, length num_classes."""

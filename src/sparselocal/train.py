@@ -125,12 +125,11 @@ def _check_finite(loss, phase, epoch, batch):
     return value
 
 
-def _mean_loss(model, samples, batch_size, k, tau, rng):
+def _mean_loss(loss_fn, samples, batch_size, rng):
     total = 0.0
     for lo in range(0, len(samples), batch_size):
         batch = samples[lo : lo + batch_size]
-        loss = model.batch_loss(batch, k=k, tau=tau, rng=rng)
-        total += float(loss.data) * len(batch)
+        total += float(loss_fn(batch, rng).data) * len(batch)
     return total / len(samples)
 
 
@@ -143,40 +142,48 @@ def evaluate(model, samples, k=None, mode="hard", rng=None):
     return float(np.mean(predicted == truth))
 
 
-def _run_phase(model, phase, optimizer, k, tau, train, val, schedule, rng, log, lr, progress):
+def _run_phase(model, phase, optimizer, loss_fn, train, val, rng, log, *,
+               epochs, batch_size, patience, fields, acc_k=None, progress=None):
+    """The one epoch loop: ``optimizer`` steps on ``loss_fn(batch, rng)`` over shuffled batches.
+
+    Each epoch appends a record to ``log``: its number, then ``fields``,
+    the mean training loss and, given validation samples, their mean
+    loss and (when ``acc_k`` is set) their hard-gated accuracy at that k.
+    The phase stops once validation loss has not improved for
+    ``patience`` epochs; with no patience or no validation it runs all
+    ``epochs``.
+    """
+    if not train:
+        raise ValueError("training needs a non-empty train set")
     params = model.parameters()
     best = np.inf
     stale = 0
-    for _ in range(schedule.max_coarse_epochs if phase == "coarse" else schedule.max_fine_epochs):
+    for _ in range(epochs):
         total = 0.0
-        for b, idx in enumerate(_batches(len(train), schedule.batch_size, rng)):
+        for b, idx in enumerate(_batches(len(train), batch_size, rng)):
             batch = [train[i] for i in idx]
             zero_grads(params)
-            loss = model.batch_loss(batch, k=k, tau=tau, rng=rng)
+            loss = loss_fn(batch, rng)
             value = _check_finite(loss, phase, len(log) + 1, b)
             loss.backward()
             optimizer.step()
             total += value * len(batch)
-        val_loss = _mean_loss(model, val, schedule.batch_size, k, tau, rng)
-        record = {
-            "epoch": len(log) + 1,
-            "phase": phase,
-            "tau": tau,
-            "k": k,
-            "lr": lr,
-            "train_loss": total / len(train),
-            "val_loss": val_loss,
-            "val_acc": evaluate(model, val, k=k),
-        }
+        record = {"epoch": len(log) + 1, **fields, "train_loss": total / len(train)}
+        if val:
+            record["val_loss"] = _mean_loss(loss_fn, val, batch_size, rng)
+            if acc_k is not None:
+                record["val_acc"] = evaluate(model, val, k=acc_k)
         log.append(record)
         if progress is not None:
             progress(record)
-        if val_loss < best - 1e-12:
-            best = val_loss
+        if not val or patience is None:
+            continue
+        if record["val_loss"] < best - 1e-12:
+            best = record["val_loss"]
             stale = 0
         else:
             stale += 1
-            if stale >= schedule.patience:
+            if stale >= patience:
                 break
 
 
@@ -189,8 +196,8 @@ def coarse_to_fine_train(model, train, val, schedule=None, rng=None, progress=No
     """
     schedule = schedule or TrainSchedule()
     rng = rng if rng is not None else np.random.default_rng()
-    if not train or not val:
-        raise ValueError("training needs non-empty train and validation sets")
+    if not val:
+        raise ValueError("training needs a non-empty validation set")
     k_target = model.config.k if schedule.k_target is None else schedule.k_target
     live = np.array([int((np.asarray(s.m) == 0).sum()) for s in train])
     if (live < k_target).any():
@@ -200,60 +207,38 @@ def coarse_to_fine_train(model, train, val, schedule=None, rng=None, progress=No
         )
 
     log = []
-    if schedule.max_coarse_epochs > 0:
-        optimizer = Adam(model.parameters(), lr=schedule.adam_lr)
+
+    def run(phase, optimizer, k, tau, epochs, lr):
         _run_phase(
-            model, "coarse", optimizer, min(schedule.k_coarse, model.config.d),
-            schedule.tau_coarse, train, val, schedule, rng, log, schedule.adam_lr, progress,
+            model, phase, optimizer, lambda batch, r: model.batch_loss(batch, k=k, tau=tau, rng=r),
+            train, val, rng, log, epochs=epochs, batch_size=schedule.batch_size, patience=schedule.patience,
+            fields={"phase": phase, "tau": tau, "k": k, "lr": lr}, acc_k=k, progress=progress,
         )
-    if schedule.max_fine_epochs > 0:
-        # fresh optimizer state: momentum starts at zero, Adam moments are dropped
-        optimizer = MomentumSGD(model.parameters(), lr=schedule.fine_lr, momentum=schedule.momentum)
-        _run_phase(
-            model, "fine", optimizer, k_target, schedule.tau_fine,
-            train, val, schedule, rng, log, schedule.fine_lr, progress,
-        )
+
+    run("coarse", Adam(model.parameters(), lr=schedule.adam_lr), min(schedule.k_coarse, model.config.d),
+        schedule.tau_coarse, schedule.max_coarse_epochs, schedule.adam_lr)
+    # fresh optimizer state: momentum starts at zero, Adam moments are dropped
+    run("fine", MomentumSGD(model.parameters(), lr=schedule.fine_lr, momentum=schedule.momentum),
+        k_target, schedule.tau_fine, schedule.max_fine_epochs, schedule.fine_lr)
     return log
 
 
 def train_plain(model, train, val, *, epochs, lr=1e-3, batch_size=64, rng=None, patience=None, loss_fn=None):
-    """Single-phase Adam training for the ungated reference models.
+    """Adam training as one ``"plain"`` phase of the shared epoch loop; returns the per-epoch log.
 
-    ``loss_fn(batch, rng)`` overrides the objective; the default is the
-    model's own ``batch_loss``. Used for the plain classifier and for the
-    dense (gate-free) ablation via ``dense_batch_loss``.
+    ``loss_fn(batch, rng)`` is the objective, by default the model's own
+    ``batch_loss``: the plain classifier trains on its logits, and the
+    dense (gate-free) ablation passes
+    ``lambda batch, rng: model.batch_loss(batch, gated=False)``. Records
+    hold the epoch, the training loss and, given validation samples,
+    the validation loss; ``patience`` stops early on it.
     """
     rng = rng if rng is not None else np.random.default_rng()
     if loss_fn is None:
         loss_fn = lambda batch, r: model.batch_loss(batch, rng=r)
-    params = model.parameters()
-    optimizer = Adam(params, lr=lr)
     log = []
-    best = np.inf
-    stale = 0
-    for epoch in range(epochs):
-        total = 0.0
-        for b, idx in enumerate(_batches(len(train), batch_size, rng)):
-            batch = [train[i] for i in idx]
-            zero_grads(params)
-            loss = loss_fn(batch, rng)
-            value = _check_finite(loss, "plain", epoch + 1, b)
-            loss.backward()
-            optimizer.step()
-            total += value * len(batch)
-        record = {"epoch": epoch + 1, "train_loss": total / len(train)}
-        if val:
-            vtotal = 0.0
-            for lo in range(0, len(val), batch_size):
-                batch = val[lo : lo + batch_size]
-                vtotal += float(loss_fn(batch, rng).data) * len(batch)
-            record["val_loss"] = vtotal / len(val)
-        log.append(record)
-        if val and patience is not None:
-            if record["val_loss"] < best - 1e-12:
-                best, stale = record["val_loss"], 0
-            else:
-                stale += 1
-                if stale >= patience:
-                    break
+    _run_phase(
+        model, "plain", Adam(model.parameters(), lr=lr), loss_fn, train, val, rng, log,
+        epochs=epochs, batch_size=batch_size, patience=patience, fields={},
+    )
     return log

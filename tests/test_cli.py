@@ -189,16 +189,18 @@ class TestEvalCommand:
             dense = [r["accuracy"] for r in records if r["model"] == "dense_topk" and r["k"] == k]
             assert dense == [correct / len(test)]
 
-    def test_dense_rows_need_a_test_split(self, synth_run, tmp_path, capsys):
+    @pytest.mark.parametrize("extra", [[], ["--dense"], ["--mode", "soft"]], ids=["gated", "dense", "soft"])
+    def test_dense_rows_need_a_test_split(self, synth_run, tmp_path, capsys, extra):
         (tmp_path / "manifest.json").write_text(json.dumps({
             "type": "synthetic", "n": 50, "d": 8, "seed": 11, "fractions": [0.9, 0.1, 0.0],
         }))
-        code, _records, err = run_cli(
+        code, records, err = run_cli(
             capsys, "eval", "--checkpoint", str(synth_run / "model.ckpt"),
-            "--dataset", str(tmp_path / "manifest.json"), "--k", "1", "--dense",
+            "--dataset", str(tmp_path / "manifest.json"), "--k", "1", *extra,
         )
         assert code == 2
         assert "non-empty test split" in err
+        assert records == []  # rejected before any row, so no NaN accuracy reaches stdout
 
     def test_bad_checkpoint_version(self, synth_run, tmp_path, capsys):
         blob = bytearray((synth_run / "model.ckpt").read_bytes())

@@ -249,6 +249,16 @@ class TestBatchedRows:
                 ad.Tensor(w[i]), mask[i], k, tau=0.8, mode="soft", noise=noise[:, i, :]
             )
             np.testing.assert_array_equal(batched.data[i], single.values)
+            # drawing from an rng: a one-row batch and the vector path, same seed on both sides
+            row = gt.k_hot_gate_rows(
+                ad.Tensor(w[i : i + 1]), mask[i : i + 1], k, tau=0.8, rng=np.random.default_rng(seed)
+            )
+            drawn = gt.k_hot_gate(
+                ad.Tensor(w[i]), mask[i], k, tau=0.8, mode="soft", rng=np.random.default_rng(seed)
+            )
+            np.testing.assert_array_equal(row.data[0], drawn.values)
+            assert [s.data.shape for s in drawn.steps] == [(d,)] * k
+            assert sorted(np.flatnonzero(drawn.final_mask != mask[i])) == sorted(drawn.selection_order())
 
     def test_batched_gradients_match_stacked_singles(self):
         rng = np.random.default_rng(77)

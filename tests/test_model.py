@@ -269,11 +269,29 @@ class TestDenseAndDirectVariants:
         rng = np.random.default_rng(51)
         model = GatedLocalLinear(vector_config(d=5, k=2), rng)
         s = vector_sample(rng, d=5, y=-1)
-        dense_loss, w = model.dense_forward(s)
+        dense_loss, w = model.batch_loss([s], gated=False), model.generate_weights(s.x)
         gated_loss, result = model.forward_loss(s, mode="hard", k=5)
         np.testing.assert_array_equal(result.values, np.ones(5))
         assert float(dense_loss.data) == pytest.approx(float(gated_loss.data), abs=1e-15)
         assert w.shape == (5,)
+
+    @pytest.mark.parametrize("extractor", [
+        {"kind": "vector", "dim": 8},
+        {"kind": "image", "in_shape": [1, 8, 8], "channels": [2, 3]},
+        {"kind": "text", "vocab_size": 30, "embed_dim": 4, "filters": 3},
+    ], ids=["vector", "image", "text"])
+    def test_direct_classifier_shares_the_gated_trunk(self, extractor):
+        cfg = ModelConfig(d=6, k=2, extractor=extractor, fc_layers=2, fc_width=5, num_classes=3)
+        gated = GatedLocalLinear(cfg, np.random.default_rng(9)).named_parameters()
+        direct = DirectClassifier(cfg, np.random.default_rng(9)).named_parameters()
+        assert list(gated) == list(direct)
+        for name in gated:
+            if name.startswith("head."):
+                continue
+            np.testing.assert_array_equal(gated[name].data, direct[name].data)
+        # only the head width differs: d * heads weight columns against num_classes logits
+        assert gated["head.weight"].data.shape == (5, 6 * 3)
+        assert direct["head.weight"].data.shape == (5, 3)
 
     def test_hard_margin_at_k_equals_dense_margin_bitwise(self):
         rng = np.random.default_rng(52)

@@ -246,6 +246,14 @@ class TestTrainPlain:
         assert len(log) == 5
         assert log[-1]["train_loss"] < log[0]["train_loss"]
 
+    def test_empty_train_set_is_an_error(self):
+        from sparselocal.model import DirectClassifier
+
+        cfg = ModelConfig(d=6, k=1, extractor={"kind": "vector", "dim": 8}, fc_width=16)
+        dnn = DirectClassifier(cfg, np.random.default_rng(3))
+        with pytest.raises(ValueError, match="non-empty train set"):
+            train_plain(dnn, [], [], epochs=1, rng=np.random.default_rng(3))
+
     def test_custom_loss_fn_drives_dense_ablation(self):
         ds = make_synthetic(300, 6, seed=10)
         train, val, _ = split_dataset(ds.samples, [0.7, 0.15, 0.15], seed=1)
@@ -253,7 +261,7 @@ class TestTrainPlain:
         model = GatedLocalLinear(cfg, np.random.default_rng(4))
         log = train_plain(
             model, train, val, epochs=4, rng=np.random.default_rng(4),
-            loss_fn=lambda batch, rng: model.dense_batch_loss(batch),
+            loss_fn=lambda batch, rng: model.batch_loss(batch, gated=False),
         )
         assert log[-1]["train_loss"] < log[0]["train_loss"]
 
@@ -265,7 +273,7 @@ class TestTrainPlain:
         model = GatedLocalLinear(cfg, np.random.default_rng(8))
         train_plain(
             model, train, val, epochs=12, lr=1e-3, rng=np.random.default_rng(8),
-            loss_fn=lambda batch, rng: model.dense_batch_loss(batch), patience=4,
+            loss_fn=lambda batch, rng: model.batch_loss(batch, gated=False), patience=4,
         )
         assert evaluate(model, test, k=20) >= 0.9
 
@@ -327,5 +335,5 @@ class TestNonFiniteLoss:
         model.named_parameters()["head.bias"].data[0, 0] = np.inf
         with pytest.raises(NonFiniteLossError, match=r"phase 'plain', epoch 1, batch 0"):
             train_plain(model, train, val, epochs=2, rng=np.random.default_rng(3),
-                        loss_fn=lambda batch, rng: model.dense_batch_loss(batch))
+                        loss_fn=lambda batch, rng: model.batch_loss(batch, gated=False))
         assert all(p.grad is None for p in model.parameters())
