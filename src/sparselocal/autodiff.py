@@ -481,25 +481,23 @@ def conv2d(x, kernels, stride=1, padding=0):
     return make_op(out_data, (x, kernels), "conv2d", backward)
 
 
-def max_pool2d(x, window, stride=None):
-    """Per-window maximum; gradient routes to the argmax, ties to the lowest linear index."""
+def max_pool2d(x, window):
+    """Maximum over non-overlapping windows; gradient routes to the argmax, ties to the lowest linear index."""
     x = as_tensor(x)
     single = x.data.ndim == 3
     xd = x.data[None] if single else x.data
     if xd.ndim != 4:
         raise ShapeError(f"max_pool2d: input must be 3-d or 4-d, got {x.data.shape}")
     wh, ww = _as_pair(window)
-    sh, sw = (wh, ww) if stride is None else _as_pair(stride)
     n, c, h, w = xd.shape
     if wh > h or ww > w:
         raise ShapeError(f"max_pool2d: window {(wh, ww)} exceeds input extent {(h, w)}")
-    oh = (h - wh) // sh + 1
-    ow = (w - ww) // sw + 1
+    oh, ow = h // wh, w // ww
 
     windows = np.empty((n, c, oh, ow, wh * ww))
     for i in range(wh):
         for j in range(ww):
-            windows[:, :, :, :, i * ww + j] = xd[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw]
+            windows[:, :, :, :, i * ww + j] = xd[:, :, i : i + wh * oh : wh, j : j + ww * ow : ww]
     arg = windows.argmax(axis=-1)  # first maximum wins, matching row-major input order
     out_data = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
     if single:
@@ -508,10 +506,8 @@ def max_pool2d(x, window, stride=None):
     def backward(g):
         gb = g[None] if single else g
         ni, ci, oi, oj = np.indices((n, c, oh, ow))
-        ii = oi * sh + arg // ww
-        jj = oj * sw + arg % ww
         dx = np.zeros_like(xd)
-        np.add.at(dx, (ni, ci, ii, jj), gb)
+        dx[ni, ci, oi * wh + arg // ww, oj * ww + arg % ww] = gb  # windows do not overlap, so no index repeats
         accumulate_grad(x, dx[0] if single else dx)
 
     return make_op(out_data, (x,), "max_pool2d", backward)

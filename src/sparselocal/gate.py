@@ -8,9 +8,12 @@ no feature can be chosen twice. Summing the draws gives the gate.
 
 In soft mode each draw is a relaxed simplex vector and the whole
 construction is differentiable with respect to the weights (the mask
-updates are treated as gradient-stopped). One draw loop serves soft
-mode: it runs over ``(n, d)`` rows, and a single vector is a one-row
-batch. In hard mode the noise is
+updates are treated as gradient-stopped). A draw is the softmax of
+``(w**2 + lam) / tau`` over the live entries, which equals the paper's
+``softmax((log pi + lam) / tau)``: ``log pi`` is ``w**2`` less one
+constant per row, and a softmax ignores such a shift. One draw loop
+serves soft mode over ``(n, d)`` rows, each with its own gate count; a
+single vector is a one-row batch. In hard mode the noise is
 dropped and each draw is the exact one-hot argmax. Noise-free greedy
 draws are exactly a top-k, so hard mode is computed in one step by
 :func:`topk_select`: an exact stable top-k over the live ``w**2``, ties
@@ -149,7 +152,7 @@ class GateResult:
 def k_hot_gate(w, mask, k, tau=1.0, mode="soft", rng=None, noise=None):
     """Gate exactly k of the unmasked entries of a weight vector.
 
-    ``noise``, when given, holds k rows of pre-drawn Gumbel values and
+    ``noise``, when given, holds at least k rows of pre-drawn Gumbel values and
     overrides ``rng``; freezing it makes soft mode deterministic, which
     the finite-difference checks rely on. Hard mode ignores noise and
     takes its draws from :func:`topk_select`.
@@ -168,8 +171,6 @@ def k_hot_gate(w, mask, k, tau=1.0, mode="soft", rng=None, noise=None):
         raise GateExhaustedError(f"k={k} gates requested but only {available} features are unmasked")
     if mode not in ("soft", "hard"):
         raise ValueError(f"mode must be 'soft' or 'hard', got {mode!r}")
-    if mode == "soft" and rng is None and noise is None:
-        raise ValueError("soft mode needs an rng or pre-drawn noise")
 
     if mode == "hard":
         order = topk_select(w.data, mask == 0, k)
@@ -179,10 +180,8 @@ def k_hot_gate(w, mask, k, tau=1.0, mode="soft", rng=None, noise=None):
         final[order] = 1
         return GateResult(steps=list(steps), gate=steps.sum(axis=0), final_mask=final, mode=mode)
 
-    if tau <= 0:
-        raise ValueError(f"temperature must be positive, got {tau}")
-    noise = None if noise is None else np.asarray(noise)[:, None, :]
-    gate, steps, live = _soft_draws(w.reshape((1, d)), (mask == 0)[None], k, tau, rng, noise)
+    noise = _soft_inputs("k_hot_gate", tau, rng, noise, k, (d,))
+    gate, steps, live = _soft_draws(w.reshape((1, d)), (mask == 0)[None], np.array([k]), tau, rng, noise)
     final = mask.copy()
     final[(mask == 0) & ~live[0]] = 1
     return GateResult(steps=[s.reshape((d,)) for s in steps], gate=gate.reshape((d,)), final_mask=final, mode=mode)
@@ -192,8 +191,11 @@ def k_hot_gate_rows(w, mask, k, tau, rng=None, noise=None):
     """Soft gates for a whole batch of weight rows at once.
 
     Equivalent to stacking per-row :func:`k_hot_gate` soft results (given
-    the same noise) but runs each draw as one vectorized softmax over the
-    batch. ``noise`` has shape (k, n, d) when provided.
+    the same noise) but runs each draw as one vectorized softmax
+    ``softmax((w**2 + lam) / tau)`` over the live entries of the batch.
+    ``k`` is one gate count or one count per row; a row whose count is 0
+    gets the all-zero gate. ``noise`` has shape (max(k), n, d) when
+    provided, and row i uses its first k[i] draws.
     """
     w = ad.as_tensor(w)
     if w.data.ndim != 2:
@@ -202,34 +204,57 @@ def k_hot_gate_rows(w, mask, k, tau, rng=None, noise=None):
     live = np.asarray(mask) == 0
     if live.shape != (n, d):
         raise ShapeError(f"k_hot_gate_rows: weights {w.data.shape} vs mask {np.asarray(mask).shape}")
-    available = live.sum(axis=1)
-    if (available < k).any():
-        worst = int(np.argmin(available))
+    k = np.broadcast_to(np.asarray(k, dtype=np.int64), (n,))
+    if (k < 0).any():
+        raise ValueError(f"gate counts must be non-negative, got {int(k.min())}")
+    short = live.sum(axis=1) < k
+    if short.any():
+        row = int(np.argmax(short))
         raise GateExhaustedError(
-            f"k={k} gates requested but row {worst} has only {int(available[worst])} unmasked features"
+            f"k={int(k[row])} gates requested but row {row} has only {int(live[row].sum())} unmasked features"
         )
-    if tau <= 0:
-        raise ValueError(f"temperature must be positive, got {tau}")
-    if rng is None and noise is None:
-        raise ValueError("soft gating needs an rng or pre-drawn noise")
-
+    noise = _soft_inputs("k_hot_gate_rows", tau, rng, noise, int(k.max(initial=0)), (n, d))
     return _soft_draws(w, live, k, tau, rng, noise)[0]
 
 
+def _soft_inputs(caller, tau, rng, noise, k, shape):
+    """Check the soft-gate inputs; return pre-drawn noise as (draws, rows, d), or None to draw from rng.
+
+    ``noise`` must hold at least k draws of the weights' ``shape``.
+    """
+    if tau <= 0:
+        raise ValueError(f"temperature must be positive, got {tau}")
+    if noise is None:
+        if rng is None:
+            raise ValueError("soft gating needs an rng or pre-drawn noise")
+        return None
+    noise = np.asarray(noise, dtype=np.float64)
+    if noise.shape[1:] != shape or noise.shape[0] < k:
+        raise ShapeError(f"{caller}: noise {noise.shape} must hold at least {k} draws of the weights' shape {shape}")
+    return noise.reshape(noise.shape[0], -1, shape[-1])
+
+
 def _soft_draws(w, live, k, tau, rng, noise):
-    """The soft draw loop over (n, d) rows: the gate, the k draws and the live mask left after them."""
+    """The soft draw loop over (n, d) rows: the gate, the draws and the live mask left after them.
+
+    Row i takes ``k[i]`` of the max(k) draws. A row past its count draws
+    over all its entries, so the softmax stays defined, and that draw is
+    zeroed, so its gate and live mask stop changing.
+    """
     n, d = w.data.shape
-    w2 = ad.square(w)
+    scaled = ad.square(w) * (1.0 / tau)
+    live = live.copy()
     gate = None
     steps = []
-    for t in range(k):
-        log_pi = _masked_log_softmax(w2, live)
+    for t in range(int(k.max(initial=0))):
+        active = t < k
         lam = noise[t] if noise is not None else sample_gumbel((n, d), rng)
-        lam = np.where(live, np.asarray(lam, dtype=np.float64), 0.0)
-        step = _masked_softmax((log_pi + ad.Tensor(lam)) * (1.0 / tau), live)
-        winners = np.argmax(step.data, axis=1)
-        live = live.copy()
-        live[np.arange(n), winners] = False
+        step = _masked_softmax(scaled + ad.Tensor(lam * (1.0 / tau)), live | ~active[:, None])
+        if not active.all():
+            step = step * ad.Tensor(np.broadcast_to(active[:, None], (n, d)) * 1.0)
+        live[active, np.argmax(step.data, axis=1)[active]] = False
         steps.append(step)
         gate = step if gate is None else gate + step
+    if gate is None:  # every count is zero
+        gate = ad.Tensor(np.zeros((n, d)))
     return gate, steps, live

@@ -339,26 +339,13 @@ class GatedLocalLinear(_TrunkModel):
         if not gated:
             return self._losses(samples, self._heads(w), None).mean()
 
-        m = np.stack([np.asarray(s.m, dtype=np.int64) for s in samples])
-        live = (m == 0).sum(axis=1)
-        if (live < 1).any():
-            bad = samples[int(np.argmin(live))].id
+        live = _live(samples)
+        counts = live.sum(axis=1)
+        if (counts < 1).any():
+            bad = samples[int(np.argmin(counts))].id
             raise GateExhaustedError(f"sample {bad!r} has no unmasked features")
-        eff_k = np.minimum(k, live)
-        order = np.argsort(eff_k, kind="stable")
-        if not np.array_equal(order, np.arange(len(samples))):
-            w = ad.gather_rows(w, order)
-            m = m[order]
-            samples = [samples[i] for i in order]
-            noise = noise[:, order, :] if noise is not None else None
-        eff_k = eff_k[order]
-        bounds = np.flatnonzero(np.diff(eff_k)) + 1
-        groups = [
-            (int(lo), int(hi), int(eff_k[lo]))
-            for lo, hi in zip(np.concatenate([[0], bounds]), np.concatenate([bounds, [len(samples)]]))
-        ]
         heads = self._heads(w)
-        gates = [self._grouped_gate(wc, m, groups, tau, rng, noise) for wc in heads]
+        gates = [gt.k_hot_gate_rows(wc, ~live, np.minimum(k, counts), tau, rng=rng, noise=noise) for wc in heads]
         return self._losses(samples, heads, gates).mean()
 
     def _heads(self, w):
@@ -367,15 +354,6 @@ class GatedLocalLinear(_TrunkModel):
         if self.config.heads == 1:
             return [w]
         return [ad.slice_cols(w, c * d, (c + 1) * d) for c in range(self.config.heads)]
-
-    def _grouped_gate(self, w, m, groups, tau, rng, noise):
-        """Soft gates for rows pre-sorted into contiguous equal-k groups."""
-        pieces = []
-        for lo, hi, kb in groups:
-            wb = w if (lo, hi) == (0, w.data.shape[0]) else ad.gather_rows(w, np.arange(lo, hi))
-            nb = noise[:kb, lo:hi, :] if noise is not None else None
-            pieces.append(gt.k_hot_gate_rows(wb, m[lo:hi], kb, tau, rng=rng, noise=nb))
-        return pieces[0] if len(pieces) == 1 else ad.concat(pieces, axis=0)
 
     def _losses(self, samples, heads, gates):
         """Per-sample losses from each head's weight rows and gate; ``gates=None`` opens every gate.
@@ -417,24 +395,31 @@ class GatedLocalLinear(_TrunkModel):
         rows = self.generator.rows([s.x for s in samples]).data
         return rows.reshape(len(samples), self.config.heads, self.config.d)
 
-    @staticmethod
-    def _hard_scores(samples, grid, live, k):
-        """Hard-gated scores (n, heads) and the selected indices (n, heads, min(k, d)).
+    def _gated_scores(self, samples, grid, live, k, rng=None):
+        """Gated scores (n, heads) and, in hard mode, the selected indices (n, heads, min(k, d)).
 
-        ``live`` is the (n, d) boolean of unmasked features. Dead indices
-        sort after live ones, so keeping the live entries of each top-k
-        clamps its gate count to the sample's live features; a sample
-        with none gets the empty-sum score of zero. Every score is the
-        per-row dot z . (g * w).
+        ``live`` is the (n, d) boolean of unmasked features. Without
+        ``rng`` the gates are the exact hard top-k: dead indices sort
+        after live ones, so keeping the live entries of each top-k clamps
+        its gate count to the sample's live features. With ``rng`` they
+        are soft draws at ``tau_fine`` for the whole batch, one
+        ``k_hot_gate_rows`` call per head with the per-sample counts
+        clamped the same way. A sample with no live feature gets the
+        empty-sum score of zero. Every score is the per-row dot z . (g * w).
         """
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
         n, heads, d = grid.shape
-        live = live[:, None, :]
-        order = gt.topk_select(grid, live, k)
-        g = np.zeros(grid.size)  # a flat scatter costs half of put_along_axis on one sample
-        g[(np.arange(0, grid.size, d).reshape(n, heads, 1) + order).ravel()] = 1.0
-        g = g.reshape(grid.shape) * live
+        order = None
+        if rng is None:
+            order = gt.topk_select(grid, live[:, None, :], k)
+            g = np.zeros(grid.size)  # a flat scatter costs half of put_along_axis on one sample
+            g[(np.arange(0, grid.size, d).reshape(n, heads, 1) + order).ravel()] = 1.0
+            g = g.reshape(grid.shape) * live[:, None, :]
+        else:
+            counts = np.minimum(k, live.sum(axis=1))
+            tau = self.config.tau_fine
+            g = np.stack([gt.k_hot_gate_rows(grid[:, c], ~live, counts, tau, rng=rng).data for c in range(heads)], axis=1)
         scores = np.empty((n, heads))
         for i, s in enumerate(samples):
             z = np.asarray(s.z, dtype=np.float64)
@@ -449,42 +434,33 @@ class GatedLocalLinear(_TrunkModel):
         the prediction is the empty sum, zero.
         """
         k = self.config.k if k is None else int(k)
-        scores = self._hard_scores([sample], self._weight_grid([sample]), _live([sample]), k)[0][0]
+        scores = self._gated_scores([sample], self._weight_grid([sample]), _live([sample]), k)[0][0]
         if self.config.num_classes == 2:
             return float(scores[0])
         return [float(v) for v in scores]
 
-    def _soft_margin(self, w_row, sample, k, rng):
-        m = np.asarray(sample.m, dtype=np.int64)
-        k_eff = min(k, int((m == 0).sum()))
-        if k_eff < 1:
-            return 0.0  # every gate closed: the prediction is an empty sum
-        result = gt.k_hot_gate(w_row, m, k_eff, tau=self.config.tau_fine, mode="soft", rng=rng)
-        return float(np.asarray(sample.z, dtype=np.float64) @ (result.values * w_row))
-
     def predict_labels(self, samples, k=None, mode="hard", rng=None, chunk=256):
         """Gated labels for a list of samples; +1/-1 or class indices.
 
-        Hard mode is the deterministic deployment path and selects the
-        gates of a whole chunk at once; soft mode draws relaxed gates
-        from ``rng`` and exists for inspecting the training objective.
-        Gate counts clamp to each sample's unmasked features; a sample
-        with none gets the empty-sum margin of zero.
+        Hard mode is the deterministic deployment path; soft mode draws
+        relaxed gates at ``tau_fine`` from ``rng`` (seed 0 when none is
+        given) and exists for inspecting the training objective. Both
+        gate a whole chunk at once, and soft mode draws its gates for the
+        chunk with one ``k_hot_gate_rows`` call per head. Gate counts
+        clamp to each sample's unmasked features; a sample with none gets
+        the empty-sum margin of zero.
         """
         k = self.config.k if k is None else int(k)
-        if mode == "soft" and rng is None:
+        if mode not in ("soft", "hard"):
+            raise ValueError(f"mode must be 'soft' or 'hard', got {mode!r}")
+        if mode == "hard":
+            rng = None
+        elif rng is None:
             rng = np.random.default_rng(0)
         out = np.empty(len(samples), dtype=np.int64)
         for lo in range(0, len(samples), chunk):
             batch = samples[lo : lo + chunk]
-            grid = self._weight_grid(batch)
-            if mode == "hard":
-                scores = self._hard_scores(batch, grid, _live(batch), k)[0]
-            else:
-                scores = np.array([
-                    [self._soft_margin(grid[i, c], s, k, rng) for c in range(self.config.heads)]
-                    for i, s in enumerate(batch)
-                ])
+            scores = self._gated_scores(batch, self._weight_grid(batch), _live(batch), k, rng)[0]
             if self.config.num_classes == 2:
                 out[lo : lo + len(batch)] = np.where(scores[:, 0] >= 0, 1, -1)
             else:
@@ -515,7 +491,7 @@ class GatedLocalLinear(_TrunkModel):
             )
         names = feature_names if feature_names is not None else [f"f{j}" for j in range(self.config.d)]
         grid = self._weight_grid(samples)
-        scores, order = self._hard_scores(samples, grid, live, k)
+        scores, order = self._gated_scores(samples, grid, live, k)
         out = []
         for i, s in enumerate(samples):
             if self.config.num_classes == 2:

@@ -185,6 +185,22 @@ class TestMaxPool:
         with pytest.raises(ShapeError, match="exceeds input extent"):
             ad.max_pool2d(ad.Tensor(np.zeros((1, 2, 2))), 3)
 
+    @pytest.mark.parametrize("window", [2, (3, 1), (2, 3)])
+    def test_gradient_equals_scatter_add_reference(self, window):
+        # ragged extents leave trailing rows/columns out; integer values make ties
+        rng = np.random.default_rng(450)
+        x = ad.Tensor(rng.integers(0, 3, size=(2, 3, 7, 5)).astype(np.float64), requires_grad=True)
+        g = rng.normal(size=ad.max_pool2d(x, window).data.shape)
+        (ad.max_pool2d(x, window) * ad.Tensor(g)).sum().backward()
+        wh, ww = (window, window) if np.isscalar(window) else window
+        ref = np.zeros(x.data.shape)
+        for idx in np.ndindex(g.shape):
+            n, c, i, j = idx
+            block = x.data[n, c, i * wh : (i + 1) * wh, j * ww : (j + 1) * ww]
+            a = int(np.argmax(block))
+            np.add.at(ref, (n, c, i * wh + a // ww, j * ww + a % ww), g[idx])
+        np.testing.assert_array_equal(x.grad, ref)
+
     @pytest.mark.parametrize("seed", range(100))
     def test_gradients(self, seed):
         rng = np.random.default_rng(400 + seed)

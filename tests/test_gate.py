@@ -233,6 +233,33 @@ class TestKHotGateSoft:
         with pytest.raises(ValueError, match="rng or pre-drawn noise"):
             gt.k_hot_gate(np.ones(4), np.zeros(4, dtype=int), 2, mode="soft")
 
+    @pytest.mark.parametrize("shape", [(1, 4), (2, 5), (2, 1, 4), (4,)])
+    def test_noise_of_the_wrong_shape_is_a_shape_error(self, shape):
+        with pytest.raises(ShapeError, match=rf"noise \({shape[0]},.*weights' shape \(4,\)"):
+            gt.k_hot_gate(np.ones(4), np.zeros(4, dtype=int), 2, mode="soft", noise=np.zeros(shape))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_unrolled_single_draw_primitives(self, seed):
+        # the public one-draw primitives are the oracle: log pi, then a draw, then the mask update
+        rng = np.random.default_rng(5500 + seed)
+        for _ in range(60):
+            d = int(rng.integers(2, 25))
+            w = rng.uniform(-10.0, 10.0, size=d) * 10.0 ** rng.uniform(-1.0, 0.0, size=d)
+            mask = (rng.random(d) < 0.3).astype(int)
+            mask[rng.integers(d)] = 0
+            k = int(rng.integers(1, int((mask == 0).sum()) + 1))
+            tau = float(rng.uniform(0.1, 2.0))
+            noise = gt.sample_gumbel((k, d), rng)
+            res = gt.k_hot_gate(w, mask, k, tau=tau, mode="soft", noise=noise)
+            m, order = mask.copy(), []
+            for t in range(k):
+                step = gt.gate_step(gt.masked_log_prob(w, m), noise[t], tau)
+                np.testing.assert_allclose(res.steps[t].data, step.data, rtol=0, atol=1e-12)
+                order.append(int(np.argmax(step.data)))
+                m = gt.update_mask(m, step)
+            assert res.selection_order() == order
+            np.testing.assert_array_equal(res.final_mask, m)
+
 
 class TestBatchedRows:
     @pytest.mark.parametrize("seed", range(10))
@@ -281,6 +308,41 @@ class TestBatchedRows:
         mask = np.array([[0, 0, 0, 0], [1, 1, 1, 0]])
         with pytest.raises(GateExhaustedError, match="row 1"):
             gt.k_hot_gate_rows(ad.Tensor(w), mask, 2, tau=1.0, rng=np.random.default_rng(0))
+        with pytest.raises(GateExhaustedError, match="k=3 gates requested but row 2 has only 2"):
+            gt.k_hot_gate_rows(ad.Tensor(np.ones((3, 4))), [[0, 0, 0, 0], [1, 1, 1, 0], [0, 1, 0, 1]],
+                               [4, 1, 3], tau=1.0, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="non-negative"):
+            gt.k_hot_gate_rows(ad.Tensor(w), np.zeros((2, 4)), [1, -1], tau=1.0, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_per_row_counts_match_per_vector_path(self, seed):
+        rng = np.random.default_rng(6500 + seed)
+        n, d = 6, 9
+        w = rng.normal(size=(n, d))
+        mask = (rng.random((n, d)) < 0.4).astype(int)
+        mask[0] = 1  # a row with no live feature and a count of 0
+        k = np.minimum(rng.integers(1, 5, size=n), (mask == 0).sum(axis=1))
+        noise = gt.sample_gumbel((int(k.max()), n, d), rng)
+        c = rng.normal(size=(n, d))
+        wt = ad.Tensor(w, requires_grad=True)
+        batched = gt.k_hot_gate_rows(wt, mask, k, tau=0.6, noise=noise)
+        (batched * ad.Tensor(c)).sum().backward()
+        assert np.all(batched.data[0] == 0.0) and np.all(wt.grad[0] == 0.0)
+        for i in range(1, n):
+            wi = ad.Tensor(w[i], requires_grad=True)
+            single = gt.k_hot_gate(wi, mask[i], int(k[i]), tau=0.6, mode="soft", noise=noise[: k[i], i])
+            (single.gate * ad.Tensor(c[i])).sum().backward()
+            np.testing.assert_array_equal(batched.data[i], single.values)
+            np.testing.assert_allclose(wt.grad[i], wi.grad, rtol=0, atol=1e-12)
+
+    def test_all_zero_counts_give_the_zero_gate(self):
+        gate = gt.k_hot_gate_rows(ad.Tensor(np.ones((2, 3))), np.ones((2, 3)), 0, tau=1.0, rng=np.random.default_rng(0))
+        np.testing.assert_array_equal(gate.data, np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("shape", [(1, 2, 4), (2, 3, 4), (2, 2, 5), (2, 4)])
+    def test_noise_of_the_wrong_shape_is_a_shape_error(self, shape):
+        with pytest.raises(ShapeError, match=rf"noise \({shape[0]},.*weights' shape \(2, 4\)"):
+            gt.k_hot_gate_rows(ad.Tensor(np.ones((2, 4))), np.zeros((2, 4)), [1, 2], tau=1.0, noise=np.zeros(shape))
 
 
 def reference_topk(w, live, k):

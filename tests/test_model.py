@@ -218,14 +218,29 @@ class TestBatchPathConsistency:
 
     def test_ragged_masks_are_clamped_per_sample(self):
         rng = np.random.default_rng(37)
-        cfg = vector_config(d=5, k=3)
-        model = GatedLocalLinear(cfg, rng)
-        full = vector_sample(rng, d=5, y=1, sid="full")
-        short = vector_sample(rng, d=5, y=-1, sid="short")
-        short.m = np.array([1, 1, 1, 0, 1])  # one live feature, gate count clamps to 1
-        short.z = short.z * (short.m == 0)
-        loss = model.batch_loss([full, short], k=3, tau=1.0, rng=rng)
-        assert np.isfinite(float(loss.data))
+        for num_classes in (2, 3):
+            model = GatedLocalLinear(vector_config(d=8, k=3, num_classes=num_classes), rng)
+            samples = [s for s in masked_samples(rng, 8, 24, num_classes) if s.live_count > 0]
+            samples[1].m = np.array([1, 1, 1, 0, 1, 1, 1, 1])  # one live feature, gate count clamps to 1
+            samples[2].m = np.array([0, 1, 1, 1, 1, 1, 0, 1])  # two live features
+            counts = [min(3, s.live_count) for s in samples]
+            assert set(counts) == {1, 2, 3}
+            noise = gt.sample_gumbel((3, len(samples), 8), rng)
+            batch = model.batch_loss(samples, k=3, tau=0.7, noise=noise)
+            singles = [
+                float(model.forward_loss(s, mode="soft", k=3, tau=0.7, noise=noise[:k_i, i])[0].data)
+                for i, (s, k_i) in enumerate(zip(samples, counts))
+            ]
+            assert float(batch.data) == pytest.approx(np.mean(singles), rel=0, abs=1e-12)
+
+    def test_noise_of_the_wrong_shape_is_a_shape_error(self):
+        rng = np.random.default_rng(38)
+        model = GatedLocalLinear(vector_config(d=5, k=2), rng)
+        samples = [vector_sample(rng, d=5, sid=i) for i in range(3)]
+        with pytest.raises(ShapeError, match=r"noise \(1, 3, 5\).*\(3, 5\)"):
+            model.batch_loss(samples, k=2, tau=1.0, noise=np.zeros((1, 3, 5)))
+        with pytest.raises(ShapeError, match=r"noise \(2, 4\).*\(5,\)"):
+            model.forward_loss(samples[0], mode="soft", k=2, noise=np.zeros((2, 4)))
 
     def test_sample_without_features_is_an_error(self):
         rng = np.random.default_rng(41)
@@ -411,6 +426,36 @@ class TestBatchedHardGate:
                 assert label == int(np.argmax(margin))
             if s.live_count == 0:
                 assert np.all(np.asarray(margin) == 0.0)
+
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    def test_soft_labels_match_per_sample_draws(self, num_classes):
+        rng = np.random.default_rng(75)
+        model = GatedLocalLinear(vector_config(d=8, k=4, num_classes=num_classes), rng)
+        samples = masked_samples(rng, 8, 40, num_classes)
+        labels = model.predict_labels(samples, mode="soft", rng=np.random.default_rng(5))
+        # the chunk draws each head's noise as (n, d) rows, one row per sample
+        ref_rng = np.random.default_rng(5)
+        counts = [min(4, s.live_count) for s in samples]
+        noise = [gt.sample_gumbel((max(counts), len(samples), 8), ref_rng) for _ in range(model.config.heads)]
+        empty = 1 if num_classes == 2 else 0
+        for i, (s, label) in enumerate(zip(samples, labels)):
+            if counts[i] == 0:
+                assert label == empty
+                continue
+            w = model.generate_weights(s.x).reshape(model.config.heads, 8)
+            scores = [
+                float(s.z @ (gt.k_hot_gate(w[c], s.m, counts[i], tau=model.config.tau_fine, noise=noise[c][: counts[i], i]).values * w[c]))
+                for c in range(model.config.heads)
+            ]
+            assert label == ((1 if scores[0] >= 0 else -1) if num_classes == 2 else int(np.argmax(scores)))
+        dead = [s for s in samples if s.live_count == 0]
+        assert model.predict_labels(dead, mode="soft").tolist() == [empty] * len(dead)
+
+    def test_unknown_mode_is_rejected(self):
+        rng = np.random.default_rng(76)
+        model = GatedLocalLinear(vector_config(d=6, k=2), rng)
+        with pytest.raises(ValueError, match="'Hard'"):
+            model.predict_labels([vector_sample(rng)], mode="Hard")
 
     def test_margin_matches_reference_dot(self):
         rng = np.random.default_rng(72)

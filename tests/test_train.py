@@ -219,6 +219,12 @@ class TestEvaluate:
         model = GatedLocalLinear(cfg, np.random.default_rng(0))
         assert np.isnan(evaluate(model, []))
 
+    def test_unknown_mode_is_rejected(self):
+        cfg, _, _, test = small_problem(n=50)
+        model = GatedLocalLinear(cfg, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="mode must be 'soft' or 'hard', got 'Hard'"):
+            evaluate(model, test, mode="Hard")
+
     def test_soft_mode_evaluation_tracks_hard_mode(self):
         cfg, train, val, test = small_problem(n=800)
         model = GatedLocalLinear(cfg, np.random.default_rng(0))
