@@ -427,12 +427,12 @@ def _as_pair(v):
     return (int(v), int(v)) if np.isscalar(v) else (int(v[0]), int(v[1]))
 
 
-def conv2d(x, kernels, stride=1, padding=0):
+def conv2d(x, kernels, padding=0):
     """Cross-correlation of x with a bank of kernels (no kernel flip).
 
     ``x`` may be a single (c, h, w) map or a batch (n, c, h, w);
-    ``kernels`` has shape (c_out, c_in, kh, kw). Output spatial extent is
-    floor((h + 2*padding - kh) / stride) + 1 per axis.
+    ``kernels`` has shape (c_out, c_in, kh, kw). The stride is 1, so the
+    output spatial extent is h + 2*padding - kh + 1 per axis.
     """
     x, kernels = as_tensor(x), as_tensor(kernels)
     single = x.data.ndim == 3
@@ -444,20 +444,19 @@ def conv2d(x, kernels, stride=1, padding=0):
     c_out, c_in, kh, kw = kd.shape
     if c_in != c:
         raise ShapeError(f"conv2d: input has {c} channels but kernels expect {c_in}")
-    sh, sw = _as_pair(stride)
     ph, pw = _as_pair(padding)
     if kh > h + 2 * ph or kw > w + 2 * pw:
         raise ShapeError(
             f"conv2d: kernel {(kh, kw)} larger than padded input {(h + 2 * ph, w + 2 * pw)}"
         )
-    oh = (h + 2 * ph - kh) // sh + 1
-    ow = (w + 2 * pw - kw) // sw + 1
+    oh = h + 2 * ph - kh + 1
+    ow = w + 2 * pw - kw + 1
 
     xp = np.pad(xd, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else xd
     cols = np.empty((n, c, kh, kw, oh, ow))
     for i in range(kh):
         for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw]
+            cols[:, :, i, j] = xp[:, :, i : i + oh, j : j + ow]
     flat = cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, c * kh * kw)
     out_data = (flat @ kd.reshape(c_out, -1).T).reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
     if single:
@@ -474,7 +473,7 @@ def conv2d(x, kernels, stride=1, padding=0):
             dxp = np.zeros_like(xp)
             for i in range(kh):
                 for j in range(kw):
-                    dxp[:, :, i : i + sh * oh : sh, j : j + sw * ow : sw] += dcols[:, :, i, j]
+                    dxp[:, :, i : i + oh, j : j + ow] += dcols[:, :, i, j]
             dx = dxp[:, :, ph : ph + h, pw : pw + w] if (ph or pw) else dxp
             accumulate_grad(x, dx[0] if single else dx)
 

@@ -103,11 +103,8 @@ def topk_truncate(weights, k):
 
 def topk_truncate_eval(weights, samples, k):
     """Sign accuracy of a global weight vector truncated to its top-k entries."""
-    w = topk_truncate(weights, k)
-    Z = np.stack([np.asarray(s.z, dtype=np.float64) for s in samples])
-    y = np.array([s.y for s in samples])
-    predicted = np.where(Z @ w >= 0, 1, -1)
-    return float(np.mean(predicted == y))
+    Z, y = design_matrix(samples)
+    return float(np.mean(np.where(Z @ topk_truncate(weights, k) >= 0, 1, -1) == y))
 
 
 def design_matrix(samples):

@@ -32,7 +32,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -238,16 +238,10 @@ def cmd_eval(args):
     if args.dense:
         if model.config.num_classes != 2:
             raise ConfigError("dense truncation evaluation supports binary models only")
-        rows = np.concatenate([
-            model.generator.rows([s.x for s in data.test[lo : lo + 256]]).data
-            for lo in range(0, len(data.test), 256)
-        ])
+        # the top-k of the dense weights is the hard gate over samples with every feature live
+        unmasked = [replace(s, m=np.zeros_like(s.m)) for s in data.test]
         for k in ks:
-            correct = 0
-            for s, w in zip(data.test, bl.topk_truncate(rows, k)):
-                margin = float(np.asarray(s.z, dtype=np.float64) @ w)
-                correct += (1 if margin >= 0 else -1) == s.y
-            _emit({"model": "dense_topk", "k": k, "accuracy": correct / len(data.test)})
+            _emit({"model": "dense_topk", "k": k, "accuracy": evaluate(model, unmasked, k)})
     if args.baselines:
         if model.config.num_classes != 2:
             raise ConfigError("linear baselines support binary labels only")

@@ -10,8 +10,11 @@ contributions.
 
 Both models share one network trunk (``WeightGenerator``) and differ
 only in its head width: d weights per class for the gated model, class
-logits for the plain ``DirectClassifier`` reference. The dense ablation
-is ``batch_loss(gated=False)``, the same loss with every gate open.
+logits for the plain ``DirectClassifier`` reference. Every extractor
+takes the whole batch of rich representations, so the trunk is one
+batched forward pass for images, token sequences and vectors alike. The
+dense ablation is ``batch_loss(gated=False)``, the same loss with every
+gate open.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import gate as gt
-from .errors import GateExhaustedError, ShapeError
+from .errors import GateExhaustedError
 
 
 @dataclass
@@ -108,16 +111,19 @@ class _ConvBlock:
         self.kernels = ad.Tensor(rng.normal(0.0, std, size=(c_out, c_in, 3, 3)), requires_grad=True)
 
     def __call__(self, x):
-        return ad.max_pool2d(ad.relu(ad.conv2d(x, self.kernels, stride=1, padding=1)), 2)
+        return ad.max_pool2d(ad.relu(ad.conv2d(x, self.kernels, padding=1)), 2)
 
     def params(self, prefix):
         return {f"{prefix}.kernels": self.kernels}
 
 
+def _stack(xs):
+    """One float64 tensor of shape (n, ...) from a batch of equal-shape arrays."""
+    return ad.Tensor(np.stack([np.asarray(x, dtype=np.float64) for x in xs]))
+
+
 class ImageExtractor:
     """Stacked convolution blocks over (channels, height, width) maps."""
-
-    stackable = True
 
     def __init__(self, in_shape, channels, rng):
         self.in_shape = tuple(int(v) for v in in_shape)
@@ -126,11 +132,10 @@ class ImageExtractor:
         for c_out in channels:
             self.blocks.append(_ConvBlock(c, int(c_out), rng))
             c = int(c_out)
-        probe = self(ad.Tensor(np.zeros((1, *self.in_shape))))
-        self.out_dim = probe.data.shape[1]
+        self.out_dim = self([np.zeros(self.in_shape)]).data.shape[1]
 
-    def __call__(self, x):
-        h = x
+    def __call__(self, xs):
+        h = _stack(xs)
         for block in self.blocks:
             h = block(h)
         return h.reshape((h.data.shape[0], -1))
@@ -145,14 +150,12 @@ class ImageExtractor:
 class VectorExtractor:
     """Pass-through for samples whose rich representation is already a flat vector."""
 
-    stackable = True
-
     def __init__(self, dim):
         self.dim = int(dim)
         self.out_dim = self.dim
 
-    def __call__(self, x):
-        return x
+    def __call__(self, xs):
+        return _stack(xs)
 
     def params(self):
         return {}
@@ -161,12 +164,15 @@ class VectorExtractor:
 class TextExtractor:
     """Embedding, parallel 1-d convolutions of several widths, global max pooling.
 
-    Sequences shorter than the widest filter are padded with ``pad_index``
-    (the out-of-vocabulary id). Samples are encoded one at a time because
-    sequence lengths differ.
+    A batch is encoded as one (n, 1, length, embed_dim) grid: every id
+    sequence is padded with ``pad_index`` (the out-of-vocabulary id) to
+    the batch's longest, and at least to the widest filter. Padding up to
+    that floor is part of a short sequence, as if the sample carried it.
+    Padding past a sequence's own end is cut out of the pool by zeroing
+    those relu outputs; since relu outputs are non-negative and a
+    sequence's own positions come first, each row's maximum and its
+    gradient routing are those of the sequence encoded alone.
     """
-
-    stackable = False
 
     def __init__(self, vocab_size, rng, embed_dim=64, filter_widths=(3, 4, 5), filters=32, pad_index=0):
         self.embed_dim = int(embed_dim)
@@ -183,18 +189,24 @@ class TextExtractor:
         ]
         self.out_dim = self.filters * len(self.filter_widths)
 
-    def encode(self, ids):
-        ids = np.asarray(ids, dtype=np.int64)
-        min_len = max(self.filter_widths)
-        if ids.size < min_len:
-            ids = np.concatenate([ids, np.full(min_len - ids.size, self.pad_index, dtype=np.int64)])
-        emb = ad.gather_rows(self.embed, ids)
-        grid = emb.reshape((1, 1, ids.size, self.embed_dim))
+    def __call__(self, xs):
+        seqs = [np.asarray(x, dtype=np.int64) for x in xs]
+        n = len(seqs)
+        lengths = np.maximum([s.size for s in seqs], max(self.filter_widths))
+        span = int(lengths.max())
+        ids = np.full((n, span), self.pad_index, dtype=np.int64)
+        for i, s in enumerate(seqs):
+            ids[i, : s.size] = s
+        grid = ad.gather_rows(self.embed, ids.ravel()).reshape((n, 1, span, self.embed_dim))
+        ragged = bool((lengths < span).any())  # an unpadded batch (one sample, say) skips the mask
         pooled = []
-        for kernels in self.kernels:
+        for w, kernels in zip(self.filter_widths, self.kernels):
             conv = ad.relu(ad.conv2d(grid, kernels))
-            span = conv.data.shape[2]
-            pooled.append(ad.max_pool2d(conv, (span, 1)).reshape((1, self.filters)))
+            out = span - w + 1
+            if ragged:
+                ends = np.arange(out)[None, :] < (lengths - w + 1)[:, None]
+                conv = conv * ad.Tensor(np.broadcast_to(ends[:, None, :, None], conv.data.shape))
+            pooled.append(ad.max_pool2d(conv, (out, 1)).reshape((n, self.filters)))
         return ad.concat(pooled, axis=1)
 
     def params(self):
@@ -235,14 +247,9 @@ class WeightGenerator:
             n_in = config.fc_width
         self.head = _Linear(n_in, width, rng, std=math.sqrt(1.0 / n_in))
 
-    def features(self, xs):
-        if self.extractor.stackable:
-            return self.extractor(ad.Tensor(np.stack([np.asarray(x, dtype=np.float64) for x in xs])))
-        return ad.concat([self.extractor.encode(x) for x in xs], axis=0)
-
     def rows(self, xs):
         """Head outputs for a batch of rich representations, shape (n, width)."""
-        h = self.features(xs)
+        h = self.extractor(xs)
         for layer in self.hidden:
             h = ad.relu(layer(h))
         return self.head(h)
@@ -253,20 +260,6 @@ class WeightGenerator:
             out.update(layer.params(f"hidden{i}"))
         out.update(self.head.params("head"))
         return out
-
-
-def predict(z, w, g):
-    """Inner product z . (g * w); graph-aware when any argument is a Tensor."""
-    parts = [z, w, g]
-    if any(isinstance(p, ad.Tensor) for p in parts):
-        z, w, g = (ad.as_tensor(p) for p in parts)
-        if not z.data.shape == w.data.shape == g.data.shape:
-            raise ShapeError(f"predict: shapes differ: {z.data.shape}, {w.data.shape}, {g.data.shape}")
-        return (z * g * w).sum()
-    z, w, g = (np.asarray(p, dtype=np.float64) for p in parts)
-    if not z.shape == w.shape == g.shape:
-        raise ShapeError(f"predict: shapes differ: {z.shape}, {w.shape}, {g.shape}")
-    return float(z @ (g * w))
 
 
 def _binary_targets(samples):

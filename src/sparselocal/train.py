@@ -199,7 +199,7 @@ def coarse_to_fine_train(model, train, val, schedule=None, rng=None, progress=No
     if not val:
         raise ValueError("training needs a non-empty validation set")
     k_target = model.config.k if schedule.k_target is None else schedule.k_target
-    live = np.array([int((np.asarray(s.m) == 0).sum()) for s in train])
+    live = np.array([s.live_count for s in train])
     if (live < k_target).any():
         bad = [train[i].id for i in np.flatnonzero(live < k_target)[:5]]
         raise GateExhaustedError(

@@ -132,9 +132,11 @@ class TestConv2d:
         np.testing.assert_array_equal(out.data[0], np.flip(k[0, 0]))
 
     def test_stride_and_padding_extent(self):
-        x = ad.Tensor(np.zeros((2, 7, 7)))
-        k = ad.Tensor(np.zeros((3, 2, 3, 3)))
-        assert ad.conv2d(x, k, stride=2, padding=1).data.shape == (3, 4, 4)
+        # stride 1: each axis is h + 2 * padding - kh + 1
+        x = ad.Tensor(np.zeros((2, 7, 6)))
+        k = ad.Tensor(np.zeros((3, 2, 3, 2)))
+        assert ad.conv2d(x, k, padding=1).data.shape == (3, 7, 7)
+        assert ad.conv2d(x, k, padding=(0, 2)).data.shape == (3, 5, 9)
 
     def test_kernel_too_large(self):
         with pytest.raises(ShapeError, match="larger than padded input"):
@@ -144,26 +146,27 @@ class TestConv2d:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(3, 2, 6, 6))
         k = rng.normal(size=(4, 2, 3, 3))
-        batched = ad.conv2d(ad.Tensor(x), ad.Tensor(k), stride=1, padding=1).data
+        batched = ad.conv2d(ad.Tensor(x), ad.Tensor(k), padding=1).data
         for i in range(3):
-            single = ad.conv2d(ad.Tensor(x[i]), ad.Tensor(k), stride=1, padding=1).data
+            single = ad.conv2d(ad.Tensor(x[i]), ad.Tensor(k), padding=1).data
             np.testing.assert_allclose(batched[i], single, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(34))
-    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1)])
-    def test_gradients(self, seed, stride, padding):
+    @pytest.mark.parametrize("maps,padding", [(1, 0), (1, 1), (2, 1)])
+    def test_gradients(self, seed, maps, padding):
+        # one map is a single (c, h, w) input; more maps are an (n, c, h, w) batch
         rng = np.random.default_rng(300 + seed)
-        x = rng.normal(size=(2, 5, 5))
+        x = rng.normal(size=(2, 5, 5) if maps == 1 else (maps, 2, 5, 5))
         k = rng.normal(size=(3, 2, 3, 3))
         c = None
 
         def build_x(t):
-            return (ad.conv2d(t, ad.Tensor(k), stride=stride, padding=padding) * ad.Tensor(c)).sum()
+            return (ad.conv2d(t, ad.Tensor(k), padding=padding) * ad.Tensor(c)).sum()
 
         def build_k(t):
-            return (ad.conv2d(ad.Tensor(x), t, stride=stride, padding=padding) * ad.Tensor(c)).sum()
+            return (ad.conv2d(ad.Tensor(x), t, padding=padding) * ad.Tensor(c)).sum()
 
-        out_shape = ad.conv2d(ad.Tensor(x), ad.Tensor(k), stride=stride, padding=padding).data.shape
+        out_shape = ad.conv2d(ad.Tensor(x), ad.Tensor(k), padding=padding).data.shape
         c = rng.normal(size=out_shape)
         fd_check(build_x, x)
         fd_check(build_k, k)

@@ -9,7 +9,7 @@ from sparselocal import autodiff as ad
 from sparselocal import gate as gt
 from sparselocal.data import Sample
 from sparselocal.errors import GateExhaustedError, ShapeError
-from sparselocal.model import DirectClassifier, GatedLocalLinear, ModelConfig, predict
+from sparselocal.model import DirectClassifier, GatedLocalLinear, ModelConfig
 
 
 def vector_config(d=6, k=2, **kw):
@@ -103,26 +103,44 @@ class TestGenerateWeights:
         assert ad.rel_error(analytic, fd) <= 1e-4
 
 
-class TestPredict:
-    def test_arithmetic(self):
-        assert predict([1.0, 0.0, 2.0], [0.5, 3.0, -1.0], [1.0, 1.0, 1.0]) == pytest.approx(-1.5)
+class TestTextTrunk:
+    """The text extractor encodes a batch of unequal sequences as one padded grid."""
 
-    def test_closed_gates_give_zero(self):
-        assert predict([1.0, 2.0], [3.0, 4.0], [0.0, 0.0]) == 0.0
+    # shorter than the widest filter (5), empty, two of equal length, the longest
+    SEQUENCES = [[4, 0], [], [3, 9, 1, 7, 2, 8], [5, 5, 6, 2, 11, 3], [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12]]
 
-    def test_single_open_gate(self):
-        z, w = [2.0, 5.0, -1.0], [0.5, 0.25, 9.0]
-        assert predict(z, w, [0.0, 1.0, 0.0]) == pytest.approx(z[1] * w[1])
+    def _model(self, seed):
+        cfg = ModelConfig(
+            d=5, k=2, extractor={"kind": "text", "vocab_size": 13, "embed_dim": 3, "filters": 2}, fc_width=6,
+        )
+        return GatedLocalLinear(cfg, np.random.default_rng(seed))
 
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            predict([1.0], [1.0, 2.0], [1.0, 2.0])
+    def test_batch_rows_match_one_sample_batches(self):
+        model = self._model(60)
+        # a large padding row: unmasked padding past a sequence's end would win the max pool
+        model.named_parameters()["extractor.embed"].data[0] = 3.0
+        rows = model.generator.rows(self.SEQUENCES).data
+        for i, ids in enumerate(self.SEQUENCES):
+            # not bitwise: BLAS may round a one-row product differently from the same row in a larger one
+            np.testing.assert_allclose(rows[i], model.generator.rows([ids]).data[0], rtol=1e-12, atol=1e-15)
 
-    def test_tensor_arguments_join_the_graph(self):
-        w = ad.Tensor([1.0, -2.0], requires_grad=True)
-        out = predict(np.array([3.0, 4.0]), w, np.array([1.0, 0.0]))
-        out.backward()
-        np.testing.assert_array_equal(w.grad, [3.0, 0.0])
+    def test_gradients_through_embedding_and_kernels(self):
+        model = self._model(61)
+        c = ad.Tensor(np.random.default_rng(62).normal(size=(len(self.SEQUENCES), 5)))
+        named = model.named_parameters()
+        names = sorted(n for n in named if n.startswith("extractor."))
+        assert len(names) == 4  # the embedding and one kernel bank per filter width
+        base = np.concatenate([named[n].data.ravel() for n in names])
+
+        def total(vec):
+            set_params(model, names, vec)
+            return float((model.generator.rows(self.SEQUENCES) * c).sum().data)
+
+        (model.generator.rows(self.SEQUENCES) * c).sum().backward()
+        analytic = np.concatenate([named[n].grad.ravel() for n in names])
+        fd = ad.finite_difference_grad(total, base)
+        set_params(model, names, base)
+        assert ad.rel_error(analytic, fd) <= 1e-4
 
 
 class TestForwardLoss:
