@@ -9,7 +9,9 @@ order, accumulating gradients into every tensor that requires them.
 Broadcasting is deliberately limited to scalar-with-tensor and
 equal-shape operands so every gradient rule stays auditable. All data is
 kept in 64-bit floats; gradient checks against central finite
-differences are not reliable below that precision.
+differences are not reliable below that precision. ``conv2d`` and
+``max_pool2d`` accept inputs in any strides: ``conv2d`` returns an
+NCHW-shaped view of channels-last memory, and the pool keeps that order.
 """
 
 from __future__ import annotations
@@ -430,9 +432,10 @@ def _as_pair(v):
 def conv2d(x, kernels, padding=0):
     """Cross-correlation of x with a bank of kernels (no kernel flip).
 
-    ``x`` may be a single (c, h, w) map or a batch (n, c, h, w);
-    ``kernels`` has shape (c_out, c_in, kh, kw). The stride is 1, so the
-    output spatial extent is h + 2*padding - kh + 1 per axis.
+    ``x`` may be a single (c, h, w) map or a batch (n, c, h, w), in any
+    strides; ``kernels`` has shape (c_out, c_in, kh, kw). The stride is 1,
+    so the output spatial extent is h + 2*padding - kh + 1 per axis. The
+    output is an NCHW-shaped view of channels-last memory.
     """
     x, kernels = as_tensor(x), as_tensor(kernels)
     single = x.data.ndim == 3
@@ -452,12 +455,13 @@ def conv2d(x, kernels, padding=0):
     oh = h + 2 * ph - kh + 1
     ow = w + 2 * pw - kw + 1
 
-    xp = np.pad(xd, ((0, 0), (0, 0), (ph, ph), (pw, pw))) if (ph or pw) else xd
-    cols = np.empty((n, c, kh, kw, oh, ow))
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + oh, j : j + ow]
-    flat = cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, c * kh * kw)
+    buf = np.zeros((c, n, h + 2 * ph, w + 2 * pw))
+    buf[:, :, ph : ph + h, pw : pw + w] = xd.transpose(1, 0, 2, 3)
+    # im2col in one copy; columns ordered (c, kh, kw) like the kernel rows. flat is column-major,
+    # so it is copied along contiguous rows of a (c, n, h, w) buffer, and OpenBLAS gives each
+    # row of the product the same bits at every row count above one.
+    cols = np.lib.stride_tricks.sliding_window_view(buf, (kh, kw), axis=(2, 3)).transpose(0, 4, 5, 1, 2, 3)
+    flat = np.ascontiguousarray(cols).reshape(c * kh * kw, n * oh * ow).T
     out_data = (flat @ kd.reshape(c_out, -1).T).reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
     if single:
         out_data = out_data[0]
@@ -469,19 +473,24 @@ def conv2d(x, kernels, padding=0):
             accumulate_grad(kernels, (gflat.T @ flat).reshape(kd.shape))
         if x.requires_grad:
             dcols = (gflat @ kd.reshape(c_out, -1)).reshape(n, oh, ow, c, kh, kw)
-            dcols = dcols.transpose(0, 3, 4, 5, 1, 2)
-            dxp = np.zeros_like(xp)
+            dbuf = np.zeros((n, h + 2 * ph, w + 2 * pw, c))  # channels-last, like the rows of dcols
             for i in range(kh):
                 for j in range(kw):
-                    dxp[:, :, i : i + oh, j : j + ow] += dcols[:, :, i, j]
-            dx = dxp[:, :, ph : ph + h, pw : pw + w] if (ph or pw) else dxp
+                    dbuf[:, i : i + oh, j : j + ow] += dcols[..., i, j]
+            dx = dbuf[:, ph : ph + h, pw : pw + w].transpose(0, 3, 1, 2)
             accumulate_grad(x, dx[0] if single else dx)
 
     return make_op(out_data, (x, kernels), "conv2d", backward)
 
 
 def max_pool2d(x, window):
-    """Maximum over non-overlapping windows; gradient routes to the argmax, ties to the lowest linear index."""
+    """Maximum over non-overlapping windows of an input in any strides, kept in its memory order.
+
+    Each output is the first maximum of its window in row-major order,
+    compared bitwise: [0.0, -0.0] gives 0.0, [-0.0, 0.0] gives -0.0, and
+    NaN propagates. The gradient routes to the first position equal to
+    the output, so a NaN output routes none.
+    """
     x = as_tensor(x)
     single = x.data.ndim == 3
     xd = x.data[None] if single else x.data
@@ -493,20 +502,20 @@ def max_pool2d(x, window):
         raise ShapeError(f"max_pool2d: window {(wh, ww)} exceeds input extent {(h, w)}")
     oh, ow = h // wh, w // ww
 
-    windows = np.empty((n, c, oh, ow, wh * ww))
-    for i in range(wh):
-        for j in range(ww):
-            windows[:, :, :, :, i * ww + j] = xd[:, :, i : i + wh * oh : wh, j : j + ww * ow : ww]
-    arg = windows.argmax(axis=-1)  # first maximum wins, matching row-major input order
-    out_data = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
-    if single:
-        out_data = out_data[0]
+    at = [(slice(i, i + wh * oh, wh), slice(j, j + ww * ow, ww)) for i in range(wh) for j in range(ww)]
+    pooled = xd[(..., *at[-1])].copy(order="K")
+    for rows, cols in reversed(at[:-1]):
+        np.maximum(pooled, xd[..., rows, cols], out=pooled)  # a tie returns the second operand: the earlier offset
+    out_data = pooled[0] if single else pooled
 
     def backward(g):
         gb = g[None] if single else g
-        ni, ci, oi, oj = np.indices((n, c, oh, ow))
         dx = np.zeros_like(xd)
-        dx[ni, ci, oi * wh + arg // ww, oj * ww + arg % ww] = gb  # windows do not overlap, so no index repeats
+        free = np.ones_like(pooled, dtype=bool)
+        for rows, cols in at:
+            hit = (xd[..., rows, cols] == pooled) & free
+            dx[..., rows, cols] = np.where(hit, gb, 0.0)  # windows do not overlap, so no position repeats
+            free ^= hit
         accumulate_grad(x, dx[0] if single else dx)
 
     return make_op(out_data, (x,), "max_pool2d", backward)

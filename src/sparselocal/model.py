@@ -20,7 +20,7 @@ gate open.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -57,16 +57,7 @@ class ModelConfig:
         return 1 if self.num_classes == 2 else self.num_classes
 
     def to_dict(self):
-        return {
-            "d": self.d,
-            "k": self.k,
-            "extractor": dict(self.extractor),
-            "fc_layers": self.fc_layers,
-            "fc_width": self.fc_width,
-            "num_classes": self.num_classes,
-            "tau_coarse": self.tau_coarse,
-            "tau_fine": self.tau_fine,
-        }
+        return asdict(self)  # copies the extractor dict
 
     @classmethod
     def from_dict(cls, payload):
@@ -104,14 +95,14 @@ class _Linear:
 
 
 class _ConvBlock:
-    """convolution (3x3, stride 1, pad 1) -> relu -> 2x2 max pool."""
+    """convolution (3x3, stride 1, pad 1) -> 2x2 max pool -> relu, which commutes with the pool."""
 
     def __init__(self, c_in, c_out, rng):
         std = math.sqrt(2.0 / (c_in * 9))
         self.kernels = ad.Tensor(rng.normal(0.0, std, size=(c_out, c_in, 3, 3)), requires_grad=True)
 
     def __call__(self, x):
-        return ad.max_pool2d(ad.relu(ad.conv2d(x, self.kernels, padding=1)), 2)
+        return ad.relu(ad.max_pool2d(ad.conv2d(x, self.kernels, padding=1), 2))
 
     def params(self, prefix):
         return {f"{prefix}.kernels": self.kernels}
@@ -169,9 +160,10 @@ class TextExtractor:
     the batch's longest, and at least to the widest filter. Padding up to
     that floor is part of a short sequence, as if the sample carried it.
     Padding past a sequence's own end is cut out of the pool by zeroing
-    those relu outputs; since relu outputs are non-negative and a
-    sequence's own positions come first, each row's maximum and its
-    gradient routing are those of the sequence encoded alone.
+    those convolution outputs before it. Relu follows the pool, so a
+    zero wins only a row whose own maximum is at most 0, and gives +0.0
+    with no gradient there; a sequence's own positions come first, so
+    each row and its gradient routing are those of the sequence alone.
     """
 
     def __init__(self, vocab_size, rng, embed_dim=64, filter_widths=(3, 4, 5), filters=32, pad_index=0):
@@ -201,12 +193,12 @@ class TextExtractor:
         ragged = bool((lengths < span).any())  # an unpadded batch (one sample, say) skips the mask
         pooled = []
         for w, kernels in zip(self.filter_widths, self.kernels):
-            conv = ad.relu(ad.conv2d(grid, kernels))
+            conv = ad.conv2d(grid, kernels)
             out = span - w + 1
             if ragged:
                 ends = np.arange(out)[None, :] < (lengths - w + 1)[:, None]
                 conv = conv * ad.Tensor(np.broadcast_to(ends[:, None, :, None], conv.data.shape))
-            pooled.append(ad.max_pool2d(conv, (out, 1)).reshape((n, self.filters)))
+            pooled.append(ad.relu(ad.max_pool2d(conv, (out, 1))).reshape((n, self.filters)))
         return ad.concat(pooled, axis=1)
 
     def params(self):

@@ -12,7 +12,7 @@ epoch budget to zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -93,18 +93,7 @@ class TrainSchedule:
         return self.adam_lr / 10.0
 
     def to_dict(self):
-        return {
-            "adam_lr": self.adam_lr,
-            "momentum": self.momentum,
-            "k_coarse": self.k_coarse,
-            "k_target": self.k_target,
-            "tau_coarse": self.tau_coarse,
-            "tau_fine": self.tau_fine,
-            "batch_size": self.batch_size,
-            "max_coarse_epochs": self.max_coarse_epochs,
-            "max_fine_epochs": self.max_fine_epochs,
-            "patience": self.patience,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload):

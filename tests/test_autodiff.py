@@ -32,6 +32,76 @@ def away_from_zero(rng, shape, low=0.2, high=2.0):
     return rng.uniform(low, high, size=shape) * rng.choice([-1.0, 1.0], size=shape)
 
 
+def channels_last(a):
+    """The same values as a (c, h, w) or (n, c, h, w) ``a``, in a view of channels-last memory."""
+    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -3, -1)), -1, -3)
+
+
+def accumulated(g):
+    """A gradient as accumulate_grad leaves it: added onto zeros, so -0.0 reads +0.0."""
+    return np.zeros(g.shape) + g
+
+
+def reference_conv2d(x, k, padding, g):
+    """The kh*kw-loop im2col conv2d, as output, dx and dkernels for output gradient g.
+
+    Its one departure from the original loop code: the im2col matrix is
+    handed to BLAS column-major. The original passed a column-major view
+    for one map and a row-major copy for a batch, and OpenBLAS rounds a
+    small row-major product differently from the same rows in a larger one.
+    """
+    single = x.ndim == 3
+    xd, gb = (x[None], g[None]) if single else (x, g)
+    n, c, h, w = xd.shape
+    c_out, _, kh, kw = k.shape
+    ph, pw = (padding, padding) if np.isscalar(padding) else padding
+    oh, ow = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
+    xp = np.pad(xd, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    cols = np.empty((n, c, kh, kw, oh, ow))
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i : i + oh, j : j + ow]
+    flat = np.asfortranarray(cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, c * kh * kw))
+    out = (flat @ k.reshape(c_out, -1).T).reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
+    gflat = gb.transpose(0, 2, 3, 1).reshape(n * oh * ow, c_out)
+    dk = (gflat.T @ flat).reshape(k.shape)
+    dcols = (gflat @ k.reshape(c_out, -1)).reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
+    dxp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i : i + oh, j : j + ow] += dcols[:, :, i, j]
+    dx = dxp[:, :, ph : ph + h, pw : pw + w]
+    return (out[0], dx[0], dk) if single else (out, dx, dk)
+
+
+def reference_max_pool2d(x, window, g):
+    """The gather-buffer max_pool2d (argmax, first maximum wins), as output and dx for output gradient g."""
+    single = x.ndim == 3
+    xd, gb = (x[None], g[None]) if single else (x, g)
+    wh, ww = (window, window) if np.isscalar(window) else window
+    n, c, h, w = xd.shape
+    oh, ow = h // wh, w // ww
+    windows = np.empty((n, c, oh, ow, wh * ww))
+    for i in range(wh):
+        for j in range(ww):
+            windows[:, :, :, :, i * ww + j] = xd[:, :, i : i + wh * oh : wh, j : j + ww * ow : ww]
+    arg = windows.argmax(axis=-1)
+    out = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
+    ni, ci, oi, oj = np.indices((n, c, oh, ow))
+    dx = np.zeros_like(xd)
+    dx[ni, ci, oi * wh + arg // ww, oj * ww + arg % ww] = gb
+    return (out[0], dx[0]) if single else (out, dx)
+
+
+def signed_integers(rng, shape, high=3):
+    """Small integers, so that windows tie, with zeros of both signs."""
+    return rng.integers(-high, high + 1, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+
+
+# the three digits trunk blocks: (input, kernels), 3x3 kernels at padding 1
+DIGIT_BLOCKS = [((2, 1, 28, 28), (16, 1, 3, 3)), ((2, 16, 14, 14), (32, 16, 3, 3)), ((2, 32, 7, 7), (64, 32, 3, 3))]
+
+
 class TestElementwise:
     def test_square_values(self):
         out = ad.square(ad.Tensor([-2.0, 3.0]))
@@ -188,6 +258,22 @@ class TestMaxPool:
         with pytest.raises(ShapeError, match="exceeds input extent"):
             ad.max_pool2d(ad.Tensor(np.zeros((1, 2, 2))), 3)
 
+    @pytest.mark.parametrize("layout", ["contiguous", "channels_last"])
+    def test_signed_zero_tie_keeps_the_first(self, layout):
+        # 40 windows per order, so that vectorised and scalar loops are both reached
+        x = np.tile(np.array([[0.0, -0.0], [-0.0, 0.0]]), (40, 1)).reshape(1, 2, 40, 2)
+        x = channels_last(x) if layout == "channels_last" else np.ascontiguousarray(x)
+        out = ad.max_pool2d(ad.Tensor(x), (1, 2)).data[..., 0]
+        assert (out == 0.0).all()
+        assert not np.signbit(out[..., 0::2]).any()  # [0.0, -0.0] gives 0.0
+        assert np.signbit(out[..., 1::2]).all()  # [-0.0, 0.0] gives -0.0
+
+    def test_nan_propagates_in_forward(self):
+        x = np.array([[[1.0, np.nan, 2.0, 0.5], [np.nan, 3.0, -1.0, -2.0]]])
+        out = ad.max_pool2d(ad.Tensor(x), (1, 2)).data
+        np.testing.assert_array_equal(np.isnan(out), [[[True, False], [True, False]]])
+        np.testing.assert_array_equal(out[~np.isnan(out)], [2.0, -1.0])
+
     @pytest.mark.parametrize("window", [2, (3, 1), (2, 3)])
     def test_gradient_equals_scatter_add_reference(self, window):
         # ragged extents leave trailing rows/columns out; integer values make ties
@@ -211,6 +297,95 @@ class TestMaxPool:
         x = rng.permutation(np.arange(2 * 6 * 6, dtype=np.float64)).reshape(2, 6, 6) * 0.1
         c = rng.normal(size=(2, 3, 3))
         fd_check(lambda t: (ad.max_pool2d(t, 2) * ad.Tensor(c)).sum(), x)
+
+
+class TestLoopReferences:
+    """conv2d and max_pool2d equal the loop implementations they replaced, bit for bit."""
+
+    CONV_CASES = [
+        *[(x, k, 1) for x, k in DIGIT_BLOCKS],
+        ((3, 1, 12, 64), (32, 1, 3, 64), 0),  # text-style: full-width kernels over an embedding grid
+        ((3, 1, 12, 64), (32, 1, 5, 64), 0),
+        ((1, 1, 5, 64), (32, 1, 5, 64), 0),  # one window position
+        ((2, 6, 5), (3, 2, 3, 3), 0),  # single maps
+        ((2, 6, 5), (3, 2, 3, 3), 1),
+        ((2, 3, 6, 5), (4, 3, 3, 2), 0),
+        ((2, 3, 6, 5), (4, 3, 3, 2), 1),
+        ((2, 3, 6, 5), (4, 3, 3, 2), (0, 2)),
+    ]
+
+    @pytest.mark.parametrize("layout", ["contiguous", "channels_last"])
+    @pytest.mark.parametrize("x_shape,k_shape,padding", CONV_CASES)
+    def test_conv2d(self, x_shape, k_shape, padding, layout):
+        rng = np.random.default_rng(460)
+        x, k = signed_integers(rng, x_shape), rng.normal(size=k_shape)
+        x = channels_last(x) if layout == "channels_last" else x
+        xt, kt = ad.Tensor(x, requires_grad=True), ad.Tensor(k, requires_grad=True)
+        out = ad.conv2d(xt, kt, padding=padding)
+        g = rng.normal(size=out.data.shape)
+        (out * ad.Tensor(g)).sum().backward()
+        want_out, want_dx, want_dk = reference_conv2d(x, k, padding, g)
+        assert out.data.shape == want_out.shape
+        assert out.data.tobytes() == want_out.tobytes()
+        assert xt.grad.tobytes() == accumulated(want_dx).tobytes()
+        assert kt.grad.tobytes() == accumulated(want_dk).tobytes()
+
+    POOL_CASES = [
+        ((2, 3, 7, 5), 2),
+        ((2, 3, 7, 5), (3, 1)),
+        ((2, 3, 7, 5), (2, 3)),
+        ((3, 4, 9, 1), (9, 1)),  # the text trunk's global pool
+        ((3, 4, 9, 1), (4, 1)),  # ragged: the last row is left out
+        ((2, 32, 14, 14), 2),  # digits block outputs
+        ((3, 7, 5), 2),  # single maps
+        ((3, 7, 5), (2, 3)),
+    ]
+
+    @pytest.mark.parametrize("layout", ["contiguous", "channels_last"])
+    @pytest.mark.parametrize("x_shape,window", POOL_CASES)
+    def test_max_pool2d(self, x_shape, window, layout):
+        rng = np.random.default_rng(461)
+        x = signed_integers(rng, x_shape, high=1)
+        x = channels_last(x) if layout == "channels_last" else x
+        xt = ad.Tensor(x, requires_grad=True)
+        out = ad.max_pool2d(xt, window)
+        g = rng.normal(size=out.data.shape)
+        (out * ad.Tensor(g)).sum().backward()
+        want_out, want_dx = reference_max_pool2d(x, window, g)
+        assert out.data.shape == want_out.shape
+        assert out.data.tobytes() == want_out.tobytes()
+        assert xt.grad.tobytes() == accumulated(want_dx).tobytes()
+
+
+class TestReluPoolCommute:
+    """relu(max_pool2d(c)) equals max_pool2d(relu(c)) in value and in both gradients."""
+
+    @staticmethod
+    def _run(x, k, g, relu_first):
+        xt, kt = ad.Tensor(x, requires_grad=True), ad.Tensor(k, requires_grad=True)
+        conv = ad.conv2d(xt, kt, padding=1)
+        out = ad.max_pool2d(ad.relu(conv), 2) if relu_first else ad.relu(ad.max_pool2d(conv, 2))
+        (out * ad.Tensor(g)).sum().backward()
+        return conv.data, out.data, xt.grad, kt.grad
+
+    @pytest.mark.parametrize("values", ["integers", "normal"])
+    @pytest.mark.parametrize("x_shape,k_shape", DIGIT_BLOCKS)
+    def test_orders_agree_bitwise(self, x_shape, k_shape, values):
+        rng = np.random.default_rng(462)
+        if values == "integers":
+            # products of {-1, 0, 1} give exact zeros and all-negative windows in the conv output
+            x, k = signed_integers(rng, x_shape, high=1), rng.integers(-1, 2, size=k_shape).astype(np.float64)
+        else:
+            x, k = rng.normal(size=x_shape), rng.normal(size=k_shape)
+        n, _, h, w = x_shape
+        g = rng.normal(size=(n, k_shape[0], h // 2, w // 2))
+        conv, *after = self._run(x, k, g, relu_first=False)
+        _, *before = self._run(x, k, g, relu_first=True)
+        windows = conv[..., : h // 2 * 2, : w // 2 * 2].reshape(n, k_shape[0], h // 2, 2, w // 2, 2).max(axis=(3, 5))
+        if values == "integers":
+            assert (conv == 0).any() and (windows < 0).any() and (windows == 0).any()
+        for a, b in zip(after, before):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestReductions:
