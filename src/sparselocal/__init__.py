@@ -9,7 +9,7 @@ prediction.
 """
 
 from .autodiff import Tensor, finite_difference_grad, rel_error
-from .gate import GateResult, k_hot_gate, masked_log_prob, sample_gumbel
+from .gate import k_hot_gate, masked_log_prob, sample_gumbel
 from .model import Explanation, GatedLocalLinear, DirectClassifier, ModelConfig
 from .train import Adam, MomentumSGD, TrainSchedule, coarse_to_fine_train, evaluate
 from .data import Dataset, Sample, make_synthetic, split_dataset
@@ -22,7 +22,6 @@ __all__ = [
     "DirectClassifier",
     "Explanation",
     "GatedLocalLinear",
-    "GateResult",
     "ModelConfig",
     "MomentumSGD",
     "Sample",

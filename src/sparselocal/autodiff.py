@@ -147,8 +147,9 @@ def accumulate_grad(t, g):
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))  # one pass, in t.data's memory order
+    else:
+        t.grad += g
 
 
 def _check_elementwise(a, b, name):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
-from .gate import topk_select
+from . import gate as gt
 
 
 @dataclass
@@ -89,16 +89,13 @@ def lasso_fit(Z, y, alpha, max_sweeps=10_000, tol=1e-8):
 def topk_truncate(weights, k):
     """Keep the k largest-|w| entries of each row, zero the rest.
 
-    The selection is :func:`~sparselocal.gate.topk_select` over every
-    entry, so ties go to the lowest index.
+    The selection is the hard gate :func:`~sparselocal.gate.k_hot_gate`
+    over every entry, so ties go to the lowest index.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if k >= weights.shape[-1]:
         return weights.copy()
-    keep = topk_select(weights, True, k)
-    out = np.zeros_like(weights)
-    np.put_along_axis(out, keep, np.take_along_axis(weights, keep, axis=-1), axis=-1)
-    return out
+    return np.where(gt.k_hot_gate(weights, True, k)[0] == 1.0, weights, 0.0)
 
 
 def topk_truncate_eval(weights, samples, k):

@@ -6,19 +6,25 @@ perturbed by Gumbel noise, restricted to the entries that are still
 available; the winner of every draw is masked out before the next one so
 no feature can be chosen twice. Summing the draws gives the gate.
 
-In soft mode each draw is a relaxed simplex vector and the whole
-construction is differentiable with respect to the weights (the mask
-updates are treated as gradient-stopped). A draw is the softmax of
-``(w**2 + lam) / tau`` over the live entries, which equals the paper's
-``softmax((log pi + lam) / tau)``: ``log pi`` is ``w**2`` less one
-constant per row, and a softmax ignores such a shift. One draw loop
-serves soft mode over ``(n, d)`` rows, each with its own gate count; a
-single vector is a one-row batch. In hard mode the noise is
-dropped and each draw is the exact one-hot argmax. Noise-free greedy
-draws are exactly a top-k, so hard mode is computed in one step by
-:func:`topk_select`: an exact stable top-k over the live ``w**2``, ties
-going to the lowest index. That is the inference-time behaviour, and it
-works on whole ``(..., d)`` batches at once.
+There is one function per gate, each batched over rows of weights.
+
+- The soft gate, :func:`k_hot_gate_rows`, is the training relaxation
+  over ``(n, d)`` rows, each with its own gate count. Every draw is a
+  relaxed simplex vector and the whole construction is differentiable
+  with respect to the weights (the mask updates are treated as
+  gradient-stopped). A draw is the softmax of ``(w**2 + lam) / tau``
+  over the live entries, which equals the paper's
+  ``softmax((log pi + lam) / tau)``: ``log pi`` is ``w**2`` less one
+  constant per row, and a softmax ignores such a shift.
+- The hard gate, :func:`k_hot_gate`, is the inference-time behaviour
+  over any ``(..., d)`` batch. The noise is dropped and each draw is the
+  exact one-hot argmax. Noise-free greedy draws are exactly a top-k, so
+  the hard gate is computed in one step by :func:`topk_select`: an exact
+  stable top-k over the live ``w**2``, ties going to the lowest index.
+
+The one-draw primitives :func:`masked_log_prob`, :func:`gate_step` and
+:func:`update_mask` follow the paper's formulas for a single vector; the
+tests compare both gates against them.
 
 Masked-out entries are excluded from every softmax sum and carry an
 infinite negative sentinel in log space, so their gate values are exact
@@ -26,8 +32,6 @@ zeros rather than small numbers.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,8 +115,7 @@ def topk_select(w, live, k):
     broadcasts against it. Each row of the ``(..., k)`` result lists its
     indices in descending ``w**2`` order, ties going to the lowest index.
     Dead entries sort after every live one, so a row with fewer than k
-    live entries ends with dead indices; callers clamp k to the live
-    count.
+    live entries ends with dead indices; :func:`k_hot_gate` closes them.
     """
     w = np.asarray(w, dtype=np.float64)
     keys = np.where(live, -(w * w), np.inf)
@@ -131,71 +134,34 @@ def update_mask(mask, step):
     return out
 
 
-@dataclass
-class GateResult:
-    """The k draws, their sum, and the mask state after the final draw."""
+def k_hot_gate(w, live, k):
+    """The hard gate: a 0/1 gate over ``(..., d)`` weights and its :func:`topk_select` order.
 
-    steps: list
-    gate: object  # Tensor in soft mode, ndarray in hard mode
-    final_mask: np.ndarray
-    mode: str
-
-    @property
-    def values(self):
-        return self.gate.data if isinstance(self.gate, ad.Tensor) else self.gate
-
-    def selection_order(self):
-        """Winning index of each draw, in draw order."""
-        return [int(np.argmax(s.data if isinstance(s, ad.Tensor) else s)) for s in self.steps]
-
-
-def k_hot_gate(w, mask, k, tau=1.0, mode="soft", rng=None, noise=None):
-    """Gate exactly k of the unmasked entries of a weight vector.
-
-    ``noise``, when given, holds at least k rows of pre-drawn Gumbel values and
-    overrides ``rng``; freezing it makes soft mode deterministic, which
-    the finite-difference checks rely on. Hard mode ignores noise and
-    takes its draws from :func:`topk_select`.
+    The gate opens the k largest live ``w**2`` of each row. ``live``
+    broadcasts against ``w``; a row with fewer than k live entries opens
+    only those, because the dead indices that end its order are
+    multiplied out.
     """
-    w = ad.as_tensor(w)
-    if w.data.ndim != 1:
-        raise ShapeError(f"k_hot_gate expects a weight vector, got shape {w.data.shape}")
-    d = w.data.shape[0]
-    mask = np.asarray(mask).astype(np.int64).copy()
-    if mask.shape != (d,):
-        raise ShapeError(f"k_hot_gate: weights {w.data.shape} vs mask {mask.shape}")
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    available = int((mask == 0).sum())
-    if k > available:
-        raise GateExhaustedError(f"k={k} gates requested but only {available} features are unmasked")
-    if mode not in ("soft", "hard"):
-        raise ValueError(f"mode must be 'soft' or 'hard', got {mode!r}")
-
-    if mode == "hard":
-        order = topk_select(w.data, mask == 0, k)
-        steps = np.zeros((k, d))
-        steps[np.arange(k), order] = 1.0
-        final = mask.copy()
-        final[order] = 1
-        return GateResult(steps=list(steps), gate=steps.sum(axis=0), final_mask=final, mode=mode)
-
-    noise = _soft_inputs("k_hot_gate", tau, rng, noise, k, (d,))
-    gate, steps, live = _soft_draws(w.reshape((1, d)), (mask == 0)[None], np.array([k]), tau, rng, noise)
-    final = mask.copy()
-    final[(mask == 0) & ~live[0]] = 1
-    return GateResult(steps=[s.reshape((d,)) for s in steps], gate=gate.reshape((d,)), final_mask=final, mode=mode)
+    w = np.asarray(w, dtype=np.float64)
+    order = topk_select(w, live, k)
+    gate = np.zeros(w.size)  # a flat scatter costs half of put_along_axis on one sample
+    gate[(np.arange(0, w.size, w.shape[-1]).reshape(order.shape[:-1] + (1,)) + order).ravel()] = 1.0
+    return gate.reshape(w.shape) * live, order
 
 
 def k_hot_gate_rows(w, mask, k, tau, rng=None, noise=None):
-    """Soft gates for a whole batch of weight rows at once.
+    """The soft gate for a batch of (n, d) weight rows: the gate and its k draws.
 
-    Equivalent to stacking per-row :func:`k_hot_gate` soft results (given
-    the same noise) but runs each draw as one vectorized softmax
-    ``softmax((w**2 + lam) / tau)`` over the live entries of the batch.
-    ``k`` is one gate count or one count per row; a row whose count is 0
-    gets the all-zero gate. ``noise`` has shape (max(k), n, d) when
-    provided, and row i uses its first k[i] draws.
+    Each draw is one masked softmax ``softmax((w**2 + lam) / tau)`` over
+    the live entries of every row, and its winners are masked out before
+    the next draw. ``k`` is one gate count or one count per row; row i
+    takes the first k[i] of the max(k) draws, and a row whose count is 0
+    gets the all-zero gate. A row past its count draws over all its
+    entries, so the softmax stays defined, and that draw is zeroed.
+
+    ``noise``, when given, holds at least max(k) pre-drawn Gumbel arrays
+    of shape (n, d) and overrides ``rng``; freezing it makes the gate
+    deterministic, which the finite-difference checks rely on.
     """
     w = ad.as_tensor(w)
     if w.data.ndim != 2:
@@ -213,40 +179,23 @@ def k_hot_gate_rows(w, mask, k, tau, rng=None, noise=None):
         raise GateExhaustedError(
             f"k={int(k[row])} gates requested but row {row} has only {int(live[row].sum())} unmasked features"
         )
-    noise = _soft_inputs("k_hot_gate_rows", tau, rng, noise, int(k.max(initial=0)), (n, d))
-    return _soft_draws(w, live, k, tau, rng, noise)[0]
-
-
-def _soft_inputs(caller, tau, rng, noise, k, shape):
-    """Check the soft-gate inputs; return pre-drawn noise as (draws, rows, d), or None to draw from rng.
-
-    ``noise`` must hold at least k draws of the weights' ``shape``.
-    """
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
+    draws = int(k.max(initial=0))
     if noise is None:
         if rng is None:
             raise ValueError("soft gating needs an rng or pre-drawn noise")
-        return None
-    noise = np.asarray(noise, dtype=np.float64)
-    if noise.shape[1:] != shape or noise.shape[0] < k:
-        raise ShapeError(f"{caller}: noise {noise.shape} must hold at least {k} draws of the weights' shape {shape}")
-    return noise.reshape(noise.shape[0], -1, shape[-1])
+    else:
+        noise = np.asarray(noise, dtype=np.float64)
+        if noise.shape[1:] != (n, d) or noise.shape[0] < draws:
+            raise ShapeError(
+                f"k_hot_gate_rows: noise {noise.shape} must hold at least {draws} draws of the weights' shape {(n, d)}"
+            )
 
-
-def _soft_draws(w, live, k, tau, rng, noise):
-    """The soft draw loop over (n, d) rows: the gate, the draws and the live mask left after them.
-
-    Row i takes ``k[i]`` of the max(k) draws. A row past its count draws
-    over all its entries, so the softmax stays defined, and that draw is
-    zeroed, so its gate and live mask stop changing.
-    """
-    n, d = w.data.shape
     scaled = ad.square(w) * (1.0 / tau)
-    live = live.copy()
     gate = None
     steps = []
-    for t in range(int(k.max(initial=0))):
+    for t in range(draws):
         active = t < k
         lam = noise[t] if noise is not None else sample_gumbel((n, d), rng)
         step = _masked_softmax(scaled + ad.Tensor(lam * (1.0 / tau)), live | ~active[:, None])
@@ -257,4 +206,4 @@ def _soft_draws(w, live, k, tau, rng, noise):
         gate = step if gate is None else gate + step
     if gate is None:  # every count is zero
         gate = ad.Tensor(np.zeros((n, d)))
-    return gate, steps, live
+    return gate, steps

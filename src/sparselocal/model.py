@@ -12,9 +12,14 @@ Both models share one network trunk (``WeightGenerator``) and differ
 only in its head width: d weights per class for the gated model, class
 logits for the plain ``DirectClassifier`` reference. Every extractor
 takes the whole batch of rich representations, so the trunk is one
-batched forward pass for images, token sequences and vectors alike. The
-dense ablation is ``batch_loss(gated=False)``, the same loss with every
-gate open.
+batched forward pass for images, token sequences and vectors alike.
+
+``batch_loss`` is the one loss: it gates every head's weight rows with
+one soft-gate call (``gate.k_hot_gate_rows``) for the whole batch, and a
+single sample is a one-sample batch. The dense ablation is
+``batch_loss(gated=False)``, the same loss with every gate open.
+Inference (``margin``, hard ``predict_labels``, ``explain_batch``) gates
+every head of a batch with one hard-gate call (``gate.k_hot_gate``).
 """
 
 from __future__ import annotations
@@ -330,7 +335,7 @@ class GatedLocalLinear(_TrunkModel):
             bad = samples[int(np.argmin(counts))].id
             raise GateExhaustedError(f"sample {bad!r} has no unmasked features")
         heads = self._heads(w)
-        gates = [gt.k_hot_gate_rows(wc, ~live, np.minimum(k, counts), tau, rng=rng, noise=noise) for wc in heads]
+        gates = [gt.k_hot_gate_rows(wc, ~live, np.minimum(k, counts), tau, rng=rng, noise=noise)[0] for wc in heads]
         return self._losses(samples, heads, gates).mean()
 
     def _heads(self, w):
@@ -355,25 +360,6 @@ class GatedLocalLinear(_TrunkModel):
         picked = ad.take_along(ad.log_softmax(logits, axis=1), _class_targets(samples, self.config.num_classes))
         return picked * (-1.0)
 
-    def forward_loss(self, sample, mode="soft", k=None, tau=None, rng=None, noise=None):
-        """Loss and gate trace for a single sample: the one-sample batch loss, gated by ``k_hot_gate``.
-
-        Returns (loss tensor, GateResult); multiclass models return the
-        list of per-class gate results instead.
-        """
-        k = self.config.k if k is None else int(k)
-        tau = self.config.tau_fine if tau is None else float(tau)
-        m = np.asarray(sample.m, dtype=np.int64)
-        k_eff = min(k, int((m == 0).sum()))
-        if k_eff < 1:
-            raise GateExhaustedError(f"sample {sample.id!r} has no unmasked features")
-        d = self.config.d
-        heads = self._heads(self.generator.rows([sample.x]))
-        results = [gt.k_hot_gate(wc.reshape((d,)), m, k_eff, tau=tau, mode=mode, rng=rng, noise=noise) for wc in heads]
-        gates = [ad.as_tensor(r.gate).reshape((1, d)) for r in results]
-        loss = self._losses([sample], heads, gates).reshape(())
-        return loss, results[0] if self.config.num_classes == 2 else results
-
     # -- inference --------------------------------------------------------
     def _weight_grid(self, samples):
         """Weight rows for a batch of samples, shape (n, heads, d)."""
@@ -384,9 +370,9 @@ class GatedLocalLinear(_TrunkModel):
         """Gated scores (n, heads) and, in hard mode, the selected indices (n, heads, min(k, d)).
 
         ``live`` is the (n, d) boolean of unmasked features. Without
-        ``rng`` the gates are the exact hard top-k: dead indices sort
-        after live ones, so keeping the live entries of each top-k clamps
-        its gate count to the sample's live features. With ``rng`` they
+        ``rng`` the gates are the exact hard top-k, one ``k_hot_gate``
+        call for every head of the batch, which clamps each gate count to
+        the sample's live features. With ``rng`` they
         are soft draws at ``tau_fine`` for the whole batch, one
         ``k_hot_gate_rows`` call per head with the per-sample counts
         clamped the same way. A sample with no live feature gets the
@@ -394,17 +380,14 @@ class GatedLocalLinear(_TrunkModel):
         """
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
-        n, heads, d = grid.shape
+        n, heads = grid.shape[:2]
         order = None
         if rng is None:
-            order = gt.topk_select(grid, live[:, None, :], k)
-            g = np.zeros(grid.size)  # a flat scatter costs half of put_along_axis on one sample
-            g[(np.arange(0, grid.size, d).reshape(n, heads, 1) + order).ravel()] = 1.0
-            g = g.reshape(grid.shape) * live[:, None, :]
+            g, order = gt.k_hot_gate(grid, live[:, None, :], k)
         else:
             counts = np.minimum(k, live.sum(axis=1))
             tau = self.config.tau_fine
-            g = np.stack([gt.k_hot_gate_rows(grid[:, c], ~live, counts, tau, rng=rng).data for c in range(heads)], axis=1)
+            g = np.stack([gt.k_hot_gate_rows(grid[:, c], ~live, counts, tau, rng=rng)[0].data for c in range(heads)], axis=1)
         scores = np.empty((n, heads))
         for i, s in enumerate(samples):
             z = np.asarray(s.z, dtype=np.float64)
@@ -497,10 +480,6 @@ class DirectClassifier(_TrunkModel):
 
     def logits(self, xs):
         return self.generator.rows(xs)
-
-    def dnn_forward(self, x):
-        """Logits for one rich representation, length num_classes."""
-        return self.logits([x]).data[0]
 
     def _class_indices(self, samples):
         if self.config.num_classes == 2:

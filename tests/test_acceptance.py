@@ -155,8 +155,7 @@ def test_c1_gradient_oracle_suite(report):
                 p = named[n]
                 p.data[...] = vec[lo : lo + p.data.size].reshape(p.data.shape)
                 lo += p.data.size
-            loss, _ = model.forward_loss(sample, mode="soft", tau=tau, noise=noise)
-            return loss
+            return model.batch_loss([sample], tau=tau, noise=noise[:, None, :])
 
         run(base).backward()
         analytic = np.concatenate([named[n].grad.ravel() for n in names])
@@ -185,23 +184,21 @@ def test_c2_gate_invariant_suite(report):
             mask[rng.integers(d)] = 0
         k = int(rng.integers(1, (mask == 0).sum() + 1))
 
-        hard = gt.k_hot_gate(w, mask, k, mode="hard")
-        g = hard.values
+        g, order = gt.k_hot_gate(w, mask == 0, k)
         assert set(np.unique(g)) <= {0.0, 1.0}
         assert int(g.sum()) == k
         assert float(mask @ g) == 0.0
-        order = hard.selection_order()
-        assert len(set(order)) == k
-        flipped = gt.k_hot_gate(-w, mask, k, mode="hard")
-        assert np.array_equal(g, flipped.values)
+        assert len(set(order.tolist())) == k
+        flipped, _ = gt.k_hot_gate(-w, mask == 0, k)
+        assert np.array_equal(g, flipped)
 
-        soft = gt.k_hot_gate(w, mask, k, tau=float(rng.uniform(0.1, 1.5)), mode="soft", rng=rng)
-        for step in soft.steps:
+        soft, steps = gt.k_hot_gate_rows(w[None], mask[None], k, float(rng.uniform(0.1, 1.5)), rng=rng)
+        for step in steps:
             vals = step.data
             assert abs(vals.sum() - 1.0) <= 1e-6
             assert np.all(vals >= 0.0)
-        assert np.all(soft.values[mask == 1] == 0.0)
-        soft_order = soft.selection_order()
+        assert np.all(soft.data[0][mask == 1] == 0.0)
+        soft_order = [int(np.argmax(step.data[0])) for step in steps]
         assert len(set(soft_order)) == k
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, f"gate suite took {elapsed:.1f}s, budget is 10s"

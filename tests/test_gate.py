@@ -129,65 +129,79 @@ class TestUpdateMask:
             gt.update_mask(np.array([1, 0]), np.array([0.9, 0.1]))
 
 
+def oracle_draws(w, mask, noise, tau):
+    """The k soft draws of one weight row from the one-draw primitives: steps, winners and final mask."""
+    m, steps, order = np.asarray(mask).copy(), [], []
+    for lam in noise:
+        step = gt.gate_step(gt.masked_log_prob(w, m), lam, tau)
+        steps.append(step.data)
+        order.append(int(np.argmax(step.data)))
+        m = gt.update_mask(m, step)
+    return steps, order, m
+
+
+def selection_order(steps, row=0):
+    """Winning index of each draw of one row, in draw order."""
+    return [int(np.argmax(s.data[row])) for s in steps]
+
+
 class TestKHotGateHard:
     def test_greedy_unroll_by_squared_magnitude(self):
         # squared weights [4, 1, 9, 0]: draws pick index 2 then index 0
-        res = gt.k_hot_gate(np.array([-2.0, 1.0, 3.0, 0.0]), np.zeros(4, dtype=int), 2, mode="hard")
-        np.testing.assert_array_equal(res.values, [1.0, 0.0, 1.0, 0.0])
-        assert res.selection_order() == [2, 0]
+        g, order = gt.k_hot_gate(np.array([-2.0, 1.0, 3.0, 0.0]), True, 2)
+        np.testing.assert_array_equal(g, [1.0, 0.0, 1.0, 0.0])
+        assert order.tolist() == [2, 0]
 
     def test_k_equal_d_selects_everything(self):
-        res = gt.k_hot_gate(np.arange(1.0, 6.0), np.zeros(5, dtype=int), 5, mode="hard")
-        np.testing.assert_array_equal(res.values, np.ones(5))
-
-    def test_exhaustion_error_names_counts(self):
-        with pytest.raises(GateExhaustedError, match="k=3.*2 features"):
-            gt.k_hot_gate(np.ones(4), np.array([0, 1, 0, 1]), 3, mode="hard")
+        g, _ = gt.k_hot_gate(np.arange(1.0, 6.0), True, 5)
+        np.testing.assert_array_equal(g, np.ones(5))
 
     @pytest.mark.parametrize("seed", range(50))
     def test_membership_and_sign_invariance(self, seed):
         rng = np.random.default_rng(1000 + seed)
         w, mask, k = random_gate_instance(rng)
-        res = gt.k_hot_gate(w, mask, k, mode="hard")
-        g = res.values
+        g, _ = gt.k_hot_gate(w, mask == 0, k)
         assert set(np.unique(g)) <= {0.0, 1.0}
         assert int(g.sum()) == k
         assert float(mask @ g) == 0.0
-        flipped = gt.k_hot_gate(-w, mask, k, mode="hard")
-        np.testing.assert_array_equal(g, flipped.values)
+        flipped, _ = gt.k_hot_gate(-w, mask == 0, k)
+        np.testing.assert_array_equal(g, flipped)
 
-    def test_final_mask_grows_by_k(self):
-        rng = np.random.default_rng(7)
-        w, mask, k = random_gate_instance(rng)
-        res = gt.k_hot_gate(w, mask, k, mode="hard")
-        assert int(res.final_mask.sum()) == int(mask.sum()) + k
+    def test_rows_with_too_few_live_entries_open_only_those(self):
+        w = np.array([[5.0, 1.0, 4.0, 3.0], [1.0, 2.0, 3.0, 4.0]])
+        live = np.array([[False, True, False, False], [True, True, True, True]])
+        g, order = gt.k_hot_gate(w, live, 2)
+        np.testing.assert_array_equal(g, [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0]])
+        assert order.tolist() == [[1, 0], [3, 2]]
 
 
 class TestKHotGateSoft:
+    """The soft gate on one-row batches, against the single-vector draw primitives."""
+
     @pytest.mark.parametrize("seed", range(30))
     def test_steps_are_simplex_vectors_and_sum_to_k(self, seed):
         rng = np.random.default_rng(2000 + seed)
         w, mask, k = random_gate_instance(rng)
-        res = gt.k_hot_gate(ad.Tensor(w, requires_grad=True), mask, k, tau=1.0, mode="soft", rng=rng)
-        for step in res.steps:
+        gate, steps = gt.k_hot_gate_rows(ad.Tensor(w[None], requires_grad=True), mask[None], k, tau=1.0, rng=rng)
+        for step in steps:
             vals = step.data
             assert np.all(vals >= 0)
             assert abs(vals.sum() - 1.0) <= 1e-6
-        assert abs(res.values.sum() - k) <= 1e-5
+        assert abs(gate.data.sum() - k) <= 1e-5
 
     @pytest.mark.parametrize("seed", range(30))
     def test_masked_entries_stay_exact_zero(self, seed):
         rng = np.random.default_rng(3000 + seed)
         w, mask, k = random_gate_instance(rng)
-        res = gt.k_hot_gate(w, mask, k, tau=0.5, mode="soft", rng=rng)
-        assert np.all(res.values[mask == 1] == 0.0)
+        gate, _ = gt.k_hot_gate_rows(w[None], mask[None], k, tau=0.5, rng=rng)
+        assert np.all(gate.data[0][mask == 1] == 0.0)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_no_index_wins_twice(self, seed):
         rng = np.random.default_rng(4000 + seed)
         w, mask, k = random_gate_instance(rng)
-        res = gt.k_hot_gate(w, mask, k, tau=1.0, mode="soft", rng=rng)
-        order = res.selection_order()
+        _, steps = gt.k_hot_gate_rows(w[None], mask[None], k, tau=1.0, rng=rng)
+        order = selection_order(steps)
         assert len(set(order)) == len(order)
 
     @pytest.mark.parametrize("tau", [1.0, 0.1])
@@ -203,8 +217,8 @@ class TestKHotGateSoft:
         c = rng.normal(size=d)
 
         def objective(x):
-            res = gt.k_hot_gate(ad.as_tensor(x), mask, k, tau=tau, mode="soft", noise=noise)
-            return (res.gate * ad.Tensor(c)).sum()
+            gate, _ = gt.k_hot_gate_rows(ad.as_tensor(x).reshape((1, d)), mask[None], k, tau=tau, noise=noise[:, None])
+            return (gate * ad.Tensor(c[None])).sum()
 
         wt = ad.Tensor(w0, requires_grad=True)
         objective(wt).backward()
@@ -213,30 +227,30 @@ class TestKHotGateSoft:
 
     def test_gradient_is_zero_for_masked_weights(self):
         rng = np.random.default_rng(42)
-        w = ad.Tensor(np.array([1.0, -2.0, 0.5, 3.0]), requires_grad=True)
-        mask = np.array([0, 1, 0, 0])
+        w = ad.Tensor(np.array([[1.0, -2.0, 0.5, 3.0]]), requires_grad=True)
+        mask = np.array([[0, 1, 0, 0]])
         noise = gt.sample_gumbel((2, 4), rng)
-        res = gt.k_hot_gate(w, mask, 2, tau=0.7, mode="soft", noise=noise)
-        (res.gate * ad.Tensor(np.ones(4))).sum().backward()
-        assert w.grad[1] == 0.0
+        gate, _ = gt.k_hot_gate_rows(w, mask, 2, tau=0.7, noise=noise[:, None])
+        (gate * ad.Tensor(np.ones((1, 4)))).sum().backward()
+        assert w.grad[0, 1] == 0.0
 
     def test_low_temperature_limit_is_one_hot(self):
         rng = np.random.default_rng(11)
         d = 10
         w = rng.uniform(0.3, 2.0, size=d) * rng.choice([-1.0, 1.0], size=d)
         noise = gt.sample_gumbel((3, d), rng)
-        res = gt.k_hot_gate(ad.Tensor(w), np.zeros(d, dtype=int), 3, tau=1e-3, mode="soft", noise=noise)
-        for step in res.steps:
+        _, steps = gt.k_hot_gate_rows(ad.Tensor(w[None]), np.zeros((1, d), dtype=int), 3, tau=1e-3, noise=noise[:, None])
+        for step in steps:
             assert step.data.max() >= 1.0 - 1e-6
 
     def test_soft_requires_noise_source(self):
         with pytest.raises(ValueError, match="rng or pre-drawn noise"):
-            gt.k_hot_gate(np.ones(4), np.zeros(4, dtype=int), 2, mode="soft")
+            gt.k_hot_gate_rows(np.ones((1, 4)), np.zeros((1, 4), dtype=int), 2, tau=1.0)
 
-    @pytest.mark.parametrize("shape", [(1, 4), (2, 5), (2, 1, 4), (4,)])
+    @pytest.mark.parametrize("shape", [(1, 4), (2, 5), (1, 1, 4), (4,)])
     def test_noise_of_the_wrong_shape_is_a_shape_error(self, shape):
-        with pytest.raises(ShapeError, match=rf"noise \({shape[0]},.*weights' shape \(4,\)"):
-            gt.k_hot_gate(np.ones(4), np.zeros(4, dtype=int), 2, mode="soft", noise=np.zeros(shape))
+        with pytest.raises(ShapeError, match=rf"noise \({shape[0]},.*weights' shape \(1, 4\)"):
+            gt.k_hot_gate_rows(np.ones((1, 4)), np.zeros((1, 4), dtype=int), 2, tau=1.0, noise=np.zeros(shape))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_unrolled_single_draw_primitives(self, seed):
@@ -250,15 +264,11 @@ class TestKHotGateSoft:
             k = int(rng.integers(1, int((mask == 0).sum()) + 1))
             tau = float(rng.uniform(0.1, 2.0))
             noise = gt.sample_gumbel((k, d), rng)
-            res = gt.k_hot_gate(w, mask, k, tau=tau, mode="soft", noise=noise)
-            m, order = mask.copy(), []
+            _, steps = gt.k_hot_gate_rows(w[None], mask[None], k, tau=tau, noise=noise[:, None])
+            ref, order, _ = oracle_draws(w, mask, noise, tau)
             for t in range(k):
-                step = gt.gate_step(gt.masked_log_prob(w, m), noise[t], tau)
-                np.testing.assert_allclose(res.steps[t].data, step.data, rtol=0, atol=1e-12)
-                order.append(int(np.argmax(step.data)))
-                m = gt.update_mask(m, step)
-            assert res.selection_order() == order
-            np.testing.assert_array_equal(res.final_mask, m)
+                np.testing.assert_allclose(steps[t].data[0], ref[t], rtol=0, atol=1e-12)
+            assert selection_order(steps) == order
 
 
 class TestBatchedRows:
@@ -270,22 +280,20 @@ class TestBatchedRows:
         mask = (rng.random((n, d)) < 0.2).astype(int)
         mask[:, :k] = 0  # keep every row feasible
         noise = gt.sample_gumbel((k, n, d), rng)
-        batched = gt.k_hot_gate_rows(ad.Tensor(w), mask, k, tau=0.8, noise=noise)
+        batched, steps = gt.k_hot_gate_rows(ad.Tensor(w), mask, k, tau=0.8, noise=noise)
         for i in range(n):
-            single = gt.k_hot_gate(
-                ad.Tensor(w[i]), mask[i], k, tau=0.8, mode="soft", noise=noise[:, i, :]
-            )
-            np.testing.assert_array_equal(batched.data[i], single.values)
-            # drawing from an rng: a one-row batch and the vector path, same seed on both sides
-            row = gt.k_hot_gate_rows(
+            ref, order, m = oracle_draws(w[i], mask[i], noise[:, i, :], 0.8)
+            np.testing.assert_allclose(batched.data[i], np.sum(ref, axis=0), rtol=0, atol=1e-12)
+            assert selection_order(steps, i) == order
+            # drawing from an rng: a one-row batch takes one (1, d) Gumbel draw per step from it
+            row, drawn = gt.k_hot_gate_rows(
                 ad.Tensor(w[i : i + 1]), mask[i : i + 1], k, tau=0.8, rng=np.random.default_rng(seed)
             )
-            drawn = gt.k_hot_gate(
-                ad.Tensor(w[i]), mask[i], k, tau=0.8, mode="soft", rng=np.random.default_rng(seed)
-            )
-            np.testing.assert_array_equal(row.data[0], drawn.values)
-            assert [s.data.shape for s in drawn.steps] == [(d,)] * k
-            assert sorted(np.flatnonzero(drawn.final_mask != mask[i])) == sorted(drawn.selection_order())
+            ref_rng = np.random.default_rng(seed)
+            ref, order, m = oracle_draws(w[i], mask[i], [gt.sample_gumbel((1, d), ref_rng)[0] for _ in range(k)], 0.8)
+            np.testing.assert_allclose(row.data[0], np.sum(ref, axis=0), rtol=0, atol=1e-12)
+            assert [s.data.shape for s in drawn] == [(1, d)] * k
+            assert sorted(np.flatnonzero(m != mask[i])) == sorted(selection_order(drawn))
 
     def test_batched_gradients_match_stacked_singles(self):
         rng = np.random.default_rng(77)
@@ -296,12 +304,12 @@ class TestBatchedRows:
         c = rng.normal(size=(n, d))
 
         wt = ad.Tensor(w, requires_grad=True)
-        (gt.k_hot_gate_rows(wt, mask, k, tau=1.0, noise=noise) * ad.Tensor(c)).sum().backward()
+        (gt.k_hot_gate_rows(wt, mask, k, tau=1.0, noise=noise)[0] * ad.Tensor(c)).sum().backward()
         for i in range(n):
-            wi = ad.Tensor(w[i], requires_grad=True)
-            res = gt.k_hot_gate(wi, mask[i], k, tau=1.0, mode="soft", noise=noise[:, i, :])
-            (res.gate * ad.Tensor(c[i])).sum().backward()
-            np.testing.assert_allclose(wt.grad[i], wi.grad, atol=1e-12)
+            wi = ad.Tensor(w[i : i + 1], requires_grad=True)
+            gate, _ = gt.k_hot_gate_rows(wi, mask[i : i + 1], k, tau=1.0, noise=noise[:, i : i + 1, :])
+            (gate * ad.Tensor(c[i : i + 1])).sum().backward()
+            np.testing.assert_allclose(wt.grad[i], wi.grad[0], atol=1e-12)
 
     def test_infeasible_row_is_reported(self):
         w = np.ones((2, 4))
@@ -325,19 +333,21 @@ class TestBatchedRows:
         noise = gt.sample_gumbel((int(k.max()), n, d), rng)
         c = rng.normal(size=(n, d))
         wt = ad.Tensor(w, requires_grad=True)
-        batched = gt.k_hot_gate_rows(wt, mask, k, tau=0.6, noise=noise)
+        batched, _ = gt.k_hot_gate_rows(wt, mask, k, tau=0.6, noise=noise)
         (batched * ad.Tensor(c)).sum().backward()
         assert np.all(batched.data[0] == 0.0) and np.all(wt.grad[0] == 0.0)
         for i in range(1, n):
-            wi = ad.Tensor(w[i], requires_grad=True)
-            single = gt.k_hot_gate(wi, mask[i], int(k[i]), tau=0.6, mode="soft", noise=noise[: k[i], i])
-            (single.gate * ad.Tensor(c[i])).sum().backward()
-            np.testing.assert_array_equal(batched.data[i], single.values)
-            np.testing.assert_allclose(wt.grad[i], wi.grad, rtol=0, atol=1e-12)
+            ref, _, _ = oracle_draws(w[i], mask[i], noise[: k[i], i], 0.6)
+            np.testing.assert_allclose(batched.data[i], np.sum(ref, axis=0), rtol=0, atol=1e-12)
+            wi = ad.Tensor(w[i : i + 1], requires_grad=True)
+            single, _ = gt.k_hot_gate_rows(wi, mask[i : i + 1], int(k[i]), tau=0.6, noise=noise[: k[i], i : i + 1])
+            (single * ad.Tensor(c[i : i + 1])).sum().backward()
+            np.testing.assert_allclose(wt.grad[i], wi.grad[0], rtol=0, atol=1e-12)
 
     def test_all_zero_counts_give_the_zero_gate(self):
-        gate = gt.k_hot_gate_rows(ad.Tensor(np.ones((2, 3))), np.ones((2, 3)), 0, tau=1.0, rng=np.random.default_rng(0))
+        gate, steps = gt.k_hot_gate_rows(ad.Tensor(np.ones((2, 3))), np.ones((2, 3)), 0, tau=1.0, rng=np.random.default_rng(0))
         np.testing.assert_array_equal(gate.data, np.zeros((2, 3)))
+        assert steps == []
 
     @pytest.mark.parametrize("shape", [(1, 2, 4), (2, 3, 4), (2, 2, 5), (2, 4)])
     def test_noise_of_the_wrong_shape_is_a_shape_error(self, shape):
@@ -369,9 +379,9 @@ class TestTopkSelect:
         # the log-softmax draw loop rounded the small weights to one value and returned [0, 1, 2]
         w = np.array([1.0, 1e-9, 2e-9, 3e-9])
         assert gt.topk_select(w, True, 3).tolist() == [0, 3, 2]
-        res = gt.k_hot_gate(w, np.zeros(4, dtype=int), 3, mode="hard")
-        assert res.selection_order() == [0, 3, 2]
-        np.testing.assert_array_equal(res.values, [1.0, 0.0, 1.0, 1.0])
+        g, order = gt.k_hot_gate(w, True, 3)
+        assert order.tolist() == [0, 3, 2]
+        np.testing.assert_array_equal(g, [1.0, 0.0, 1.0, 1.0])
 
     def test_ties_go_to_lowest_index_and_sign_is_ignored(self):
         w = np.array([0.5, -2.0, 2.0, -0.5, 2.0])
@@ -415,7 +425,7 @@ class TestTopkSelect:
         w, live = random_topk_rows(rng, (int(rng.integers(2, 30)),))
         live[rng.integers(w.size)] = True
         k = int(rng.integers(1, int(live.sum()) + 1))
-        res = gt.k_hot_gate(w, (~live).astype(int), k, mode="hard")
+        g, order = gt.k_hot_gate(w, live, k)
         ref = reference_topk(w, live, k)
-        assert res.selection_order() == ref.tolist()
-        assert np.flatnonzero(res.values).tolist() == sorted(ref.tolist())
+        assert order.tolist() == ref.tolist()
+        assert np.flatnonzero(g).tolist() == sorted(ref.tolist())

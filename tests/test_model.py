@@ -144,6 +144,8 @@ class TestTextTrunk:
 
 
 class TestForwardLoss:
+    """The loss of a single sample, a one-sample ``batch_loss``."""
+
     def _constant_weight_model(self, weights):
         """Vector model rigged so every sample receives the given weight row."""
         d = len(weights)
@@ -158,21 +160,21 @@ class TestForwardLoss:
     def test_zero_margin_gives_log_two(self):
         model = self._constant_weight_model([0.0, 0.0, 0.0])
         s = Sample(id=0, x=np.zeros(5), z=np.array([1.0, 2.0, 3.0]), y=1, m=np.zeros(3, dtype=np.int64))
-        loss, _ = model.forward_loss(s, mode="hard")
+        loss = model.batch_loss([s], rng=np.random.default_rng(0))
         assert float(loss.data) == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_saturated_margin_vanishes(self):
         model = self._constant_weight_model([10.0, 0.0])
         s = Sample(id=0, x=np.zeros(4), z=np.array([2.0, 1.0]), y=1, m=np.zeros(2, dtype=np.int64))
-        loss, result = model.forward_loss(s, mode="hard", k=1)
-        assert result.selection_order() == [0]  # margin is z0 * w0 = 20
+        loss = model.batch_loss([s], k=1, rng=np.random.default_rng(0))
+        assert model.explain(s, k=1).indices == [0]  # margin is z0 * w0 = 20
         assert float(loss.data) < 1e-8
 
     def test_rejects_bad_binary_label(self):
         model = self._constant_weight_model([1.0, 1.0])
         s = Sample(id="bad", x=np.zeros(4), z=np.ones(2), y=3, m=np.zeros(2, dtype=np.int64))
         with pytest.raises(ValueError, match=r"\+1 or -1"):
-            model.forward_loss(s, rng=np.random.default_rng(0))
+            model.batch_loss([s], rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("tau", [1.0, 0.1])
     def test_full_model_gradient_matches_finite_differences(self, tau):
@@ -185,11 +187,10 @@ class TestForwardLoss:
 
         def total(vec):
             set_params(model, names, vec)
-            loss, _ = model.forward_loss(sample, mode="soft", tau=tau, noise=noise)
-            return float(loss.data)
+            return float(model.batch_loss([sample], tau=tau, noise=noise[:, None, :]).data)
 
         set_params(model, names, base)
-        loss, _ = model.forward_loss(sample, mode="soft", tau=tau, noise=noise)
+        loss = model.batch_loss([sample], tau=tau, noise=noise[:, None, :])
         loss.backward()
         named = model.named_parameters()
         analytic = np.concatenate([named[n].grad.ravel() for n in names])
@@ -207,11 +208,10 @@ class TestForwardLoss:
 
         def total(vec):
             set_params(model, names, vec)
-            loss, _ = model.forward_loss(sample, mode="soft", tau=1.0, noise=noise)
-            return float(loss.data)
+            return float(model.batch_loss([sample], tau=1.0, noise=noise[:, None, :]).data)
 
         set_params(model, names, base)
-        loss, _ = model.forward_loss(sample, mode="soft", tau=1.0, noise=noise)
+        loss = model.batch_loss([sample], tau=1.0, noise=noise[:, None, :])
         loss.backward()
         named = model.named_parameters()
         analytic = np.concatenate([(named[n].grad if named[n].grad is not None else np.zeros_like(named[n].data)).ravel() for n in names])
@@ -229,7 +229,7 @@ class TestBatchPathConsistency:
         noise = gt.sample_gumbel((2, 6, 5), rng)
         batch = model.batch_loss(samples, k=2, tau=0.7, noise=noise)
         singles = [
-            float(model.forward_loss(s, mode="soft", k=2, tau=0.7, noise=noise[:, i, :])[0].data)
+            float(model.batch_loss([s], k=2, tau=0.7, noise=noise[:, i : i + 1, :]).data)
             for i, s in enumerate(samples)
         ]
         assert float(batch.data) == pytest.approx(np.mean(singles), abs=1e-12)
@@ -246,7 +246,7 @@ class TestBatchPathConsistency:
             noise = gt.sample_gumbel((3, len(samples), 8), rng)
             batch = model.batch_loss(samples, k=3, tau=0.7, noise=noise)
             singles = [
-                float(model.forward_loss(s, mode="soft", k=3, tau=0.7, noise=noise[:k_i, i])[0].data)
+                float(model.batch_loss([s], k=3, tau=0.7, noise=noise[:k_i, i : i + 1]).data)
                 for i, (s, k_i) in enumerate(zip(samples, counts))
             ]
             assert float(batch.data) == pytest.approx(np.mean(singles), rel=0, abs=1e-12)
@@ -257,8 +257,8 @@ class TestBatchPathConsistency:
         samples = [vector_sample(rng, d=5, sid=i) for i in range(3)]
         with pytest.raises(ShapeError, match=r"noise \(1, 3, 5\).*\(3, 5\)"):
             model.batch_loss(samples, k=2, tau=1.0, noise=np.zeros((1, 3, 5)))
-        with pytest.raises(ShapeError, match=r"noise \(2, 4\).*\(5,\)"):
-            model.forward_loss(samples[0], mode="soft", k=2, noise=np.zeros((2, 4)))
+        with pytest.raises(ShapeError, match=r"noise \(2, 4\).*\(1, 5\)"):
+            model.batch_loss(samples[:1], k=2, noise=np.zeros((2, 4)))
 
     def test_sample_without_features_is_an_error(self):
         rng = np.random.default_rng(41)
@@ -289,11 +289,11 @@ class TestGradientMaskingIdentity:
         model = GatedLocalLinear(cfg, rng)
         s = vector_sample(rng, d=5)
         w = model.generator.rows([s.x]).reshape((5,))
-        res = gt.k_hot_gate(w.data, s.m, 2, mode="hard")
-        margin = (ad.Tensor(s.z) * ad.Tensor(res.values) * w).sum()
+        g, _ = gt.k_hot_gate(w.data, s.m == 0, 2)
+        margin = (ad.Tensor(s.z) * ad.Tensor(g) * w).sum()
         margin.backward()
         head = model.named_parameters()["head.weight"]
-        closed = res.values == 0
+        closed = g == 0
         assert np.all(head.grad[:, closed] == 0.0)
 
 
@@ -303,9 +303,10 @@ class TestDenseAndDirectVariants:
         model = GatedLocalLinear(vector_config(d=5, k=2), rng)
         s = vector_sample(rng, d=5, y=-1)
         dense_loss, w = model.batch_loss([s], gated=False), model.generate_weights(s.x)
-        gated_loss, result = model.forward_loss(s, mode="hard", k=5)
-        np.testing.assert_array_equal(result.values, np.ones(5))
-        assert float(dense_loss.data) == pytest.approx(float(gated_loss.data), abs=1e-15)
+        g, _ = gt.k_hot_gate(w, s.m == 0, 5)
+        np.testing.assert_array_equal(g, np.ones(5))
+        gated_loss = ad.softplus(ad.Tensor(np.array([-s.y * model.margin(s, k=5)])))
+        assert float(dense_loss.data) == pytest.approx(float(gated_loss.data[0]), abs=1e-15)
         assert w.shape == (5,)
 
     @pytest.mark.parametrize("extractor", [
@@ -336,7 +337,7 @@ class TestDenseAndDirectVariants:
     def test_direct_classifier_logit_length(self):
         rng = np.random.default_rng(53)
         dnn = DirectClassifier(vector_config(num_classes=4), rng)
-        assert dnn.dnn_forward(rng.normal(size=8)).shape == (4,)
+        assert dnn.logits([rng.normal(size=8)]).data[0].shape == (4,)
 
     def test_direct_classifier_never_touches_gating(self, monkeypatch):
         rng = np.random.default_rng(54)
@@ -461,10 +462,13 @@ class TestBatchedHardGate:
                 assert label == empty
                 continue
             w = model.generate_weights(s.x).reshape(model.config.heads, 8)
-            scores = [
-                float(s.z @ (gt.k_hot_gate(w[c], s.m, counts[i], tau=model.config.tau_fine, noise=noise[c][: counts[i], i]).values * w[c]))
-                for c in range(model.config.heads)
-            ]
+            scores = []
+            for c in range(model.config.heads):
+                m, g = s.m, np.zeros(8)  # the one-draw primitives are the reference for each soft draw
+                for lam in noise[c][: counts[i], i]:
+                    step = gt.gate_step(gt.masked_log_prob(w[c], m), lam, model.config.tau_fine)
+                    g, m = g + step.data, gt.update_mask(m, step)
+                scores.append(float(s.z @ (g * w[c])))
             assert label == ((1 if scores[0] >= 0 else -1) if num_classes == 2 else int(np.argmax(scores)))
         dead = [s for s in samples if s.live_count == 0]
         assert model.predict_labels(dead, mode="soft").tolist() == [empty] * len(dead)
@@ -508,3 +512,49 @@ class TestBatchedHardGate:
         with pytest.raises(GateExhaustedError, match="'short' has 2 unmasked features, fewer than k=3"):
             model.explain_batch([ok, short], k=3)
         assert model.explain_batch([], k=3) == []
+
+
+class TestOneGatePerPath:
+    """Inference runs one hard-gate call per batch and training one soft-gate call per head."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {"hard": 0, "soft": 0}
+        for name, key in (("k_hot_gate", "hard"), ("k_hot_gate_rows", "soft")):
+            original = getattr(gt, name)
+
+            def counted(*args, _original=original, _key=key, **kwargs):
+                counts[_key] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(gt, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    def test_inference_calls_the_hard_gate_once_per_batch(self, calls, num_classes):
+        rng = np.random.default_rng(81)
+        model = GatedLocalLinear(vector_config(d=8, k=3, num_classes=num_classes), rng)
+        samples = [s for s in masked_samples(rng, 8, 30, num_classes) if s.live_count >= 3][:10]
+        assert len(samples) == 10
+        for run in (
+            lambda: model.explain(samples[0]),
+            lambda: model.explain_batch(samples),
+            lambda: model.margin(samples[0]),
+        ):
+            calls.update(hard=0, soft=0)
+            run()
+            assert calls == {"hard": 1, "soft": 0}
+        calls.update(hard=0, soft=0)
+        model.predict_labels(samples, chunk=4)
+        assert calls == {"hard": 3, "soft": 0}
+
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    def test_training_calls_the_soft_gate_once_per_head(self, calls, num_classes):
+        rng = np.random.default_rng(82)
+        model = GatedLocalLinear(vector_config(d=8, k=3, num_classes=num_classes), rng)
+        samples = [vector_sample(rng, d=8, y=1 if num_classes == 2 else 2, sid=i) for i in range(5)]
+        model.batch_loss(samples, rng=rng).backward()
+        assert calls == {"hard": 0, "soft": model.config.heads}
+        calls.update(hard=0, soft=0)
+        model.predict_labels(samples, mode="soft", rng=rng, chunk=4)
+        assert calls == {"hard": 0, "soft": 2 * model.config.heads}
