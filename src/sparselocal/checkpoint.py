@@ -88,7 +88,7 @@ def load_checkpoint(path):
     try:
         config = ModelConfig.from_dict(header["config"])
         model = GatedLocalLinear(config, np.random.default_rng(0))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: invalid model config ({exc!r})") from exc
     named = model.named_parameters()
     expected = set(named)

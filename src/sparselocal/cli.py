@@ -2,8 +2,9 @@
 
 Run configurations and dataset manifests are JSON files; all tabular
 output is line-delimited JSON so downstream tooling can parse it without
-version sniffing. Every command accepts --seed and is deterministic
-given it.
+version sniffing. ``train`` and ``eval`` (whose soft mode draws gates)
+take --seed and are deterministic given it; ``explain`` and ``bench``
+use the deterministic hard gate and take no seed.
 
 Dataset manifests, resolved relative to the manifest file:
 
@@ -20,14 +21,20 @@ Dataset manifests, resolved relative to the manifest file:
 Training config:
 
   {"dataset": "manifest.json", "seed": 0,
-   "model": {"k": 10, "fc_layers": 1, "fc_width": 128},
+   "model": {"k": 10, "fc_layers": 1, "fc_width": 128,
+             "tau_coarse": 1.0, "tau_fine": 0.1},
    "train": {"adam_lr": 1e-3, "k_coarse": 10, "batch_size": 64,
              "max_coarse_epochs": 20, "max_fine_epochs": 15, "patience": 5}}
+
+"model" takes the ``ModelConfig`` settings and the architecture keys of
+the dataset's extractor kind (``EXTRACTOR_DEFAULTS``); omitted ones keep
+their defaults, and k defaults to 10. "train" takes ``TrainSchedule``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -52,7 +59,7 @@ from .data import (
     tokenize,
 )
 from .errors import CheckpointError, ConfigError, DataFormatError, GateExhaustedError
-from .model import GatedLocalLinear, ModelConfig
+from .model import EXTRACTOR_DEFAULTS, GatedLocalLinear, ModelConfig
 from .render import render_image_svg, render_text_html
 from .train import TrainSchedule, coarse_to_fine_train, evaluate
 
@@ -76,30 +83,32 @@ def _emit(record, stream=None):
 def _read_json(path, what):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            payload = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"{what} file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{what} file {path} holds a JSON {type(payload).__name__}, not an object")
+    return payload
 
 
 def load_manifest(path):
-    """Build train/validation/test splits from a dataset manifest."""
+    """Train/validation/test splits from a dataset manifest; a bad field is a ConfigError."""
     manifest = _read_json(path, "dataset manifest")
-    base = Path(path).parent
+    try:
+        return _load_splits(manifest, Path(path).parent)
+    except KeyError as exc:
+        raise ConfigError(f"dataset manifest {path} is missing required field {exc}") from exc
+    except DataFormatError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"dataset manifest {path} has a bad field: {exc}") from exc
+
+
+def _load_splits(manifest, base):
     kind = manifest.get("type")
-    if kind == "synthetic":
-        for field in ("n", "d", "seed"):
-            if field not in manifest:
-                raise ConfigError(f'dataset manifest is missing required field "{field}"')
-        ds = make_synthetic(manifest["n"], manifest["d"], manifest["seed"])
-        fractions = manifest.get("fractions", [0.7, 0.1, 0.2])
-        train, val, test = split_dataset(ds.samples, fractions, manifest["seed"])
-        return LoadedData(ds, train, val, test)
     if kind == "image":
-        for field in ("train_images", "train_labels", "test_images", "test_labels"):
-            if field not in manifest:
-                raise ConfigError(f'dataset manifest is missing required field "{field}"')
         train_ds = load_image_dataset(
             base / manifest["train_images"], base / manifest["train_labels"],
             limit=manifest.get("train_limit"), id_prefix="train",
@@ -113,9 +122,9 @@ def load_manifest(path):
             train_ds.samples, [1.0 - val_fraction, val_fraction], manifest.get("seed", 0)
         )
         return LoadedData(train_ds, train, val, test_ds.samples)
-    if kind == "text":
-        if "path" not in manifest:
-            raise ConfigError('dataset manifest is missing required field "path"')
+    if kind == "synthetic":
+        ds = make_synthetic(manifest["n"], manifest["d"], manifest["seed"])
+    elif kind == "text":
         stopwords = None
         if manifest.get("stopwords"):
             stop_path = base / manifest["stopwords"]
@@ -126,45 +135,36 @@ def load_manifest(path):
             stopwords=stopwords,
             counts=manifest.get("counts", False),
         )
-        fractions = manifest.get("fractions", [0.7, 0.1, 0.2])
-        train, val, test = split_dataset(ds.samples, fractions, manifest.get("seed", 0))
-        return LoadedData(ds, train, val, test)
-    raise ConfigError(f'dataset manifest has unknown type {kind!r}; expected synthetic, image or text')
-
-
-def _extractor_spec(dataset, model_cfg):
-    if dataset.kind == "image":
-        sample = dataset.samples[0]
-        return {
-            "kind": "image",
-            "in_shape": list(sample.x.shape),
-            "channels": model_cfg.get("channels", [16, 32, 64]),
-        }
-    if dataset.kind == "vector":
-        return {"kind": "vector", "dim": int(np.asarray(dataset.samples[0].x).shape[0])}
-    if dataset.kind == "text":
-        return {
-            "kind": "text",
-            "vocab_size": len(dataset.vocab),
-            "embed_dim": model_cfg.get("embed_dim", 64),
-            "filter_widths": model_cfg.get("filter_widths", [3, 4, 5]),
-            "filters": model_cfg.get("filters", 32),
-            "pad_index": dataset.vocab.oov_index,
-        }
-    raise ConfigError(f"cannot infer an extractor for dataset kind {dataset.kind!r}")
+    else:
+        raise ConfigError(f'dataset manifest has unknown type {kind!r}; expected synthetic, image or text')
+    train, val, test = split_dataset(ds.samples, manifest.get("fractions", [0.7, 0.1, 0.2]), manifest.get("seed", 0))
+    return LoadedData(ds, train, val, test)
 
 
 def build_model_config(dataset, model_cfg):
-    return ModelConfig(
-        d=dataset.d,
-        k=model_cfg.get("k", 10),
-        extractor=_extractor_spec(dataset, model_cfg),
-        fc_layers=model_cfg.get("fc_layers", 1),
-        fc_width=model_cfg.get("fc_width", 128),
-        num_classes=dataset.num_classes,
-        tau_coarse=model_cfg.get("tau_coarse", 1.0),
-        tau_fine=model_cfg.get("tau_fine", 0.1),
-    )
+    """``ModelConfig`` from a "model" section plus what the dataset decides: d, classes, input size."""
+    if not isinstance(model_cfg, dict):
+        raise ConfigError('config field "model" must be a JSON object')
+    if not dataset.samples:
+        raise ConfigError("the dataset has no samples")
+    sample = dataset.samples[0]
+    if dataset.kind == "image":
+        extractor = {"kind": "image", "in_shape": list(sample.x.shape)}
+    elif dataset.kind == "vector":
+        extractor = {"kind": "vector", "dim": int(np.asarray(sample.x).shape[0])}
+    else:
+        extractor = {"kind": "text", "vocab_size": len(dataset.vocab), "pad_index": dataset.vocab.oov_index}
+    fields = {f.name for f in dataclasses.fields(ModelConfig)} - {"d", "num_classes", "extractor"}
+    arch = set(EXTRACTOR_DEFAULTS[dataset.kind]) - set(extractor)
+    unknown = sorted(model_cfg.keys() - fields - arch)
+    if unknown:
+        raise ConfigError(f"unknown or dataset-decided model keys for a {dataset.kind} dataset: {unknown}")
+    settings = {"k": 10, **{key: model_cfg[key] for key in model_cfg.keys() & fields}}
+    extractor.update({key: model_cfg[key] for key in model_cfg.keys() & arch})
+    try:
+        return ModelConfig(d=dataset.d, num_classes=dataset.num_classes, extractor=extractor, **settings)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad model section: {exc}") from exc
 
 
 def _file_sha256(path):
@@ -173,19 +173,16 @@ def _file_sha256(path):
 
 def cmd_train(args):
     config = _read_json(args.config, "config")
-    if "dataset" not in config:
-        raise ConfigError('config is missing required field "dataset"')
+    if not isinstance(config.get("dataset"), str):
+        raise ConfigError('config is missing required field "dataset", or it is not a path string')
     seed = args.seed if args.seed is not None else config.get("seed", 0)
     manifest_path = Path(args.config).parent / config["dataset"]
     data = load_manifest(manifest_path)
 
-    model_cfg = config.get("model", {})
-    cfg = build_model_config(data.dataset, model_cfg)
-    train_cfg = dict(config.get("train", {}))
-    train_cfg.setdefault("k_target", cfg.k)
+    cfg = build_model_config(data.dataset, config.get("model", {}))
     try:
-        schedule = TrainSchedule(**train_cfg)
-    except TypeError as exc:
+        schedule = TrainSchedule(**{"k_target": cfg.k, **config.get("train", {})})
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad train section: {exc}") from exc
 
     rng = np.random.default_rng(seed)
@@ -387,7 +384,6 @@ def build_parser():
     p_explain.add_argument("--k", type=int, default=None)
     p_explain.add_argument("--svg", default=None)
     p_explain.add_argument("--html", default=None)
-    p_explain.add_argument("--seed", type=int, default=None)
     p_explain.set_defaults(fn=cmd_explain)
 
     p_bench = sub.add_parser("bench", help="per-sample explanation latency")
@@ -395,7 +391,6 @@ def build_parser():
     p_bench.add_argument("--dataset", required=True)
     p_bench.add_argument("--k", default="1,5,10")
     p_bench.add_argument("--reps", type=int, default=100)
-    p_bench.add_argument("--seed", type=int, default=None)
     p_bench.set_defaults(fn=cmd_bench)
     return parser
 
@@ -405,7 +400,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, CheckpointError, DataFormatError, FileNotFoundError) as exc:
+    except (ConfigError, CheckpointError, DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (GateExhaustedError, ValueError, RuntimeError) as exc:

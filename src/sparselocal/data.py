@@ -97,8 +97,8 @@ def parse_idx(path):
     """Read one big-endian IDX file; returns images (n, h, w) uint8 or labels (n,).
 
     The magic number selects the payload layout: 0x00000803 for image
-    tensors, 0x00000801 for label vectors. Truncation and unknown magic
-    values are reported with the offending byte offset.
+    tensors, 0x00000801 for label vectors. Truncation, negative sizes and
+    unknown magic values are reported with the offending byte offset.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -118,6 +118,8 @@ def parse_idx(path):
         if len(raw) < 16:
             raise DataFormatError(f"{path}: truncated image header at byte offset {len(raw)}")
         n, h, w = struct.unpack(">iii", raw[4:16])
+        if min(n, h, w) < 0:
+            raise DataFormatError(f"{path}: negative image size {(n, h, w)} at byte offset 4")
         expected = 16 + n * h * w
         if len(raw) != expected:
             raise DataFormatError(
@@ -149,7 +151,7 @@ def binarize_labels(digits):
     """Digits 0-4 map to -1, digits 5-9 map to +1."""
     digits = np.asarray(digits)
     if ((digits < 0) | (digits > 9)).any():
-        raise ValueError(f"digit labels must lie in 0..9, got {sorted(set(digits.tolist()))[:12]}")
+        raise DataFormatError(f"digit labels must lie in 0..9, got {sorted(set(digits.tolist()))[:12]}")
     return np.where(digits <= 4, -1, 1).astype(np.int64)
 
 
@@ -157,7 +159,7 @@ def downsample_7x7(image):
     """Non-overlapping 4x4 block average of a 28x28 image, flattened row-major."""
     image = np.asarray(image, dtype=np.float64)
     if image.shape != (28, 28):
-        raise ValueError(f"expected a 28x28 image, got {image.shape}")
+        raise DataFormatError(f"expected a 28x28 image, got {image.shape}")
     return image.reshape(7, 4, 7, 4).mean(axis=(1, 3)).reshape(49)
 
 
@@ -213,15 +215,18 @@ def build_text_dataset(path, min_freq=2, stopwords=None, counts=False):
     """
     stopwords = STOPWORDS if stopwords is None else frozenset(stopwords)
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t", 1)
-            if len(parts) != 2 or not parts[0].strip():
-                raise DataFormatError(f"{path}:{lineno}: expected 'label<TAB>text'")
-            tokens = [t for t in tokenize(parts[1]) if t not in stopwords]
-            rows.append((lineno, parts[0].strip(), tokens))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                parts = line.rstrip("\n").split("\t", 1)
+                if len(parts) != 2 or not parts[0].strip():
+                    raise DataFormatError(f"{path}:{lineno}: expected 'label<TAB>text'")
+                tokens = [t for t in tokenize(parts[1]) if t not in stopwords]
+                rows.append((lineno, parts[0].strip(), tokens))
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: corpus is not UTF-8 text ({exc.reason})") from exc
     if not rows:
         raise DataFormatError(f"{path}: corpus is empty")
 

@@ -34,9 +34,14 @@ from . import gate as gt
 from .errors import GateExhaustedError
 
 
+# Per-kind architecture defaults; the data decides in_shape (image), dim (vector) and vocab_size (text).
+EXTRACTOR_DEFAULTS = {"image": {"channels": (16, 32, 64)}, "vector": {},
+                      "text": {"embed_dim": 64, "filter_widths": (3, 4, 5), "filters": 32, "pad_index": 0}}
+
+
 @dataclass
 class ModelConfig:
-    """Architecture choices; extractor is a kind-tagged dict (see _build_extractor)."""
+    """Architecture and gate temperatures; ``EXTRACTOR_DEFAULTS`` fill the extractor spec's gaps."""
 
     d: int
     k: int
@@ -48,10 +53,14 @@ class ModelConfig:
     tau_fine: float = 0.1
 
     def __post_init__(self):
+        kind = self.extractor.get("kind") if isinstance(self.extractor, dict) else None
+        if kind not in EXTRACTOR_DEFAULTS:
+            raise ValueError(f"unknown extractor kind {kind!r}")
+        self.extractor = {**EXTRACTOR_DEFAULTS[kind], **self.extractor}
         if not 1 <= self.k <= self.d:
             raise ValueError(f"k must satisfy 1 <= k <= d, got k={self.k}, d={self.d}")
-        if self.fc_layers < 1:
-            raise ValueError("at least one fully-connected layer is required")
+        if self.fc_layers < 1 or self.fc_width < 1:
+            raise ValueError("at least one fully-connected layer, of width at least 1, is required")
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
         if not self.tau_coarse > self.tau_fine > 0:
@@ -171,7 +180,7 @@ class TextExtractor:
     each row and its gradient routing are those of the sequence alone.
     """
 
-    def __init__(self, vocab_size, rng, embed_dim=64, filter_widths=(3, 4, 5), filters=32, pad_index=0):
+    def __init__(self, vocab_size, rng, embed_dim, filter_widths, filters, pad_index):
         self.embed_dim = int(embed_dim)
         self.filter_widths = tuple(int(w) for w in filter_widths)
         self.filters = int(filters)
@@ -214,21 +223,13 @@ class TextExtractor:
 
 
 def _build_extractor(spec, rng):
-    kind = spec.get("kind")
-    if kind == "image":
-        return ImageExtractor(spec["in_shape"], spec.get("channels", (16, 32, 64)), rng)
-    if kind == "vector":
+    if spec["kind"] == "image":
+        return ImageExtractor(spec["in_shape"], spec["channels"], rng)
+    if spec["kind"] == "vector":
         return VectorExtractor(spec["dim"])
-    if kind == "text":
-        return TextExtractor(
-            spec["vocab_size"],
-            rng,
-            embed_dim=spec.get("embed_dim", 64),
-            filter_widths=spec.get("filter_widths", (3, 4, 5)),
-            filters=spec.get("filters", 32),
-            pad_index=spec.get("pad_index", 0),
-        )
-    raise ValueError(f"unknown extractor kind {kind!r}")
+    return TextExtractor(
+        spec["vocab_size"], rng, spec["embed_dim"], spec["filter_widths"], spec["filters"], spec["pad_index"]
+    )
 
 
 class WeightGenerator:

@@ -1,12 +1,13 @@
 """Optimizers, the coarse-to-fine training loop, and accuracy evaluation.
 
 Training runs in two phases. The coarse phase uses a generous gate count
-and a high temperature so gradients reach every weight dimension, and
-optimizes with Adam. Once validation loss stops improving, the fine
-phase resets the gate count and temperature to their target values and
-continues from the current parameters with momentum SGD at one tenth of
-the Adam learning rate. Either phase can be disabled by setting its
-epoch budget to zero.
+and the model's coarse temperature (``ModelConfig.tau_coarse``) so
+gradients reach every weight dimension, and optimizes with Adam. Once
+validation loss stops improving, the fine phase resets the gate count to
+its target and the temperature to ``ModelConfig.tau_fine``, and continues
+from the current parameters with momentum SGD at one tenth of the Adam
+learning rate. Either phase can be disabled by setting its epoch budget
+to zero.
 """
 
 from __future__ import annotations
@@ -69,22 +70,18 @@ def zero_grads(params):
 
 @dataclass
 class TrainSchedule:
-    """Two-phase settings: Adam/high-tau/large-k first, momentum-SGD/low-tau/target-k second."""
+    """Two-phase settings: Adam/large-k first, momentum-SGD/target-k second; the model owns both taus."""
 
     adam_lr: float = 1e-3
     momentum: float = 0.9
     k_coarse: int = 10
     k_target: int | None = None  # defaults to the model's configured k
-    tau_coarse: float = 1.0
-    tau_fine: float = 0.1
     batch_size: int = 64
     max_coarse_epochs: int = 50
     max_fine_epochs: int = 50
     patience: int = 5
 
     def __post_init__(self):
-        if not self.tau_coarse > self.tau_fine > 0:
-            raise ValueError("schedule requires tau_coarse > tau_fine > 0")
         if self.k_target is not None and not self.k_coarse >= self.k_target >= 1:
             raise ValueError("schedule requires k_coarse >= k_target >= 1")
 
@@ -205,10 +202,10 @@ def coarse_to_fine_train(model, train, val, schedule=None, rng=None, progress=No
         )
 
     run("coarse", Adam(model.parameters(), lr=schedule.adam_lr), min(schedule.k_coarse, model.config.d),
-        schedule.tau_coarse, schedule.max_coarse_epochs, schedule.adam_lr)
+        model.config.tau_coarse, schedule.max_coarse_epochs, schedule.adam_lr)
     # fresh optimizer state: momentum starts at zero, Adam moments are dropped
     run("fine", MomentumSGD(model.parameters(), lr=schedule.fine_lr, momentum=schedule.momentum),
-        k_target, schedule.tau_fine, schedule.max_fine_epochs, schedule.fine_lr)
+        k_target, model.config.tau_fine, schedule.max_fine_epochs, schedule.fine_lr)
     return log
 
 

@@ -10,7 +10,7 @@ from sparselocal.checkpoint import load_checkpoint, save_checkpoint
 from sparselocal.cli import _sample_from_file, load_manifest, main
 from sparselocal.data import write_idx_images, write_idx_labels
 from sparselocal.digits import make_digit_images
-from sparselocal.errors import CheckpointError
+from sparselocal.errors import CheckpointError, DataFormatError
 from sparselocal.model import GatedLocalLinear, ModelConfig
 from sparselocal.train import TrainSchedule
 
@@ -125,6 +125,15 @@ class TestTrainCommand:
         assert code == 2
         assert '"dataset"' in err
 
+    def test_dataset_field_must_be_a_path(self, tmp_path, capsys):
+        (tmp_path / "config.json").write_text(json.dumps({"dataset": 5}))
+        code, _records, err = run_cli(
+            capsys, "train", "--config", str(tmp_path / "config.json"),
+            "--checkpoint", str(tmp_path / "out.ckpt"),
+        )
+        assert code == 2
+        assert '"dataset"' in err
+
     def test_unparseable_config(self, tmp_path, capsys):
         (tmp_path / "config.json").write_text("{nope")
         code, _records, err = run_cli(
@@ -143,6 +152,90 @@ class TestTrainCommand:
         first = json.loads((synth_run / "model.log.jsonl").read_text().splitlines()[-1])
         second = [r for r in records if r.get("event") == "trained"][0]
         assert abs(second["val_acc"] - first["val_acc"]) <= 1e-6
+
+
+def train_with(capsys, root, model=None, train=None, manifest=None):
+    """Run ``train`` on a small synthetic task with the given config sections."""
+    (root / "manifest.json").write_text(json.dumps(manifest or {
+        "type": "synthetic", "n": 120, "d": 6, "seed": 2, "fractions": [0.6, 0.2, 0.2],
+    }))
+    (root / "config.json").write_text(json.dumps({
+        "dataset": "manifest.json", "seed": 0,
+        "model": {"k": 1, "fc_width": 8, **(model or {})},
+        "train": {"k_coarse": 3, "max_coarse_epochs": 1, "max_fine_epochs": 1, **(train or {})},
+    }))
+    return run_cli(capsys, "train", "--config", str(root / "config.json"), "--checkpoint", str(root / "m.ckpt"))
+
+
+class TestConfigSections:
+    def test_model_section_sets_both_phase_temperatures(self, tmp_path, capsys):
+        code, records, _ = train_with(capsys, tmp_path, model={"tau_coarse": 2.0, "tau_fine": 0.05})
+        assert code == 0
+        assert [(r["phase"], r["tau"]) for r in records if "phase" in r] == [("coarse", 2.0), ("fine", 0.05)]
+        model, header = load_checkpoint(tmp_path / "m.ckpt")
+        assert model.config.tau_fine == 0.05 and model.config.tau_coarse == 2.0
+        assert "tau_fine" not in header["schedule"]
+
+    @pytest.mark.parametrize("key", ["fc_widht", "channels", "d", "dim", "kind", "extractor"])
+    def test_unknown_model_key_is_named(self, tmp_path, capsys, key):
+        code, records, err = train_with(capsys, tmp_path, model={key: 64})
+        assert code == 2
+        assert repr(key) in err
+        assert records == []
+
+    def test_text_architecture_keys_reach_the_checkpoint(self, text_run):
+        model, header = load_checkpoint(text_run / "model.ckpt")
+        spec = header["config"]["extractor"]
+        assert (spec["embed_dim"], spec["filters"], spec["filter_widths"]) == (12, 6, [3, 4, 5])
+        assert spec["pad_index"] == 0 and model.generator.extractor.filters == 6
+
+    @pytest.mark.parametrize("train", [{"tau_fine": 0.05}, {"tau_coarse": 2.0}, {"k_coarse": 0}])
+    def test_bad_train_section_exits_two(self, tmp_path, capsys, train):
+        code, _records, err = train_with(capsys, tmp_path, train=train)
+        assert code == 2
+        assert "bad train section" in err
+
+    @pytest.mark.parametrize("model", [{"k": "one"}, {"k": 0}, {"tau_fine": 2.0}])
+    def test_bad_model_value_exits_two(self, tmp_path, capsys, model):
+        code, _records, err = train_with(capsys, tmp_path, model=model)
+        assert code == 2
+        assert "bad model section" in err
+
+    @pytest.mark.parametrize("command", ["explain", "bench"])
+    def test_deterministic_commands_take_no_seed(self, synth_run, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--checkpoint", str(synth_run / "model.ckpt"),
+                  "--dataset", str(synth_run / "manifest.json"), "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
+
+class TestManifestErrors:
+    @pytest.mark.parametrize("manifest, message", [
+        ([1, 2], "not an object"),
+        ("synthetic", "not an object"),
+        ({"type": "synthetic", "n": "abc", "d": 6, "seed": 2}, "bad field"),
+        ({"type": "synthetic", "n": 40, "d": 2, "seed": 2}, "bad field"),
+        ({"type": "synthetic", "n": 40, "d": 6, "seed": 2, "fractions": [0.5, 0.6]}, "bad field"),
+        ({"type": "synthetic", "n": 40, "d": 6}, "missing required field 'seed'"),
+        ({"type": "text", "path": 7}, "bad field"),
+        ({"type": "text", "min_freq": 2}, "missing required field 'path'"),
+        ({"type": "text", "path": "."}, "Is a directory"),
+    ])
+    def test_train_exits_two_naming_the_fault(self, tmp_path, capsys, manifest, message):
+        code, records, err = train_with(capsys, tmp_path, manifest=manifest)
+        assert code == 2
+        assert message in err and "Traceback" not in err
+        assert records == []
+
+    def test_data_file_errors_keep_their_type(self, tmp_path):
+        (tmp_path / "corpus.tsv").write_bytes(b"+1\tgood film\n-1\tbad \xff film\n")
+        (tmp_path / "manifest.json").write_text(json.dumps({"type": "text", "path": "corpus.tsv"}))
+        with pytest.raises(DataFormatError, match="corpus.tsv: corpus is not UTF-8"):
+            load_manifest(tmp_path / "manifest.json")
+        (tmp_path / "corpus.tsv").unlink()
+        with pytest.raises(FileNotFoundError):
+            load_manifest(tmp_path / "manifest.json")
 
 
 class TestEvalCommand:
@@ -398,6 +491,8 @@ class TestCheckpointHeader:
         _set_param("nbytes", 0),
         _set_param("name", ["x"]),
         lambda h: {**h, "params": [7] + h["params"][1:]},
+        lambda h: {**h, "config": {**h["config"], "fc_width": 0}},
+        lambda h: {**h, "config": {**h["config"], "extractor": {"kind": "vector", "dim": 0}}},
     ])
     def test_malformed_header_raises_checkpoint_error(self, ckpt, edit):
         rewrite_header(ckpt, edit)

@@ -52,6 +52,12 @@ class TestIdx:
         with pytest.raises(DataFormatError, match="magic 0x12345678 at byte offset 0"):
             parse_idx(path)
 
+    def test_negative_dimensions_are_a_format_error(self, tmp_path):
+        path = tmp_path / "neg.idx"
+        path.write_bytes(struct.pack(">iiii", IMAGE_MAGIC, -1, -1, 0))
+        with pytest.raises(DataFormatError, match="negative image size"):
+            parse_idx(path)
+
     def test_truncated_payload_reports_offset(self, tmp_path):
         path = tmp_path / "short.idx"
         path.write_bytes(struct.pack(">iiii", IMAGE_MAGIC, 2, 28, 28) + b"\x00" * 100)
@@ -192,6 +198,12 @@ class TestTextPipeline:
         path = self.write_corpus(tmp_path, ["+1\taaa bbb", "-1\tccc ddd"])
         with pytest.raises(DataFormatError, match="vocabulary is empty"):
             build_text_dataset(path, min_freq=2)
+
+    def test_non_utf8_corpus_names_the_path(self, tmp_path):
+        path = tmp_path / "latin1.tsv"
+        path.write_bytes("+1\tcaf\u00e9 au lait\n-1\tcaf\u00e9 noir\n".encode("latin-1"))
+        with pytest.raises(DataFormatError, match="latin1.tsv: corpus is not UTF-8"):
+            build_text_dataset(path)
 
     def test_empty_corpus_is_an_error(self, tmp_path):
         path = tmp_path / "corpus.tsv"

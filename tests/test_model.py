@@ -64,6 +64,26 @@ class TestModelConfig:
         assert vector_config().heads == 1
         assert vector_config(num_classes=4).heads == 4
 
+    def test_rejects_inverted_temperatures(self):
+        with pytest.raises(ValueError, match="tau_coarse > tau_fine > 0"):
+            vector_config(tau_coarse=0.1, tau_fine=1.0)
+
+    def test_fills_extractor_defaults_without_touching_the_spec(self):
+        spec = {"kind": "text", "vocab_size": 13, "filters": 2}
+        cfg = ModelConfig(d=5, k=2, extractor=spec)
+        assert spec == {"kind": "text", "vocab_size": 13, "filters": 2}
+        assert cfg.extractor == {
+            "kind": "text", "vocab_size": 13, "filters": 2,
+            "embed_dim": 64, "filter_widths": (3, 4, 5), "pad_index": 0,
+        }
+        image = ModelConfig(d=4, k=1, extractor={"kind": "image", "in_shape": [1, 8, 8]}).extractor
+        assert image["channels"] == (16, 32, 64)
+
+    @pytest.mark.parametrize("extractor", [{"kind": "audio"}, {"dim": 3}, 7])
+    def test_rejects_unknown_extractor_kind(self, extractor):
+        with pytest.raises(ValueError, match="extractor kind"):
+            ModelConfig(d=4, k=1, extractor=extractor)
+
 
 class TestGenerateWeights:
     def test_output_length_is_d(self):

@@ -88,9 +88,9 @@ class TestSchedule:
         sched = TrainSchedule(adam_lr=3e-3)
         assert sched.fine_lr == 3e-3 / 10.0
 
-    def test_rejects_inverted_temperatures(self):
-        with pytest.raises(ValueError):
-            TrainSchedule(tau_coarse=0.1, tau_fine=1.0)
+    def test_temperatures_belong_to_the_model(self):
+        with pytest.raises(TypeError):
+            TrainSchedule(tau_fine=0.05)
 
     def test_rejects_k_target_above_k_coarse(self):
         with pytest.raises(ValueError):
@@ -119,6 +119,14 @@ class TestCoarseToFine:
         assert phases[3:] == [("fine", 0.1, 1, 1e-4)] * 2
         assert [r["epoch"] for r in log] == list(range(1, 6))
         assert all({"train_loss", "val_loss", "val_acc"} <= set(r) for r in log)
+
+    def test_phases_anneal_between_the_model_temperatures(self):
+        _, train, val, _ = small_problem()
+        cfg = ModelConfig(d=8, k=1, extractor={"kind": "vector", "dim": 10}, fc_width=16, tau_coarse=2.0, tau_fine=0.05)
+        model = GatedLocalLinear(cfg, np.random.default_rng(0))
+        sched = TrainSchedule(k_coarse=4, max_coarse_epochs=1, max_fine_epochs=1, patience=10)
+        log = coarse_to_fine_train(model, train, val, sched, np.random.default_rng(0))
+        assert [(r["phase"], r["tau"]) for r in log] == [("coarse", 2.0), ("fine", 0.05)]
 
     def test_zero_fine_epochs_is_plain_coarse_training(self):
         cfg, train, val, _ = small_problem()
