@@ -16,6 +16,8 @@ NCHW-shaped view of channels-last memory, and the pool keeps that order.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from .errors import DomainError, ShapeError
@@ -122,17 +124,38 @@ def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Build no graph inside the block: every op's output is a constant, whatever its parents.
+
+    The values are those of a graph-building run; only the parent links
+    and backward closures, which keep intermediate arrays alive, are
+    dropped. The previous setting is restored on exit, also on an
+    exception.
+    """
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def make_op(data, parents, op, backward):
     """Create a graph tensor for a primitive; used by extension ops as well.
 
     ``backward`` receives the output gradient and must push contributions
     to the parents via :func:`accumulate_grad`. Links are dropped when no
-    parent requires gradients, so constant subgraphs carry no overhead.
+    parent requires gradients, or inside :func:`no_grad`, so constant
+    subgraphs carry no overhead.
     """
     out = Tensor.__new__(Tensor)
     out.data = data if isinstance(data, np.ndarray) else np.asarray(data, dtype=np.float64)
     out.grad = None
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
     out.op = op
     if out.requires_grad:
         out._parents = tuple(parents)
@@ -359,12 +382,16 @@ def slice_cols(a, start, stop):
 
 
 def take_along(a, indices):
-    """Pick a[i, indices[i]] from each row of a 2-d tensor."""
+    """Pick a[i, indices[i]] from each row of a 2-d tensor; ``indices`` is (n,) or (n, m).
+
+    The indices within a row must be distinct: the backward writes each
+    gradient entry back, it does not add repeats.
+    """
     a = as_tensor(a)
     if a.data.ndim != 2:
         raise ShapeError(f"take_along: input must be 2-d, got {a.data.shape}")
     idx = np.asarray(indices, dtype=np.int64)
-    rows = np.arange(a.data.shape[0])
+    rows = np.arange(a.data.shape[0]).reshape((-1,) + (1,) * (idx.ndim - 1))
     data = a.data[rows, idx]
 
     def backward(g):
@@ -373,6 +400,26 @@ def take_along(a, indices):
         accumulate_grad(a, ga)
 
     return make_op(data, (a,), "take_along", backward)
+
+
+def put_along(a, indices, width):
+    """Scatter an (n, m) tensor into zero (n, width) rows: out[i, indices[i, j]] = a[i, j].
+
+    The inverse of :func:`take_along`; the indices within a row must be
+    distinct.
+    """
+    a = as_tensor(a)
+    idx = np.asarray(indices, dtype=np.int64)
+    if a.data.ndim != 2 or idx.shape != a.data.shape:
+        raise ShapeError(f"put_along: input {a.data.shape} and indices {idx.shape} must be equal 2-d shapes")
+    rows = np.arange(a.data.shape[0])[:, None]
+    data = np.zeros((a.data.shape[0], width))
+    data[rows, idx] = a.data
+
+    def backward(g):
+        accumulate_grad(a, g[rows, idx])
+
+    return make_op(data, (a,), "put_along", backward)
 
 
 def _check_axis(a, axis):

@@ -29,6 +29,7 @@ Training config:
 "model" takes the ``ModelConfig`` settings and the architecture keys of
 the dataset's extractor kind (``EXTRACTOR_DEFAULTS``); omitted ones keep
 their defaults, and k defaults to 10. "train" takes ``TrainSchedule``.
+"seed" (default 0, overridden by --seed) is a non-negative integer.
 """
 
 from __future__ import annotations
@@ -176,6 +177,8 @@ def cmd_train(args):
     if not isinstance(config.get("dataset"), str):
         raise ConfigError('config is missing required field "dataset", or it is not a path string')
     seed = args.seed if args.seed is not None else config.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"the seed must be a non-negative integer, got {seed!r}")
     manifest_path = Path(args.config).parent / config["dataset"]
     data = load_manifest(manifest_path)
 

@@ -15,7 +15,14 @@ There is one function per gate, each batched over rows of weights.
   gradient-stopped). A draw is the softmax of ``(w**2 + lam) / tau``
   over the live entries, which equals the paper's
   ``softmax((log pi + lam) / tau)``: ``log pi`` is ``w**2`` less one
-  constant per row, and a softmax ignores such a shift.
+  constant per row, and a softmax ignores such a shift. The draws run
+  on a block of each row's live columns, so a bag-of-words mask with
+  about 1% live entries pays for those alone. Their values are bitwise
+  those of draws over the full rows: the noise is drawn at full width
+  and gathered, and each softmax row sum runs over the block scattered
+  into a zero full-width row, because numpy's pairwise sum groups its
+  terms by position. A batch in which some row is all live skips the
+  gather, since the block would be the whole array.
 - The hard gate, :func:`k_hot_gate`, is the inference-time behaviour
   over any ``(..., d)`` batch. The noise is dropped and each draw is the
   exact one-hot argmax. Noise-free greedy draws are exactly a top-k, so
@@ -41,10 +48,15 @@ from .errors import GateExhaustedError, GateStateError, ShapeError
 SENTINEL = -np.inf
 
 
+def _gumbel(u):
+    """Standard Gumbel values -log(-log(u)) of uniforms u, clamped away from {0, 1}."""
+    u = np.clip(u, 1e-12, 1.0 - 1e-12)
+    return -np.log(-np.log(u))
+
+
 def sample_gumbel(shape, rng):
     """Standard Gumbel draws, -log(-log(u)); uniforms clamped away from {0, 1}."""
-    u = np.clip(rng.random(shape), 1e-12, 1.0 - 1e-12)
-    return -np.log(-np.log(u))
+    return _gumbel(rng.random(shape))
 
 
 def _masked_log_softmax(x, live):
@@ -64,16 +76,24 @@ def _masked_log_softmax(x, live):
     return ad.make_op(out, (x,), "masked_log_softmax", backward)
 
 
-def _masked_softmax(x, live):
-    """Row-wise softmax whose sum runs over live entries; dead entries are exact 0."""
+def _row_sum(a):
+    return a.sum(axis=-1, keepdims=True)
+
+
+def _masked_softmax(x, live, row_sum=_row_sum):
+    """Row-wise softmax whose sum runs over live entries; dead entries are exact 0.
+
+    ``row_sum`` takes both sums along the last axis, the normalizer and
+    the backward's dot product.
+    """
     data = x.data
     shifted = np.where(live, data, 0.0)
     m = np.max(np.where(live, data, SENTINEL), axis=-1, keepdims=True)
     e = np.where(live, np.exp(shifted - m), 0.0)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = e / row_sum(e)
 
     def backward(g):
-        dot = (g * s).sum(axis=-1, keepdims=True)
+        dot = row_sum(g * s)
         ad.accumulate_grad(x, s * (g - dot))
 
     return ad.make_op(s, (x,), "masked_softmax", backward)
@@ -159,9 +179,23 @@ def k_hot_gate_rows(w, mask, k, tau, rng=None, noise=None):
     gets the all-zero gate. A row past its count draws over all its
     entries, so the softmax stays defined, and that draw is zeroed.
 
-    ``noise``, when given, holds at least max(k) pre-drawn Gumbel arrays
-    of shape (n, d) and overrides ``rng``; freezing it makes the gate
-    deterministic, which the finite-difference checks rely on.
+    The draws run on an ``(n, width)`` block of each row's live columns,
+    ``width`` being the largest live count, gathered once and scattered
+    back once: the gate of a sparse mask costs its live entries, not d.
+    The block lists a row's live columns first, in index order, so a
+    draw's first maximum is the dense row's; a shorter row is padded
+    with distinct dead columns. The Gumbel noise is still drawn, or
+    taken from ``noise``, at (n, d) and gathered, so every value keeps
+    its bits. The softmax's two row sums run over the block scattered
+    into a zero (n, d) row: numpy's pairwise sum groups by position, so
+    only a full-width sum keeps the dense row's rounding. When some row
+    is all live, the block is the whole array and nothing is gathered.
+
+    ``rng`` is a numpy ``Generator``; each draw takes one (n, d) array
+    of uniforms from it. ``noise``, when given, holds at least max(k)
+    pre-drawn Gumbel arrays of shape (n, d) and overrides ``rng``;
+    freezing it makes the gate deterministic, which the finite-difference
+    checks rely on. Every draw in ``steps`` is a graph-free (n, d) tensor.
     """
     w = ad.as_tensor(w)
     if w.data.ndim != 2:
@@ -173,11 +207,12 @@ def k_hot_gate_rows(w, mask, k, tau, rng=None, noise=None):
     k = np.broadcast_to(np.asarray(k, dtype=np.int64), (n,))
     if (k < 0).any():
         raise ValueError(f"gate counts must be non-negative, got {int(k.min())}")
-    short = live.sum(axis=1) < k
+    counts = live.sum(axis=1)
+    short = counts < k
     if short.any():
         row = int(np.argmax(short))
         raise GateExhaustedError(
-            f"k={int(k[row])} gates requested but row {row} has only {int(live[row].sum())} unmasked features"
+            f"k={int(k[row])} gates requested but row {row} has only {int(counts[row])} unmasked features"
         )
     if tau <= 0:
         raise ValueError(f"temperature must be positive, got {tau}")
@@ -192,18 +227,37 @@ def k_hot_gate_rows(w, mask, k, tau, rng=None, noise=None):
                 f"k_hot_gate_rows: noise {noise.shape} must hold at least {draws} draws of the weights' shape {(n, d)}"
             )
 
+    width = int(counts.max(initial=0))
+    dense = width == d  # some row is all live: the block is the whole array, and a[...] is a
+    if dense:
+        at, row_sum, wide = ..., _row_sum, None
+    else:
+        cols = np.argsort(~live, axis=1, kind="stable")[:, :width]  # live first; stable keeps index order
+        at = (np.arange(n)[:, None], cols)
+        full = np.zeros((n, d))
+
+        def row_sum(a):  # the block's entries at their own positions, zeros elsewhere
+            full[at] = a
+            return full.sum(axis=1, keepdims=True)
+
+        w, live = ad.take_along(w, cols), live[at]
+        wide = np.zeros((draws, n, d))
+
     scaled = ad.square(w) * (1.0 / tau)
+    uniform = np.empty((n, d)) if noise is None else None  # one buffer: a fresh array per draw costs page faults
     gate = None
     steps = []
     for t in range(draws):
         active = t < k
-        lam = noise[t] if noise is not None else sample_gumbel((n, d), rng)
-        step = _masked_softmax(scaled + ad.Tensor(lam * (1.0 / tau)), live | ~active[:, None])
+        lam = noise[t][at] if noise is not None else _gumbel(rng.random(out=uniform)[at])
+        step = _masked_softmax(scaled + ad.Tensor(lam * (1.0 / tau)), live | ~active[:, None], row_sum)
         if not active.all():
-            step = step * ad.Tensor(np.broadcast_to(active[:, None], (n, d)) * 1.0)
+            step = step * ad.Tensor(np.broadcast_to(active[:, None], live.shape) * 1.0)
         live[active, np.argmax(step.data, axis=1)[active]] = False
-        steps.append(step)
+        if not dense:
+            wide[t][at] = step.data
+        steps.append(ad.Tensor(step.data if dense else wide[t]))
         gate = step if gate is None else gate + step
     if gate is None:  # every count is zero
-        gate = ad.Tensor(np.zeros((n, d)))
-    return gate, steps
+        return ad.Tensor(np.zeros((n, d))), steps
+    return (gate if dense else ad.put_along(gate, cols, d)), steps

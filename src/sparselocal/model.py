@@ -57,6 +57,14 @@ class ModelConfig:
         if kind not in EXTRACTOR_DEFAULTS:
             raise ValueError(f"unknown extractor kind {kind!r}")
         self.extractor = {**EXTRACTOR_DEFAULTS[kind], **self.extractor}
+        spec = self.extractor
+        sizes = [(key, spec[key]) for key in ("embed_dim", "filters") if key in spec]
+        sizes += [(f"{key} entry", v) for key in ("channels", "filter_widths") for v in spec.get(key, ())]
+        bad = [f"{key} {v!r}" for key, v in sizes if not v >= 1]
+        if bad:
+            raise ValueError(f"extractor sizes must be at least 1, got {', '.join(bad)}")
+        if kind == "text" and len(spec["filter_widths"]) == 0:
+            raise ValueError("a text extractor needs at least one filter width")
         if not 1 <= self.k <= self.d:
             raise ValueError(f"k must satisfy 1 <= k <= d, got k={self.k}, d={self.d}")
         if self.fc_layers < 1 or self.fc_width < 1:
@@ -308,7 +316,8 @@ class GatedLocalLinear(_TrunkModel):
         Returns shape (d,) for binary models and (num_classes, d) when
         the model has per-class heads.
         """
-        row = self.generator.rows([x]).data[0]
+        with ad.no_grad():
+            row = self.generator.rows([x]).data[0]
         if self.config.heads == 1:
             return row
         return row.reshape(self.config.heads, self.config.d)
@@ -363,8 +372,9 @@ class GatedLocalLinear(_TrunkModel):
 
     # -- inference --------------------------------------------------------
     def _weight_grid(self, samples):
-        """Weight rows for a batch of samples, shape (n, heads, d)."""
-        rows = self.generator.rows([s.x for s in samples]).data
+        """Weight rows for a batch of samples, shape (n, heads, d), computed without a graph."""
+        with ad.no_grad():
+            rows = self.generator.rows([s.x for s in samples]).data
         return rows.reshape(len(samples), self.config.heads, self.config.d)
 
     def _gated_scores(self, samples, grid, live, k, rng=None):

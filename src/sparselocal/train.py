@@ -17,6 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .errors import GateExhaustedError, NonFiniteLossError
 
 
@@ -112,10 +113,12 @@ def _check_finite(loss, phase, epoch, batch):
 
 
 def _mean_loss(loss_fn, samples, batch_size, rng):
+    """Mean of ``loss_fn`` over ``samples`` in batches, built without a graph."""
     total = 0.0
-    for lo in range(0, len(samples), batch_size):
-        batch = samples[lo : lo + batch_size]
-        total += float(loss_fn(batch, rng).data) * len(batch)
+    with ad.no_grad():
+        for lo in range(0, len(samples), batch_size):
+            batch = samples[lo : lo + batch_size]
+            total += float(loss_fn(batch, rng).data) * len(batch)
     return total / len(samples)
 
 

@@ -438,6 +438,24 @@ class TestStructuralOps:
         fd_check(lambda t: (ad.gather_rows(t, idx) * ad.Tensor(c2)).sum(), x)
         fd_check(lambda t: (ad.slice_cols(t, 1, 3) * ad.Tensor(c3)).sum(), x)
         fd_check(lambda t: (ad.take_along(t, idx[:4] % 6) * ad.Tensor(c4)).sum(), x)
+        picks = np.argsort(rng.random((4, 6)), axis=1)[:, :3]  # distinct columns per row
+        fd_check(lambda t: (ad.take_along(t, picks) * ad.Tensor(c2[:4, :3])).sum(), x)
+        spots = np.argsort(rng.random((4, 9)), axis=1)[:, :6]
+        c9 = rng.normal(size=(4, 9))
+        fd_check(lambda t: (ad.put_along(t, spots, 9) * ad.Tensor(c9)).sum(), x)
+
+    def test_put_along_inverts_take_along(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(5, 7))
+        cols = np.argsort(rng.random((5, 7)), axis=1)[:, :4]
+        picked = ad.take_along(x, cols)
+        np.testing.assert_array_equal(picked.data, np.take_along_axis(x, cols, axis=1))
+        back = ad.put_along(picked, cols, 7).data
+        hit = np.zeros((5, 7), dtype=bool)
+        np.put_along_axis(hit, cols, True, axis=1)
+        np.testing.assert_array_equal(back, np.where(hit, x, 0.0))
+        with pytest.raises(ShapeError, match="put_along"):
+            ad.put_along(picked, cols[:, :3], 7)
 
 
 class TestBackwardContract:
@@ -453,6 +471,25 @@ class TestBackwardContract:
         w = ad.Tensor([1.0, 2.0, 3.0, 4.0], requires_grad=True)
         (ad.Tensor(z) * ad.Tensor(g) * w).sum().backward()
         np.testing.assert_array_equal(w.grad, g * z)
+
+    def test_no_grad_builds_no_graph_and_keeps_values(self):
+        w = ad.Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        with ad.no_grad():
+            y = ad.relu(w * 2.0 - 1.0)
+        assert not y.requires_grad and y._parents == () and y._backward is None
+        np.testing.assert_array_equal(y.data, ad.relu(w * 2.0 - 1.0).data)
+        assert ad.relu(w * 2.0 - 1.0).requires_grad
+
+    def test_no_grad_is_restored_after_an_exception_and_nests(self):
+        w = ad.Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(DomainError):
+            with ad.no_grad():
+                with ad.no_grad():
+                    pass
+                assert not (w * 2.0).requires_grad
+                ad.log(w - 1.0)
+        (w * 2.0).sum().backward()
+        np.testing.assert_array_equal(w.grad, np.full(3, 2.0))
 
     def test_non_scalar_loss_rejected(self):
         w = ad.Tensor(np.ones(3), requires_grad=True)

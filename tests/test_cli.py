@@ -201,6 +201,34 @@ class TestConfigSections:
         assert code == 2
         assert "bad model section" in err
 
+    @pytest.mark.parametrize("model", [{"filters": 0}, {"embed_dim": 0}, {"filter_widths": [3, -1]}])
+    def test_empty_text_extractor_exits_two(self, text_run, tmp_path, capsys, model):
+        config = json.loads((text_run / "config.json").read_text())
+        config["model"].update(model)
+        (tmp_path / "config.json").write_text(json.dumps({**config, "dataset": str(text_run / "manifest.json")}))
+        code, records, err = run_cli(capsys, "train", "--config", str(tmp_path / "config.json"),
+                                     "--checkpoint", str(tmp_path / "m.ckpt"))
+        assert code == 2 and records == []
+        assert "bad model section: extractor sizes must be at least 1" in err and "Traceback" not in err
+
+    def test_empty_image_channel_exits_two(self, image_run, tmp_path, capsys):
+        config = json.loads((image_run / "config.json").read_text())
+        config["model"]["channels"] = [4, 0]
+        (tmp_path / "config.json").write_text(json.dumps({**config, "dataset": str(image_run / "manifest.json")}))
+        code, _records, err = run_cli(capsys, "train", "--config", str(tmp_path / "config.json"),
+                                      "--checkpoint", str(tmp_path / "m.ckpt"))
+        assert code == 2
+        assert "channels entry 0" in err
+
+    @pytest.mark.parametrize("seed", ["x", -1, 1.5, None, True, [1, 2]])
+    def test_bad_seed_exits_two(self, tmp_path, capsys, seed):
+        (tmp_path / "manifest.json").write_text(json.dumps({"type": "synthetic", "n": 60, "d": 6, "seed": 2}))
+        (tmp_path / "config.json").write_text(json.dumps({"dataset": "manifest.json", "seed": seed, "model": {"k": 1}}))
+        code, records, err = run_cli(capsys, "train", "--config", str(tmp_path / "config.json"),
+                                     "--checkpoint", str(tmp_path / "m.ckpt"))
+        assert code == 2 and records == []
+        assert f"the seed must be a non-negative integer, got {seed!r}" in err
+
     @pytest.mark.parametrize("command", ["explain", "bench"])
     def test_deterministic_commands_take_no_seed(self, synth_run, capsys, command):
         with pytest.raises(SystemExit) as exc:

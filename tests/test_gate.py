@@ -355,6 +355,83 @@ class TestBatchedRows:
             gt.k_hot_gate_rows(ad.Tensor(np.ones((2, 4))), np.zeros((2, 4)), [1, 2], tau=1.0, noise=np.zeros(shape))
 
 
+def dense_gate_rows(w, mask, k, tau, rng=None, noise=None):
+    """The soft gate with every draw over the full (n, d) rows: the reference for the live-column block."""
+    w = ad.as_tensor(w)
+    n, d = w.data.shape
+    live = np.asarray(mask) == 0
+    k = np.broadcast_to(np.asarray(k, dtype=np.int64), (n,))
+    scaled = ad.square(w) * (1.0 / tau)
+    gate, steps = None, []
+    for t in range(int(k.max(initial=0))):
+        active = t < k
+        lam = noise[t] if noise is not None else gt.sample_gumbel((n, d), rng)
+        step = gt._masked_softmax(scaled + ad.Tensor(lam * (1.0 / tau)), live | ~active[:, None])
+        if not active.all():
+            step = step * ad.Tensor(np.broadcast_to(active[:, None], (n, d)) * 1.0)
+        live[active, np.argmax(step.data, axis=1)[active]] = False
+        steps.append(step)
+        gate = step if gate is None else gate + step
+    return (ad.Tensor(np.zeros((n, d))) if gate is None else gate), steps
+
+
+class TestLiveColumnBlock:
+    """The gate drawn on each row's live columns equals the full-row draws bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_gate_and_gradient_equal_the_dense_draws(self, seed):
+        rng = np.random.default_rng(9500 + seed)
+        for _ in range(20):
+            n, d = int(rng.integers(1, 41)), int(rng.integers(2, 2101))
+            live = rng.random((n, d)) < 10.0 ** rng.uniform(np.log10(0.005), 0.0)
+            live[np.arange(n), rng.integers(0, d, size=n)] = True
+            live[rng.random(n) < 0.1] = False  # rows with no live feature take a count of 0
+            if rng.random() < 0.1:
+                live[rng.integers(n)] = True  # some row all live: the dense path
+            k = np.minimum(rng.integers(0, 12, size=n), live.sum(axis=1))
+            tau = float(rng.uniform(0.05, 2.0))
+            w0 = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-2.0, 1.0)
+            c = rng.normal(size=(n, d))
+            seed_draw = int(rng.integers(2**31))
+            frozen = rng.random() < 0.5
+            got = []
+            for gate_fn in (dense_gate_rows, gt.k_hot_gate_rows):
+                source = np.random.default_rng(seed_draw)
+                kw = {"noise": gt.sample_gumbel((int(k.max(initial=0)), n, d), source)} if frozen else {"rng": source}
+                w = ad.Tensor(w0, requires_grad=True)
+                gate, steps = gate_fn(w, ~live, k, tau, **kw)
+                if gate.requires_grad:
+                    (gate * ad.Tensor(c)).sum().backward()
+                got.append((gate.data, w.grad, [s.data for s in steps]))
+            (ref, ref_grad, ref_steps), (gate, grad, steps) = got
+            assert np.array_equal(gate, ref)
+            assert (grad is None and ref_grad is None) or np.array_equal(grad, ref_grad)
+            assert len(steps) == len(ref_steps) and all(np.array_equal(a, b) for a, b in zip(steps, ref_steps))
+
+    @pytest.mark.parametrize("tau", [1.0, 0.2])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_gradient_matches_finite_differences_on_a_sparse_mask(self, seed, tau):
+        rng = np.random.default_rng(9700 + seed)
+        n, d = 3, 12
+        live = rng.random((n, d)) < 0.3
+        live[:, :2] = True  # every row can take k=2, and no row is all live
+        live[:, -1] = False
+        k = np.array([2, 1, 0]) if seed % 2 else 2
+        w0 = rng.uniform(0.3, 2.0, size=(n, d)) * rng.choice([-1.0, 1.0], size=(n, d))
+        noise = gt.sample_gumbel((2, n, d), rng)
+        c = rng.normal(size=(n, d))
+
+        def objective(x):
+            gate, _ = gt.k_hot_gate_rows(ad.as_tensor(x), ~live, k, tau=tau, noise=noise)
+            return (gate * ad.Tensor(c)).sum()
+
+        wt = ad.Tensor(w0, requires_grad=True)
+        objective(wt).backward()
+        fd = ad.finite_difference_grad(lambda x: float(objective(ad.Tensor(x)).data), w0)
+        assert ad.rel_error(wt.grad, fd) <= 1e-4
+        assert np.all(wt.grad[~live] == 0.0)
+
+
 def reference_topk(w, live, k):
     """Stable argsort of -w**2 over the live entries of one row, first k."""
     idx = np.flatnonzero(live)

@@ -79,6 +79,17 @@ class TestModelConfig:
         image = ModelConfig(d=4, k=1, extractor={"kind": "image", "in_shape": [1, 8, 8]}).extractor
         assert image["channels"] == (16, 32, 64)
 
+    @pytest.mark.parametrize("extractor, message", [
+        ({"kind": "text", "vocab_size": 9, "filters": 0}, "at least 1, got filters 0"),
+        ({"kind": "text", "vocab_size": 9, "embed_dim": -2}, "at least 1, got embed_dim -2"),
+        ({"kind": "text", "vocab_size": 9, "filter_widths": [3, 0]}, "at least 1, got filter_widths entry 0"),
+        ({"kind": "text", "vocab_size": 9, "filter_widths": []}, "at least one filter width"),
+        ({"kind": "image", "in_shape": [1, 8, 8], "channels": [4, 0]}, "at least 1, got channels entry 0"),
+    ])
+    def test_rejects_empty_extractor_sizes(self, extractor, message):
+        with pytest.raises(ValueError, match=message):
+            ModelConfig(d=4, k=1, extractor=extractor)
+
     @pytest.mark.parametrize("extractor", [{"kind": "audio"}, {"dim": 3}, 7])
     def test_rejects_unknown_extractor_kind(self, extractor):
         with pytest.raises(ValueError, match="extractor kind"):

@@ -11,6 +11,7 @@ from sparselocal.train import (
     Adam,
     MomentumSGD,
     TrainSchedule,
+    _mean_loss,
     coarse_to_fine_train,
     evaluate,
     train_plain,
@@ -200,6 +201,33 @@ class TestCoarseToFine:
         sched = TrainSchedule(k_coarse=4, max_coarse_epochs=2, max_fine_epochs=1, patience=10)
         log = coarse_to_fine_train(model, train, val, sched, np.random.default_rng(0), progress=seen.append)
         assert seen == log
+
+
+class TestGraphFreeValidation:
+    def test_validation_builds_no_graph_and_leaves_training_steps_their_gradients(self):
+        cfg, train, val, _ = small_problem(n=120)
+        model = GatedLocalLinear(cfg, np.random.default_rng(0))
+        built = []
+
+        def loss_fn(batch, rng):
+            loss = model.batch_loss(batch, k=2, tau=1.0, rng=rng)
+            built.append(loss.requires_grad)
+            return loss
+
+        def step():
+            zero_grads(model.parameters())
+            loss_fn(train[:16], np.random.default_rng(1)).backward()
+            return all(p.grad is not None for p in model.parameters())
+
+        assert step()
+        _mean_loss(loss_fn, val, 16, np.random.default_rng(2))
+        evaluate(model, val, k=1)
+        assert built[0] and not any(built[1:])
+        assert step()
+        with pytest.raises(RuntimeError):
+            with ad.no_grad():
+                raise RuntimeError("inside the context")
+        assert step()
 
 
 class TestEvaluate:
