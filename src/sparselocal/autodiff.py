@@ -10,8 +10,11 @@ Broadcasting is deliberately limited to scalar-with-tensor and
 equal-shape operands so every gradient rule stays auditable. All data is
 kept in 64-bit floats; gradient checks against central finite
 differences are not reliable below that precision. ``conv2d`` and
-``max_pool2d`` accept inputs in any strides: ``conv2d`` returns an
-NCHW-shaped view of channels-last memory, and the pool keeps that order.
+``max_pool2d`` take (n, c, h, w) batches in any strides: ``conv2d``
+returns an NCHW-shaped view of channels-last memory, and the pool keeps
+that order. The ops are those the models differentiate: add, mul,
+square, relu, softplus, matmul, sum/mean, log-softmax, reshape, concat,
+the row gather/slice/take/put ops, conv2d and max_pool2d.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import ShapeError
 
 
 class Tensor:
@@ -36,17 +39,6 @@ class Tensor:
         self._parents = ()
         self._backward = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    def item(self):
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -54,31 +46,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not supported; multiply by a reciprocal")
-        return mul(self, 1.0 / float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def sum(self, axis=None):
         return _reduce(self, axis, kind="sum")
@@ -204,17 +173,6 @@ def add(a, b):
     return make_op(a.data + b.data, (a, b), "add", backward)
 
 
-def sub(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    _check_elementwise(a, b, "sub")
-
-    def backward(g):
-        accumulate_grad(a, _fit_grad(g, a.data.shape))
-        accumulate_grad(b, _fit_grad(-g, b.data.shape))
-
-    return make_op(a.data - b.data, (a, b), "sub", backward)
-
-
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     _check_elementwise(a, b, "mul")
@@ -226,15 +184,6 @@ def mul(a, b):
             accumulate_grad(b, _fit_grad(g * a.data, b.data.shape))
 
     return make_op(a.data * b.data, (a, b), "mul", backward)
-
-
-def neg(a):
-    a = as_tensor(a)
-
-    def backward(g):
-        accumulate_grad(a, -g)
-
-    return make_op(-a.data, (a,), "neg", backward)
 
 
 def square(a):
@@ -256,28 +205,6 @@ def relu(a):
     return make_op(np.where(mask, a.data, 0.0), (a,), "relu", backward)
 
 
-def exp(a):
-    a = as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def backward(g):
-        accumulate_grad(a, g * out_data)
-
-    return make_op(out_data, (a,), "exp", backward)
-
-
-def log(a):
-    a = as_tensor(a)
-    if np.any(a.data <= 0):
-        bad = float(np.min(a.data))
-        raise DomainError(f"log of non-positive value (min entry {bad})")
-
-    def backward(g):
-        accumulate_grad(a, g / a.data)
-
-    return make_op(np.log(a.data), (a,), "log", backward)
-
-
 def _sigmoid_values(x):
     out = np.empty_like(x)
     pos = x >= 0
@@ -285,16 +212,6 @@ def _sigmoid_values(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def sigmoid(a):
-    a = as_tensor(a)
-    s = _sigmoid_values(a.data)
-
-    def backward(g):
-        accumulate_grad(a, g * s * (1.0 - s))
-
-    return make_op(s, (a,), "sigmoid", backward)
 
 
 def softplus(a):
@@ -444,21 +361,6 @@ def _reduce(a, axis, kind):
     return make_op(data, (a,), kind, backward)
 
 
-def softmax(a, axis=-1):
-    """Normalized exponentials along ``axis``, computed with max subtraction."""
-    a = as_tensor(a)
-    _check_axis(a, axis)
-    m = a.data.max(axis=axis, keepdims=True)
-    e = np.exp(a.data - m)
-    s = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        dot = (g * s).sum(axis=axis, keepdims=True)
-        accumulate_grad(a, s * (g - dot))
-
-    return make_op(s, (a,), "softmax", backward)
-
-
 def log_softmax(a, axis=-1):
     """Log of softmax computed directly: x - max - log(sum(exp(x - max)))."""
     a = as_tensor(a)
@@ -480,17 +382,15 @@ def _as_pair(v):
 def conv2d(x, kernels, padding=0):
     """Cross-correlation of x with a bank of kernels (no kernel flip).
 
-    ``x`` may be a single (c, h, w) map or a batch (n, c, h, w), in any
-    strides; ``kernels`` has shape (c_out, c_in, kh, kw). The stride is 1,
+    ``x`` is a batch (n, c, h, w) in any strides; ``kernels`` has shape
+    (c_out, c_in, kh, kw). The stride is 1,
     so the output spatial extent is h + 2*padding - kh + 1 per axis. The
     output is an NCHW-shaped view of channels-last memory.
     """
     x, kernels = as_tensor(x), as_tensor(kernels)
-    single = x.data.ndim == 3
-    xd = x.data[None] if single else x.data
-    kd = kernels.data
+    xd, kd = x.data, kernels.data
     if xd.ndim != 4 or kd.ndim != 4:
-        raise ShapeError(f"conv2d: input {x.data.shape} and kernels {kd.shape} must be 3/4-d and 4-d")
+        raise ShapeError(f"conv2d: input {xd.shape} and kernels {kd.shape} must be 4-d")
     n, c, h, w = xd.shape
     c_out, c_in, kh, kw = kd.shape
     if c_in != c:
@@ -511,12 +411,9 @@ def conv2d(x, kernels, padding=0):
     cols = np.lib.stride_tricks.sliding_window_view(buf, (kh, kw), axis=(2, 3)).transpose(0, 4, 5, 1, 2, 3)
     flat = np.ascontiguousarray(cols).reshape(c * kh * kw, n * oh * ow).T
     out_data = (flat @ kd.reshape(c_out, -1).T).reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
-    if single:
-        out_data = out_data[0]
 
     def backward(g):
-        gb = g[None] if single else g
-        gflat = gb.transpose(0, 2, 3, 1).reshape(n * oh * ow, c_out)
+        gflat = g.transpose(0, 2, 3, 1).reshape(n * oh * ow, c_out)
         if kernels.requires_grad:
             accumulate_grad(kernels, (gflat.T @ flat).reshape(kd.shape))
         if x.requires_grad:
@@ -525,14 +422,13 @@ def conv2d(x, kernels, padding=0):
             for i in range(kh):
                 for j in range(kw):
                     dbuf[:, i : i + oh, j : j + ow] += dcols[..., i, j]
-            dx = dbuf[:, ph : ph + h, pw : pw + w].transpose(0, 3, 1, 2)
-            accumulate_grad(x, dx[0] if single else dx)
+            accumulate_grad(x, dbuf[:, ph : ph + h, pw : pw + w].transpose(0, 3, 1, 2))
 
     return make_op(out_data, (x, kernels), "conv2d", backward)
 
 
 def max_pool2d(x, window):
-    """Maximum over non-overlapping windows of an input in any strides, kept in its memory order.
+    """Maximum over non-overlapping windows of an (n, c, h, w) batch in any strides, kept in its memory order.
 
     Each output is the first maximum of its window in row-major order,
     compared bitwise: [0.0, -0.0] gives 0.0, [-0.0, 0.0] gives -0.0, and
@@ -540,12 +436,11 @@ def max_pool2d(x, window):
     the output, so a NaN output routes none.
     """
     x = as_tensor(x)
-    single = x.data.ndim == 3
-    xd = x.data[None] if single else x.data
+    xd = x.data
     if xd.ndim != 4:
-        raise ShapeError(f"max_pool2d: input must be 3-d or 4-d, got {x.data.shape}")
+        raise ShapeError(f"max_pool2d: input must be 4-d, got {xd.shape}")
     wh, ww = _as_pair(window)
-    n, c, h, w = xd.shape
+    h, w = xd.shape[2:]
     if wh > h or ww > w:
         raise ShapeError(f"max_pool2d: window {(wh, ww)} exceeds input extent {(h, w)}")
     oh, ow = h // wh, w // ww
@@ -554,19 +449,17 @@ def max_pool2d(x, window):
     pooled = xd[(..., *at[-1])].copy(order="K")
     for rows, cols in reversed(at[:-1]):
         np.maximum(pooled, xd[..., rows, cols], out=pooled)  # a tie returns the second operand: the earlier offset
-    out_data = pooled[0] if single else pooled
 
     def backward(g):
-        gb = g[None] if single else g
         dx = np.zeros_like(xd)
         free = np.ones_like(pooled, dtype=bool)
         for rows, cols in at:
             hit = (xd[..., rows, cols] == pooled) & free
-            dx[..., rows, cols] = np.where(hit, gb, 0.0)  # windows do not overlap, so no position repeats
+            dx[..., rows, cols] = np.where(hit, g, 0.0)  # windows do not overlap, so no position repeats
             free ^= hit
-        accumulate_grad(x, dx[0] if single else dx)
+        accumulate_grad(x, dx)
 
-    return make_op(out_data, (x,), "max_pool2d", backward)
+    return make_op(pooled, (x,), "max_pool2d", backward)
 
 
 def finite_difference_grad(f, x, eps=1e-4):

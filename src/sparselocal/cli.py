@@ -138,7 +138,10 @@ def _load_splits(manifest, base):
         )
     else:
         raise ConfigError(f'dataset manifest has unknown type {kind!r}; expected synthetic, image or text')
-    train, val, test = split_dataset(ds.samples, manifest.get("fractions", [0.7, 0.1, 0.2]), manifest.get("seed", 0))
+    fractions = manifest.get("fractions", [0.7, 0.1, 0.2])
+    if len(fractions) != 3:
+        raise ValueError(f"fractions needs three entries (train, validation, test), got {fractions!r}")
+    train, val, test = split_dataset(ds.samples, fractions, manifest.get("seed", 0))
     return LoadedData(ds, train, val, test)
 
 
@@ -298,7 +301,9 @@ def cmd_explain(args):
     model, _header = load_checkpoint(args.checkpoint)
     data = load_manifest(args.dataset)
     sample = _locate_sample(args, data)
-    k = int(args.k) if args.k else model.config.k
+    k = model.config.k if args.k is None else args.k
+    if k < 1:
+        raise ConfigError(f"--k must be at least 1, got {k}")
     explanation = model.explain(sample, k=k, feature_names=data.dataset.feature_names)
     record = {
         "sample_id": explanation.sample_id,
@@ -334,7 +339,9 @@ def cmd_bench(args):
     if not pool:
         raise ConfigError("benchmark needs at least one sample")
     names = data.dataset.feature_names
-    reps = int(args.reps)
+    reps = args.reps
+    if reps < 1:
+        raise ConfigError(f"--reps must be at least 1, got {reps}")
     for k in _parse_k_list(args.k):
         usable = [s for s in pool if s.live_count >= k]
         if not usable:

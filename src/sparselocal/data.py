@@ -327,6 +327,8 @@ def make_synthetic(n, d, seed):
 def split_dataset(samples, fractions, seed):
     """Deterministic shuffle-and-cut into disjoint, exhaustive parts."""
     fractions = [float(f) for f in fractions]
+    if not all(f >= 0 for f in fractions):
+        raise ValueError(f"fractions must be non-negative, got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"fractions must sum to 1, got {sum(fractions)}")
     rng = np.random.default_rng(seed)

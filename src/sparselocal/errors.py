@@ -5,10 +5,6 @@ class ShapeError(ValueError):
     """Operands have incompatible shapes for the requested operation."""
 
 
-class DomainError(ValueError):
-    """A value lies outside the mathematical domain of an operation."""
-
-
 class GateExhaustedError(RuntimeError):
     """More gates were requested than there are unmasked features."""
 

@@ -14,9 +14,9 @@ logits for the plain ``DirectClassifier`` reference. Every extractor
 takes the whole batch of rich representations, so the trunk is one
 batched forward pass for images, token sequences and vectors alike.
 
-``batch_loss`` is the one loss: it gates every head's weight rows with
-one soft-gate call (``gate.k_hot_gate_rows``) for the whole batch, and a
-single sample is a one-sample batch. The dense ablation is
+``batch_loss`` is the one loss: it gates each head's weight rows for the
+whole batch with one soft-gate call (``gate.k_hot_gate_rows``) per head,
+and a single sample is a one-sample batch. The dense ablation is
 ``batch_loss(gated=False)``, the same loss with every gate open.
 Inference (``margin``, hard ``predict_labels``, ``explain_batch``) gates
 every head of a batch with one hard-gate call (``gate.k_hot_gate``).
@@ -504,7 +504,8 @@ class DirectClassifier(_TrunkModel):
         return (ad.take_along(logp, y) * (-1.0)).mean()
 
     def predict_labels(self, samples, k=None, mode=None, rng=None):
-        picks = np.argmax(self.logits([s.x for s in samples]).data, axis=1)
+        with ad.no_grad():
+            picks = np.argmax(self.logits([s.x for s in samples]).data, axis=1)
         if self.config.num_classes == 2:
             return picks * 2 - 1
         return picks

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from sparselocal import autodiff as ad
-from sparselocal.errors import DomainError, ShapeError
+from sparselocal.errors import ShapeError
 
 TOL = 1e-4
 EPS = 1e-4
@@ -33,8 +33,8 @@ def away_from_zero(rng, shape, low=0.2, high=2.0):
 
 
 def channels_last(a):
-    """The same values as a (c, h, w) or (n, c, h, w) ``a``, in a view of channels-last memory."""
-    return np.moveaxis(np.ascontiguousarray(np.moveaxis(a, -3, -1)), -1, -3)
+    """The same values as an (n, c, h, w) ``a``, in a view of channels-last memory."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
 
 
 def accumulated(g):
@@ -50,47 +50,42 @@ def reference_conv2d(x, k, padding, g):
     for one map and a row-major copy for a batch, and OpenBLAS rounds a
     small row-major product differently from the same rows in a larger one.
     """
-    single = x.ndim == 3
-    xd, gb = (x[None], g[None]) if single else (x, g)
-    n, c, h, w = xd.shape
+    n, c, h, w = x.shape
     c_out, _, kh, kw = k.shape
     ph, pw = (padding, padding) if np.isscalar(padding) else padding
     oh, ow = h + 2 * ph - kh + 1, w + 2 * pw - kw + 1
-    xp = np.pad(xd, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     cols = np.empty((n, c, kh, kw, oh, ow))
     for i in range(kh):
         for j in range(kw):
             cols[:, :, i, j] = xp[:, :, i : i + oh, j : j + ow]
     flat = np.asfortranarray(cols.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, c * kh * kw))
     out = (flat @ k.reshape(c_out, -1).T).reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
-    gflat = gb.transpose(0, 2, 3, 1).reshape(n * oh * ow, c_out)
+    gflat = g.transpose(0, 2, 3, 1).reshape(n * oh * ow, c_out)
     dk = (gflat.T @ flat).reshape(k.shape)
     dcols = (gflat @ k.reshape(c_out, -1)).reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
     dxp = np.zeros_like(xp)
     for i in range(kh):
         for j in range(kw):
             dxp[:, :, i : i + oh, j : j + ow] += dcols[:, :, i, j]
-    dx = dxp[:, :, ph : ph + h, pw : pw + w]
-    return (out[0], dx[0], dk) if single else (out, dx, dk)
+    return out, dxp[:, :, ph : ph + h, pw : pw + w], dk
 
 
 def reference_max_pool2d(x, window, g):
     """The gather-buffer max_pool2d (argmax, first maximum wins), as output and dx for output gradient g."""
-    single = x.ndim == 3
-    xd, gb = (x[None], g[None]) if single else (x, g)
     wh, ww = (window, window) if np.isscalar(window) else window
-    n, c, h, w = xd.shape
+    n, c, h, w = x.shape
     oh, ow = h // wh, w // ww
     windows = np.empty((n, c, oh, ow, wh * ww))
     for i in range(wh):
         for j in range(ww):
-            windows[:, :, :, :, i * ww + j] = xd[:, :, i : i + wh * oh : wh, j : j + ww * ow : ww]
+            windows[:, :, :, :, i * ww + j] = x[:, :, i : i + wh * oh : wh, j : j + ww * ow : ww]
     arg = windows.argmax(axis=-1)
     out = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
     ni, ci, oi, oj = np.indices((n, c, oh, ow))
-    dx = np.zeros_like(xd)
-    dx[ni, ci, oi * wh + arg // ww, oj * ww + arg % ww] = gb
-    return (out[0], dx[0]) if single else (out, dx)
+    dx = np.zeros_like(x)
+    dx[ni, ci, oi * wh + arg // ww, oj * ww + arg % ww] = g
+    return out, dx
 
 
 def signed_integers(rng, shape, high=3):
@@ -134,10 +129,6 @@ class TestElementwise:
         with pytest.raises(ShapeError, match=r"\(2,\).*\(3,\)"):
             ad.add(ad.Tensor([1.0, 2.0]), ad.Tensor([1.0, 2.0, 3.0]))
 
-    def test_log_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            ad.log(ad.Tensor([1.0, 0.0]))
-
     @pytest.mark.parametrize("seed", range(100))
     def test_binary_op_gradients(self, seed):
         rng = np.random.default_rng(seed)
@@ -145,7 +136,6 @@ class TestElementwise:
         c = rng.normal(size=7)
         fd_check(lambda t: (t * ad.Tensor(c)).sum(), x)
         fd_check(lambda t: (t + ad.Tensor(c)).sum(), x)
-        fd_check(lambda t: (ad.Tensor(c) - t).sum(), x)
         fd_check(lambda t: (t * t + t).sum(), x)
 
     @pytest.mark.parametrize("seed", range(100))
@@ -155,11 +145,7 @@ class TestElementwise:
         c = rng.normal(size=6)
         fd_check(lambda t: (ad.square(t) * ad.Tensor(c)).sum(), x)
         fd_check(lambda t: (ad.relu(t) * ad.Tensor(c)).sum(), x)
-        fd_check(lambda t: (ad.exp(t) * ad.Tensor(c)).sum(), x)
-        fd_check(lambda t: (ad.sigmoid(t) * ad.Tensor(c)).sum(), x)
         fd_check(lambda t: (ad.softplus(t) * ad.Tensor(c)).sum(), x)
-        fd_check(lambda t: (ad.log(ad.square(t)) * ad.Tensor(c)).sum(), x)
-        fd_check(lambda t: ad.neg(t).sum(), x)
 
 
 class TestMatmul:
@@ -188,29 +174,33 @@ class TestMatmul:
 
 class TestConv2d:
     def test_all_ones_window_sum(self):
-        x = ad.Tensor(np.ones((1, 3, 3)))
+        x = ad.Tensor(np.ones((1, 1, 3, 3)))
         k = ad.Tensor(np.ones((1, 1, 3, 3)))
         out = ad.conv2d(x, k)
-        np.testing.assert_array_equal(out.data, [[[9.0]]])
+        np.testing.assert_array_equal(out.data, [[[[9.0]]]])
 
     def test_delta_impulse_reproduces_kernel(self):
         # cross-correlation against a centred impulse yields the kernel rotated 180 degrees
-        x = np.zeros((1, 5, 5))
-        x[0, 2, 2] = 1.0
+        x = np.zeros((1, 1, 5, 5))
+        x[0, 0, 2, 2] = 1.0
         k = np.arange(9.0).reshape(1, 1, 3, 3)
         out = ad.conv2d(ad.Tensor(x), ad.Tensor(k))
-        np.testing.assert_array_equal(out.data[0], np.flip(k[0, 0]))
+        np.testing.assert_array_equal(out.data[0, 0], np.flip(k[0, 0]))
 
     def test_stride_and_padding_extent(self):
         # stride 1: each axis is h + 2 * padding - kh + 1
-        x = ad.Tensor(np.zeros((2, 7, 6)))
+        x = ad.Tensor(np.zeros((1, 2, 7, 6)))
         k = ad.Tensor(np.zeros((3, 2, 3, 2)))
-        assert ad.conv2d(x, k, padding=1).data.shape == (3, 7, 7)
-        assert ad.conv2d(x, k, padding=(0, 2)).data.shape == (3, 5, 9)
+        assert ad.conv2d(x, k, padding=1).data.shape == (1, 3, 7, 7)
+        assert ad.conv2d(x, k, padding=(0, 2)).data.shape == (1, 3, 5, 9)
 
     def test_kernel_too_large(self):
         with pytest.raises(ShapeError, match="larger than padded input"):
-            ad.conv2d(ad.Tensor(np.zeros((1, 2, 2))), ad.Tensor(np.zeros((1, 1, 3, 3))))
+            ad.conv2d(ad.Tensor(np.zeros((1, 1, 2, 2))), ad.Tensor(np.zeros((1, 1, 3, 3))))
+
+    def test_rejects_a_single_map(self):
+        with pytest.raises(ShapeError, match="must be 4-d"):
+            ad.conv2d(ad.Tensor(np.zeros((1, 3, 3))), ad.Tensor(np.zeros((1, 1, 3, 3))))
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(5)
@@ -218,15 +208,14 @@ class TestConv2d:
         k = rng.normal(size=(4, 2, 3, 3))
         batched = ad.conv2d(ad.Tensor(x), ad.Tensor(k), padding=1).data
         for i in range(3):
-            single = ad.conv2d(ad.Tensor(x[i]), ad.Tensor(k), padding=1).data
-            np.testing.assert_allclose(batched[i], single, atol=1e-12)
+            single = ad.conv2d(ad.Tensor(x[i : i + 1]), ad.Tensor(k), padding=1).data
+            np.testing.assert_allclose(batched[i : i + 1], single, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(34))
     @pytest.mark.parametrize("maps,padding", [(1, 0), (1, 1), (2, 1)])
     def test_gradients(self, seed, maps, padding):
-        # one map is a single (c, h, w) input; more maps are an (n, c, h, w) batch
         rng = np.random.default_rng(300 + seed)
-        x = rng.normal(size=(2, 5, 5) if maps == 1 else (maps, 2, 5, 5))
+        x = rng.normal(size=(maps, 2, 5, 5))
         k = rng.normal(size=(3, 2, 3, 3))
         c = None
 
@@ -244,19 +233,23 @@ class TestConv2d:
 
 class TestMaxPool:
     def test_simple_window(self):
-        out = ad.max_pool2d(ad.Tensor([[[1.0, 2.0], [3.0, 4.0]]]), 2)
-        np.testing.assert_array_equal(out.data, [[[4.0]]])
+        out = ad.max_pool2d(ad.Tensor([[[[1.0, 2.0], [3.0, 4.0]]]]), 2)
+        np.testing.assert_array_equal(out.data, [[[[4.0]]]])
 
     def test_tie_gradient_goes_to_first_index(self):
-        x = ad.Tensor(np.ones((1, 2, 2)), requires_grad=True)
+        x = ad.Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
         ad.max_pool2d(x, 2).sum().backward()
-        expected = np.zeros((1, 2, 2))
-        expected[0, 0, 0] = 1.0
+        expected = np.zeros((1, 1, 2, 2))
+        expected[0, 0, 0, 0] = 1.0
         np.testing.assert_array_equal(x.grad, expected)
 
     def test_window_too_large(self):
         with pytest.raises(ShapeError, match="exceeds input extent"):
-            ad.max_pool2d(ad.Tensor(np.zeros((1, 2, 2))), 3)
+            ad.max_pool2d(ad.Tensor(np.zeros((1, 1, 2, 2))), 3)
+
+    def test_rejects_a_single_map(self):
+        with pytest.raises(ShapeError, match="must be 4-d"):
+            ad.max_pool2d(ad.Tensor(np.zeros((1, 2, 2))), 2)
 
     @pytest.mark.parametrize("layout", ["contiguous", "channels_last"])
     def test_signed_zero_tie_keeps_the_first(self, layout):
@@ -269,9 +262,9 @@ class TestMaxPool:
         assert np.signbit(out[..., 1::2]).all()  # [-0.0, 0.0] gives -0.0
 
     def test_nan_propagates_in_forward(self):
-        x = np.array([[[1.0, np.nan, 2.0, 0.5], [np.nan, 3.0, -1.0, -2.0]]])
+        x = np.array([[[[1.0, np.nan, 2.0, 0.5], [np.nan, 3.0, -1.0, -2.0]]]])
         out = ad.max_pool2d(ad.Tensor(x), (1, 2)).data
-        np.testing.assert_array_equal(np.isnan(out), [[[True, False], [True, False]]])
+        np.testing.assert_array_equal(np.isnan(out), [[[[True, False], [True, False]]]])
         np.testing.assert_array_equal(out[~np.isnan(out)], [2.0, -1.0])
 
     @pytest.mark.parametrize("window", [2, (3, 1), (2, 3)])
@@ -294,8 +287,8 @@ class TestMaxPool:
     def test_gradients(self, seed):
         rng = np.random.default_rng(400 + seed)
         # distinct values keep the argmax stable under the probe step
-        x = rng.permutation(np.arange(2 * 6 * 6, dtype=np.float64)).reshape(2, 6, 6) * 0.1
-        c = rng.normal(size=(2, 3, 3))
+        x = rng.permutation(np.arange(2 * 6 * 6, dtype=np.float64)).reshape(1, 2, 6, 6) * 0.1
+        c = rng.normal(size=(1, 2, 3, 3))
         fd_check(lambda t: (ad.max_pool2d(t, 2) * ad.Tensor(c)).sum(), x)
 
 
@@ -307,8 +300,8 @@ class TestLoopReferences:
         ((3, 1, 12, 64), (32, 1, 3, 64), 0),  # text-style: full-width kernels over an embedding grid
         ((3, 1, 12, 64), (32, 1, 5, 64), 0),
         ((1, 1, 5, 64), (32, 1, 5, 64), 0),  # one window position
-        ((2, 6, 5), (3, 2, 3, 3), 0),  # single maps
-        ((2, 6, 5), (3, 2, 3, 3), 1),
+        ((1, 2, 6, 5), (3, 2, 3, 3), 0),  # one-map batches
+        ((1, 2, 6, 5), (3, 2, 3, 3), 1),
         ((2, 3, 6, 5), (4, 3, 3, 2), 0),
         ((2, 3, 6, 5), (4, 3, 3, 2), 1),
         ((2, 3, 6, 5), (4, 3, 3, 2), (0, 2)),
@@ -337,8 +330,8 @@ class TestLoopReferences:
         ((3, 4, 9, 1), (9, 1)),  # the text trunk's global pool
         ((3, 4, 9, 1), (4, 1)),  # ragged: the last row is left out
         ((2, 32, 14, 14), 2),  # digits block outputs
-        ((3, 7, 5), 2),  # single maps
-        ((3, 7, 5), (2, 3)),
+        ((1, 3, 7, 5), 2),  # one-map batches
+        ((1, 3, 7, 5), (2, 3)),
     ]
 
     @pytest.mark.parametrize("layout", ["contiguous", "channels_last"])
@@ -390,8 +383,8 @@ class TestReluPoolCommute:
 
 class TestReductions:
     def test_softmax_symmetry(self):
-        out = ad.softmax(ad.Tensor([0.0, 0.0, 0.0]))
-        np.testing.assert_allclose(out.data, np.full(3, 1.0 / 3.0), atol=1e-12)
+        out = ad.log_softmax(ad.Tensor([0.0, 0.0, 0.0]))
+        np.testing.assert_allclose(np.exp(out.data), np.full(3, 1.0 / 3.0), atol=1e-12)
 
     def test_log_softmax_stability(self):
         out = ad.log_softmax(ad.Tensor([1000.0, 0.0]))
@@ -402,13 +395,13 @@ class TestReductions:
     def test_softmax_rows_normalize(self, seed):
         rng = np.random.default_rng(500 + seed)
         x = rng.normal(scale=3.0, size=(4, 6))
-        out = ad.softmax(ad.Tensor(x), axis=1)
-        assert np.all(out.data >= 0)
-        np.testing.assert_allclose(out.data.sum(axis=1), np.ones(4), atol=1e-9)
+        out = ad.log_softmax(ad.Tensor(x), axis=1)
+        assert np.all(out.data <= 0)
+        np.testing.assert_allclose(np.exp(out.data).sum(axis=1), np.ones(4), atol=1e-9)
 
     def test_invalid_axis(self):
         with pytest.raises(ShapeError):
-            ad.softmax(ad.Tensor(np.zeros((2, 2))), axis=5)
+            ad.log_softmax(ad.Tensor(np.zeros((2, 2))), axis=5)
 
     @pytest.mark.parametrize("seed", range(100))
     def test_gradients(self, seed):
@@ -416,7 +409,6 @@ class TestReductions:
         x = rng.normal(size=(3, 5))
         c = rng.normal(size=(3, 5))
         cv = rng.normal(size=3)
-        fd_check(lambda t: (ad.softmax(t, axis=1) * ad.Tensor(c)).sum(), x)
         fd_check(lambda t: (ad.log_softmax(t, axis=1) * ad.Tensor(c)).sum(), x)
         fd_check(lambda t: (t.sum(axis=1) * ad.Tensor(cv)).sum(), x)
         fd_check(lambda t: (t.mean(axis=0) * ad.Tensor(c[0])).sum(), x)
@@ -475,19 +467,19 @@ class TestBackwardContract:
     def test_no_grad_builds_no_graph_and_keeps_values(self):
         w = ad.Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
         with ad.no_grad():
-            y = ad.relu(w * 2.0 - 1.0)
+            y = ad.relu(w * 2.0 + (-1.0))
         assert not y.requires_grad and y._parents == () and y._backward is None
-        np.testing.assert_array_equal(y.data, ad.relu(w * 2.0 - 1.0).data)
-        assert ad.relu(w * 2.0 - 1.0).requires_grad
+        np.testing.assert_array_equal(y.data, ad.relu(w * 2.0 + (-1.0)).data)
+        assert ad.relu(w * 2.0 + (-1.0)).requires_grad
 
     def test_no_grad_is_restored_after_an_exception_and_nests(self):
         w = ad.Tensor(np.ones(3), requires_grad=True)
-        with pytest.raises(DomainError):
+        with pytest.raises(ShapeError):
             with ad.no_grad():
                 with ad.no_grad():
                     pass
                 assert not (w * 2.0).requires_grad
-                ad.log(w - 1.0)
+                ad.add(w, ad.Tensor(np.ones(2)))
         (w * 2.0).sum().backward()
         np.testing.assert_array_equal(w.grad, np.full(3, 2.0))
 
@@ -507,9 +499,9 @@ class TestBackwardContract:
         k = rng.normal(size=(2, 1, 3, 3))
 
         def run():
-            t = ad.Tensor(x.reshape(1, 4, 4), requires_grad=True)
+            t = ad.Tensor(x.reshape(1, 1, 4, 4), requires_grad=True)
             out = ad.max_pool2d(ad.relu(ad.conv2d(t, ad.Tensor(k), padding=1)), 2)
-            loss = ad.softmax(out.reshape((1, -1)), axis=1).sum()
+            loss = ad.log_softmax(out.reshape((1, -1)), axis=1).sum()
             loss.backward()
             return loss.data.copy(), t.grad.copy()
 

@@ -249,12 +249,22 @@ class TestManifestErrors:
         ({"type": "text", "path": 7}, "bad field"),
         ({"type": "text", "min_freq": 2}, "missing required field 'path'"),
         ({"type": "text", "path": "."}, "Is a directory"),
+        ({"type": "synthetic", "n": 40, "d": 6, "seed": 2, "fractions": [1.2, -0.1, -0.1]}, "must be non-negative"),
+        ({"type": "synthetic", "n": 40, "d": 6, "seed": 2, "fractions": [0.5, 0.5]}, "needs three entries"),
     ])
     def test_train_exits_two_naming_the_fault(self, tmp_path, capsys, manifest, message):
         code, records, err = train_with(capsys, tmp_path, manifest=manifest)
         assert code == 2
         assert message in err and "Traceback" not in err
         assert records == []
+
+    def test_val_fraction_above_one_exits_two(self, image_run, tmp_path, capsys):
+        manifest = json.loads((image_run / "manifest.json").read_text())
+        for key in ("train_images", "train_labels", "test_images", "test_labels"):
+            manifest[key] = str(image_run / manifest[key])
+        code, records, err = train_with(capsys, tmp_path, manifest={**manifest, "val_fraction": 1.5})
+        assert code == 2 and records == []
+        assert "fractions must be non-negative, got [-0.5, 1.5]" in err
 
     def test_data_file_errors_keep_their_type(self, tmp_path):
         (tmp_path / "corpus.tsv").write_bytes(b"+1\tgood film\n-1\tbad \xff film\n")
@@ -390,6 +400,15 @@ class TestExplainCommand:
         assert code == 2
         assert "not found" in err
 
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_k_below_one_exits_two(self, synth_run, capsys, k):
+        code, records, err = run_cli(
+            capsys, "explain", "--checkpoint", str(synth_run / "model.ckpt"),
+            "--dataset", str(synth_run / "manifest.json"), "--sample", "5", "--k", k,
+        )
+        assert code == 2 and records == []
+        assert f"--k must be at least 1, got {k}" in err
+
     def test_infeasible_k_exits_one(self, text_run, tmp_path, capsys):
         probe = tmp_path / "allstop.txt"
         probe.write_text("the and of to\n")
@@ -411,6 +430,15 @@ class TestBenchCommand:
         assert [r["k"] for r in records] == [1, 4, 8]
         assert all({"mean_ms", "sd_ms", "reps"} <= set(r) for r in records)
         assert all(np.isfinite(r["mean_ms"]) and r["mean_ms"] > 0 for r in records)
+
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_reps_below_one_exits_two(self, synth_run, capsys, reps):
+        code, records, err = run_cli(
+            capsys, "bench", "--checkpoint", str(synth_run / "model.ckpt"),
+            "--dataset", str(synth_run / "manifest.json"), "--k", "1", "--reps", reps,
+        )
+        assert code == 2 and records == []
+        assert f"--reps must be at least 1, got {reps}" in err and "Traceback" not in err
 
 
 class TestCheckpointRoundtrip:

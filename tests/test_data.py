@@ -301,6 +301,11 @@ class TestSplit:
         with pytest.raises(ValueError, match="sum to 1"):
             split_dataset([1, 2, 3], [0.5, 0.4], seed=0)
 
+    @pytest.mark.parametrize("fractions", [[1.2, -0.1, -0.1], [-0.5, 1.5], [float("nan"), 0.5, 0.5]])
+    def test_negative_fractions_rejected(self, fractions):
+        with pytest.raises(ValueError, match="non-negative"):
+            split_dataset(list(range(10)), fractions, seed=0)
+
 
 class TestDigitRenderer:
     def test_images_are_uint8_and_labeled(self):

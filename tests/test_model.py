@@ -385,6 +385,26 @@ class TestDenseAndDirectVariants:
         labels = dnn.predict_labels(samples)
         assert set(labels) <= {-1, 1}
 
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    def test_direct_classifier_prediction_builds_no_graph(self, monkeypatch, num_classes):
+        rng = np.random.default_rng(55)
+        dnn = DirectClassifier(vector_config(num_classes=num_classes), rng)
+        samples = [vector_sample(rng, sid=i) for i in range(5)]
+        picks = np.argmax(dnn.logits([s.x for s in samples]).data, axis=1)
+        want = picks * 2 - 1 if num_classes == 2 else picks
+        built = []
+        make_op = ad.make_op
+
+        def recording(*args):
+            built.append(make_op(*args))
+            return built[-1]
+
+        monkeypatch.setattr(ad, "make_op", recording)
+        labels = dnn.predict_labels(samples)
+        np.testing.assert_array_equal(labels, want)
+        assert built and all(t._parents == () and t._backward is None for t in built)
+        assert dnn.logits([s.x for s in samples]).requires_grad
+
 
 class TestExplain:
     def _trained_toyish(self):
