@@ -14,7 +14,7 @@ differences are not reliable below that precision. ``conv2d`` and
 returns an NCHW-shaped view of channels-last memory, and the pool keeps
 that order. The ops are those the models differentiate: add, mul,
 square, relu, softplus, matmul, sum/mean, log-softmax, reshape, concat,
-the row gather/slice/take/put ops, conv2d and max_pool2d.
+the row gather/take/put ops, conv2d and max_pool2d.
 """
 
 from __future__ import annotations
@@ -282,20 +282,6 @@ def gather_rows(table, indices):
             accumulate_grad(table, gt)
 
     return make_op(data, (table,), "gather_rows", backward)
-
-
-def slice_cols(a, start, stop):
-    a = as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"slice_cols: input must be 2-d, got {a.data.shape}")
-    data = a.data[:, start:stop]
-
-    def backward(g):
-        ga = np.zeros_like(a.data)
-        ga[:, start:stop] = g
-        accumulate_grad(a, ga)
-
-    return make_op(data, (a,), "slice_cols", backward)
 
 
 def take_along(a, indices):

@@ -49,15 +49,14 @@ from . import baselines as bl
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
     Dataset,
-    Sample,
     build_text_dataset,
-    downsample_7x7,
-    featurize_text,
+    content_tokens,
+    image_sample,
     load_image_dataset,
     make_synthetic,
     parse_idx,
     split_dataset,
-    tokenize,
+    text_sample,
 )
 from .errors import CheckpointError, ConfigError, DataFormatError, GateExhaustedError
 from .model import EXTRACTOR_DEFAULTS, GatedLocalLinear, ModelConfig
@@ -110,14 +109,16 @@ def load_manifest(path):
 def _load_splits(manifest, base):
     kind = manifest.get("type")
     if kind == "image":
-        train_ds = load_image_dataset(
-            base / manifest["train_images"], base / manifest["train_labels"],
-            limit=manifest.get("train_limit"), id_prefix="train",
-        )
-        test_ds = load_image_dataset(
-            base / manifest["test_images"], base / manifest["test_labels"],
-            limit=manifest.get("test_limit"), id_prefix="test",
-        )
+        parts = {}
+        for part in ("train", "test"):
+            try:
+                parts[part] = load_image_dataset(
+                    base / manifest[f"{part}_images"], base / manifest[f"{part}_labels"],
+                    limit=manifest.get(f"{part}_limit"), id_prefix=part,
+                )
+            except ConfigError as exc:
+                raise ConfigError(f'field "{part}_limit": {exc}') from None
+        train_ds, test_ds = parts["train"], parts["test"]
         val_fraction = manifest.get("val_fraction", 0.1)
         train, val = split_dataset(
             train_ds.samples, [1.0 - val_fraction, val_fraction], manifest.get("seed", 0)
@@ -263,21 +264,15 @@ def cmd_eval(args):
 
 def _sample_from_file(path, data):
     """Build an unlabeled sample from a raw input file (text line or IDX image)."""
-    if data.dataset.kind == "text":
-        ds = data.dataset
-        text = Path(path).read_text(encoding="utf-8").strip()
-        tokens = [t for t in tokenize(text) if t not in ds.stopwords]
-        ids, z, m = featurize_text(tokens, ds.vocab, ds.counts)
-        return Sample(id=str(path), x=ids, z=z, y=1, m=m, tokens=tokens)
-    if data.dataset.kind == "image":
+    ds = data.dataset
+    if ds.kind == "text":
+        tokens = content_tokens(Path(path).read_text(encoding="utf-8"), ds.stopwords)
+        return text_sample(str(path), tokens, 1, ds.vocab, ds.counts)
+    if ds.kind == "image":
         images = parse_idx(path)
         if images.ndim != 3:
             raise DataFormatError(f"{path}: expected an IDX image file")
-        x = images[0].astype(np.float64) / 255.0
-        return Sample(
-            id=str(path), x=x[None], z=downsample_7x7(x), y=1,
-            m=np.zeros(data.dataset.d, dtype=np.int64),
-        )
+        return image_sample(str(path), images[0], 1)
     raise ConfigError(f"file-based samples are not supported for {data.dataset.kind!r} datasets")
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import ConfigError, DataFormatError
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
@@ -163,8 +163,16 @@ def downsample_7x7(image):
     return image.reshape(7, 4, 7, 4).mean(axis=(1, 3)).reshape(49)
 
 
+def image_sample(sample_id, image, y):
+    """One image sample: 28x28 pixels scaled to [0, 1] as a one-channel map x, their 7x7 block means as z, all live."""
+    x = np.asarray(image, dtype=np.float64) / 255.0
+    return Sample(id=sample_id, x=x[None], z=downsample_7x7(x), y=y, m=np.zeros(49, dtype=np.int64))
+
+
 def load_image_dataset(images_path, labels_path, limit=None, id_prefix=""):
-    """Binary classification dataset from an IDX image/label file pair."""
+    """Binary classification dataset from an IDX image/label file pair; ``limit`` keeps the first images."""
+    if limit is not None and (isinstance(limit, bool) or not isinstance(limit, (int, np.integer)) or limit < 0):
+        raise ConfigError(f"limit must be None or a non-negative integer, got {limit!r}")
     images = parse_idx(images_path)
     digits = parse_idx(labels_path)
     if images.ndim != 3:
@@ -178,19 +186,7 @@ def load_image_dataset(images_path, labels_path, limit=None, id_prefix=""):
     if limit is not None:
         images, digits = images[:limit], digits[:limit]
     y = binarize_labels(digits)
-    samples = []
-    zero_mask = np.zeros(49, dtype=np.int64)
-    for i in range(images.shape[0]):
-        x = images[i].astype(np.float64) / 255.0
-        samples.append(
-            Sample(
-                id=f"{id_prefix}{i}",
-                x=x[None, :, :],  # single channel
-                z=downsample_7x7(x),
-                y=int(y[i]),
-                m=zero_mask,
-            )
-        )
+    samples = [image_sample(f"{id_prefix}{i}", images[i], int(y[i])) for i in range(images.shape[0])]
     names = [f"block({r},{c})" for r in range(7) for c in range(7)]
     return Dataset(kind="image", d=49, num_classes=2, feature_names=names, samples=samples)
 
@@ -200,6 +196,11 @@ def load_image_dataset(images_path, labels_path, limit=None, id_prefix=""):
 
 def tokenize(text):
     return _TOKEN_RE.findall(text.lower())
+
+
+def content_tokens(text, stopwords):
+    """The tokens of ``text`` that are not stopwords, in order."""
+    return [t for t in tokenize(text) if t not in stopwords]
 
 
 def build_text_dataset(path, min_freq=2, stopwords=None, counts=False):
@@ -223,8 +224,7 @@ def build_text_dataset(path, min_freq=2, stopwords=None, counts=False):
                 parts = line.rstrip("\n").split("\t", 1)
                 if len(parts) != 2 or not parts[0].strip():
                     raise DataFormatError(f"{path}:{lineno}: expected 'label<TAB>text'")
-                tokens = [t for t in tokenize(parts[1]) if t not in stopwords]
-                rows.append((lineno, parts[0].strip(), tokens))
+                rows.append((lineno, parts[0].strip(), content_tokens(parts[1], stopwords)))
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: corpus is not UTF-8 text ({exc.reason})") from exc
     if not rows:
@@ -251,10 +251,7 @@ def build_text_dataset(path, min_freq=2, stopwords=None, counts=False):
         to_y = lambda s: mapping[s]
         num_classes = len(label_set)
 
-    samples = []
-    for lineno, label, tokens in rows:
-        ids, z, m = featurize_text(tokens, vocab, counts)
-        samples.append(Sample(id=f"line{lineno}", x=ids, z=z, y=to_y(label), m=m, tokens=tokens))
+    samples = [text_sample(f"line{lineno}", tokens, to_y(label), vocab, counts) for lineno, label, tokens in rows]
     return Dataset(
         kind="text",
         d=len(vocab),
@@ -267,8 +264,8 @@ def build_text_dataset(path, min_freq=2, stopwords=None, counts=False):
     )
 
 
-def featurize_text(tokens, vocab, counts=False):
-    """Token ids x, bag-of-words z and mask m for a stopword-filtered token list.
+def text_sample(sample_id, tokens, y, vocab, counts=False):
+    """One text sample from a stopword-filtered token list: token ids x, bag-of-words z and mask m.
 
     z holds binary presence, or occurrence counts with ``counts=True``;
     the mask flags exactly the zero entries of z.
@@ -279,7 +276,7 @@ def featurize_text(tokens, vocab, counts=False):
         np.add.at(z, ids, 1.0)
     if not counts:
         z = (z > 0).astype(np.float64)
-    return ids, z, (z == 0).astype(np.int64)
+    return Sample(id=sample_id, x=ids, z=z, y=y, m=(z == 0).astype(np.int64), tokens=tokens)
 
 
 # --- synthetic oracle -------------------------------------------------------

@@ -9,20 +9,16 @@ no feature can be chosen twice. Summing the draws gives the gate.
 There is one function per gate, each batched over rows of weights.
 
 - The soft gate, :func:`k_hot_gate_rows`, is the training relaxation
-  over ``(n, d)`` rows, each with its own gate count. Every draw is a
-  relaxed simplex vector and the whole construction is differentiable
-  with respect to the weights (the mask updates are treated as
-  gradient-stopped). A draw is the softmax of ``(w**2 + lam) / tau``
-  over the live entries, which equals the paper's
-  ``softmax((log pi + lam) / tau)``: ``log pi`` is ``w**2`` less one
-  constant per row, and a softmax ignores such a shift. The draws run
-  on a block of each row's live columns, so a bag-of-words mask with
-  about 1% live entries pays for those alone. Their values are bitwise
-  those of draws over the full rows: the noise is drawn at full width
-  and gathered, and each softmax row sum runs over the block scattered
-  into a zero full-width row, because numpy's pairwise sum groups its
-  terms by position. A batch in which some row is all live skips the
-  gather, since the block would be the whole array.
+  over the ``(n, heads·d)`` rows of every head of a batch, each row with
+  its own gate count. Every draw is a relaxed simplex vector and the
+  whole construction is differentiable with respect to the weights (the
+  mask updates are treated as gradient-stopped). A draw is the softmax
+  of ``(w**2 + lam) / tau`` over the live entries, which equals the
+  paper's ``softmax((log pi + lam) / tau)``: ``log pi`` is ``w**2`` less
+  one constant per row, and a softmax ignores such a shift. The draws
+  run on a block of each row's live columns, bitwise equal to draws over
+  the full rows, so a bag-of-words mask with about 1% live entries pays
+  for those alone.
 - The hard gate, :func:`k_hot_gate`, is the inference-time behaviour
   over any ``(..., d)`` batch. The noise is dropped and each draw is the
   exact one-hot argmax. Noise-free greedy draws are exactly a top-k, so
@@ -170,40 +166,49 @@ def k_hot_gate(w, live, k):
 
 
 def k_hot_gate_rows(w, mask, k, tau, rng=None, noise=None):
-    """The soft gate for a batch of (n, d) weight rows: the gate and its k draws.
+    """The soft gate for a batch of weight rows: every head's gate and its k draws.
 
-    Each draw is one masked softmax ``softmax((w**2 + lam) / tau)`` over
-    the live entries of every row, and its winners are masked out before
-    the next draw. ``k`` is one gate count or one count per row; row i
-    takes the first k[i] of the max(k) draws, and a row whose count is 0
-    gets the all-zero gate. A row past its count draws over all its
-    entries, so the softmax stays defined, and that draw is zeroed.
+    ``w`` holds the generator's (n, heads·d) rows, head c in columns
+    c·d to (c+1)·d, and ``mask`` the (n, d) mask that every head of a row
+    shares. Each draw is one masked softmax ``softmax((w**2 + lam) / tau)``
+    over the live entries of one head of every row, and its winners are
+    masked out before that head's next draw. ``k`` is one gate count or
+    one count per row; row i takes the first k[i] of the max(k) draws,
+    and a row whose count is 0 gets the all-zero gate. A row past its
+    count draws over all its entries, so the softmax stays defined, and
+    that draw is zeroed.
 
-    The draws run on an ``(n, width)`` block of each row's live columns,
-    ``width`` being the largest live count, gathered once and scattered
-    back once: the gate of a sparse mask costs its live entries, not d.
-    The block lists a row's live columns first, in index order, so a
-    draw's first maximum is the dense row's; a shorter row is padded
-    with distinct dead columns. The Gumbel noise is still drawn, or
-    taken from ``noise``, at (n, d) and gathered, so every value keeps
-    its bits. The softmax's two row sums run over the block scattered
-    into a zero (n, d) row: numpy's pairwise sum groups by position, so
-    only a full-width sum keeps the dense row's rounding. When some row
-    is all live, the block is the whole array and nothing is gathered.
+    The inputs are checked and the live block is set up once for all
+    heads; the heads then draw one after the other. The draws run on an
+    ``(n, width)`` block of each row's live columns, ``width`` being the
+    largest live count, which each head gathers straight from the rows
+    and all heads scatter back at once: the gate of a sparse mask costs
+    its live entries, not d. The block lists a row's live columns first,
+    in index order, so a draw's first maximum is the dense row's; a
+    shorter row is padded with distinct dead columns. The Gumbel noise is
+    still drawn, or taken from ``noise``, at (n, d) and gathered, so every
+    value keeps its bits. The softmax's two row sums run over the block
+    scattered into a zero (n, d) row: numpy's pairwise sum groups by
+    position, so only a full-width sum keeps the dense row's rounding.
+    When some row is all live, the block is the whole head and nothing is
+    scattered; a one-head model then gates its rows with no gather either.
 
-    ``rng`` is a numpy ``Generator``; each draw takes one (n, d) array
-    of uniforms from it. ``noise``, when given, holds at least max(k)
-    pre-drawn Gumbel arrays of shape (n, d) and overrides ``rng``;
-    freezing it makes the gate deterministic, which the finite-difference
-    checks rely on. Every draw in ``steps`` is a graph-free (n, d) tensor.
+    ``rng`` is a numpy ``Generator``; each draw of each head takes one
+    (n, d) array of uniforms from it, head 0's draws first. ``noise``,
+    when given, holds at least max(k) pre-drawn Gumbel arrays of shape
+    (n, d), which every head uses, and overrides ``rng``; freezing it
+    makes the gate deterministic, which the finite-difference checks rely
+    on. ``steps[t]`` is every head's t-th draw, one graph-free
+    (n, heads·d) tensor.
     """
     w = ad.as_tensor(w)
-    if w.data.ndim != 2:
-        raise ShapeError(f"k_hot_gate_rows expects (n, d) weights, got {w.data.shape}")
-    n, d = w.data.shape
     live = np.asarray(mask) == 0
-    if live.shape != (n, d):
-        raise ShapeError(f"k_hot_gate_rows: weights {w.data.shape} vs mask {np.asarray(mask).shape}")
+    n, d = live.shape if live.ndim == 2 else (-1, 0)
+    heads = w.data.shape[1] // d if d and w.data.ndim == 2 else 0
+    if heads < 1 or w.data.shape != (n, heads * d):
+        raise ShapeError(
+            f"k_hot_gate_rows: weights {w.data.shape} must be (n, heads·d) rows for the (n, d) mask {live.shape}"
+        )
     k = np.broadcast_to(np.asarray(k, dtype=np.int64), (n,))
     if (k < 0).any():
         raise ValueError(f"gate counts must be non-negative, got {int(k.min())}")
@@ -224,13 +229,16 @@ def k_hot_gate_rows(w, mask, k, tau, rng=None, noise=None):
         noise = np.asarray(noise, dtype=np.float64)
         if noise.shape[1:] != (n, d) or noise.shape[0] < draws:
             raise ShapeError(
-                f"k_hot_gate_rows: noise {noise.shape} must hold at least {draws} draws of the weights' shape {(n, d)}"
+                f"k_hot_gate_rows: noise {noise.shape} must hold at least {draws} draws "
+                f"of the per-head weights' shape {(n, d)}"
             )
+    if draws == 0:
+        return ad.Tensor(np.zeros((n, heads * d))), []
 
     width = int(counts.max(initial=0))
-    dense = width == d  # some row is all live: the block is the whole array, and a[...] is a
+    dense = width == d  # some row is all live: the block is the whole head, and a[...] is a
     if dense:
-        at, row_sum, wide = ..., _row_sum, None
+        cols, at, row_sum = np.broadcast_to(np.arange(d), (n, d)), ..., _row_sum
     else:
         cols = np.argsort(~live, axis=1, kind="stable")[:, :width]  # live first; stable keeps index order
         at = (np.arange(n)[:, None], cols)
@@ -240,24 +248,30 @@ def k_hot_gate_rows(w, mask, k, tau, rng=None, noise=None):
             full[at] = a
             return full.sum(axis=1, keepdims=True)
 
-        w, live = ad.take_along(w, cols), live[at]
-        wide = np.zeros((draws, n, d))
-
-    scaled = ad.square(w) * (1.0 / tau)
+    live = live[at]
+    one = dense and heads == 1  # the block is the rows themselves
+    spots = cols[:, None, :] + d * np.arange(heads)[:, None]  # (n, heads, width) columns of the rows
+    wide = None if one else np.zeros((draws, n, heads * d))
     uniform = np.empty((n, d)) if noise is None else None  # one buffer: a fresh array per draw costs page faults
-    gate = None
-    steps = []
-    for t in range(draws):
-        active = t < k
-        lam = noise[t][at] if noise is not None else _gumbel(rng.random(out=uniform)[at])
-        step = _masked_softmax(scaled + ad.Tensor(lam * (1.0 / tau)), live | ~active[:, None], row_sum)
-        if not active.all():
-            step = step * ad.Tensor(np.broadcast_to(active[:, None], live.shape) * 1.0)
-        live[active, np.argmax(step.data, axis=1)[active]] = False
-        if not dense:
-            wide[t][at] = step.data
-        steps.append(ad.Tensor(step.data if dense else wide[t]))
-        gate = step if gate is None else gate + step
-    if gate is None:  # every count is zero
-        return ad.Tensor(np.zeros((n, d))), steps
-    return (gate if dense else ad.put_along(gate, cols, d)), steps
+    gates, steps = [], []
+    for c in range(heads):
+        scaled = ad.square(w if one else ad.take_along(w, spots[:, c])) * (1.0 / tau)
+        free = live.copy()
+        gate = None
+        for t in range(draws):
+            active = t < k
+            lam = noise[t][at] if noise is not None else _gumbel(rng.random(out=uniform)[at])
+            step = _masked_softmax(scaled + ad.Tensor(lam * (1.0 / tau)), free | ~active[:, None], row_sum)
+            if not active.all():
+                step = step * ad.Tensor(np.broadcast_to(active[:, None], free.shape) * 1.0)
+            free[active, np.argmax(step.data, axis=1)[active]] = False
+            if one:
+                steps.append(ad.Tensor(step.data))
+            else:
+                wide[t][:, c * d : (c + 1) * d][at] = step.data
+            gate = step if gate is None else gate + step
+        gates.append(gate)
+    gate = gates[0] if heads == 1 else ad.concat(gates, axis=1)
+    if not dense:
+        gate = ad.put_along(gate, spots.reshape(n, -1), heads * d)
+    return gate, (steps if one else [ad.Tensor(a) for a in wide])

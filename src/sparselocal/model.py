@@ -14,9 +14,9 @@ logits for the plain ``DirectClassifier`` reference. Every extractor
 takes the whole batch of rich representations, so the trunk is one
 batched forward pass for images, token sequences and vectors alike.
 
-``batch_loss`` is the one loss: it gates each head's weight rows for the
-whole batch with one soft-gate call (``gate.k_hot_gate_rows``) per head,
-and a single sample is a one-sample batch. The dense ablation is
+``batch_loss`` is the one loss: it gates every head's weight rows for
+the whole batch with one soft-gate call (``gate.k_hot_gate_rows``), and a
+single sample is a one-sample batch. The dense ablation is
 ``batch_loss(gated=False)``, the same loss with every gate open.
 Inference (``margin``, hard ``predict_labels``, ``explain_batch``) gates
 every head of a batch with one hard-gate call (``gate.k_hot_gate``).
@@ -284,9 +284,17 @@ def _class_targets(samples, num_classes):
     return y
 
 
-def _live(samples):
-    """Boolean (n, d) array of the samples' unmasked features."""
-    return np.array([s.m for s in samples]) == 0
+def _live(samples, need=0):
+    """Boolean (n, d) array of the samples' unmasked features, of which each sample needs ``need``."""
+    live = np.array([s.m for s in samples]) == 0
+    if need:
+        counts = live.sum(axis=1)
+        if (counts < need).any():
+            i = int(np.argmax(counts < need))
+            raise GateExhaustedError(
+                f"sample {samples[i].id!r} has {int(counts[i])} unmasked features, fewer than k={need}"
+            )
+    return live
 
 
 class _TrunkModel:
@@ -316,11 +324,8 @@ class GatedLocalLinear(_TrunkModel):
         Returns shape (d,) for binary models and (num_classes, d) when
         the model has per-class heads.
         """
-        with ad.no_grad():
-            row = self.generator.rows([x]).data[0]
-        if self.config.heads == 1:
-            return row
-        return row.reshape(self.config.heads, self.config.d)
+        grid = self._weight_grid([x])[0]
+        return grid[0] if self.config.heads == 1 else grid
 
     # -- losses ----------------------------------------------------------
     def batch_loss(self, samples, k=None, tau=None, rng=None, noise=None, gated=True):
@@ -337,45 +342,32 @@ class GatedLocalLinear(_TrunkModel):
         tau = self.config.tau_fine if tau is None else float(tau)
         w = self.generator.rows([s.x for s in samples])
         if not gated:
-            return self._losses(samples, self._heads(w), None).mean()
+            return self._losses(samples, w, None).mean()
+        live = _live(samples, need=1)
+        g = gt.k_hot_gate_rows(w, ~live, np.minimum(k, live.sum(axis=1)), tau, rng=rng, noise=noise)[0]
+        return self._losses(samples, w, g).mean()
 
-        live = _live(samples)
-        counts = live.sum(axis=1)
-        if (counts < 1).any():
-            bad = samples[int(np.argmin(counts))].id
-            raise GateExhaustedError(f"sample {bad!r} has no unmasked features")
-        heads = self._heads(w)
-        gates = [gt.k_hot_gate_rows(wc, ~live, np.minimum(k, counts), tau, rng=rng, noise=noise)[0] for wc in heads]
-        return self._losses(samples, heads, gates).mean()
+    def _losses(self, samples, w, g):
+        """Per-sample losses from the generator rows w and their gate g; ``g=None`` opens every gate.
 
-    def _heads(self, w):
-        """Per-head (n, d) weight columns of generator rows w."""
-        d = self.config.d
-        if self.config.heads == 1:
-            return [w]
-        return [ad.slice_cols(w, c * d, (c + 1) * d) for c in range(self.config.heads)]
-
-    def _losses(self, samples, heads, gates):
-        """Per-sample losses from each head's weight rows and gate; ``gates=None`` opens every gate.
-
-        Binary models take the logistic loss of the margin, multiclass
-        models the softmax cross-entropy of the per-head scores.
+        A head's score is z . (g * w) over its d columns. Binary models
+        take the logistic loss of the margin, multiclass models the
+        softmax cross-entropy of the per-head scores.
         """
-        z = ad.Tensor(np.stack([np.asarray(s.z, dtype=np.float64) for s in samples]))
-        gates = gates or [None] * len(heads)
-        cols = [(z * w if g is None else z * g * w).sum(axis=1) for w, g in zip(heads, gates)]
+        n, heads = len(samples), self.config.heads
+        z = ad.Tensor(np.tile(np.array([s.z for s in samples], dtype=np.float64), heads))
+        scores = (z * w if g is None else z * g * w).reshape((n, heads, self.config.d)).sum(axis=2)
         if self.config.num_classes == 2:
-            return ad.softplus(cols[0] * ad.Tensor(-_binary_targets(samples)))
-        logits = ad.concat([c.reshape((len(samples), 1)) for c in cols], axis=1)
-        picked = ad.take_along(ad.log_softmax(logits, axis=1), _class_targets(samples, self.config.num_classes))
+            return ad.softplus(scores.reshape((n,)) * ad.Tensor(-_binary_targets(samples)))
+        picked = ad.take_along(ad.log_softmax(scores, axis=1), _class_targets(samples, self.config.num_classes))
         return picked * (-1.0)
 
     # -- inference --------------------------------------------------------
-    def _weight_grid(self, samples):
-        """Weight rows for a batch of samples, shape (n, heads, d), computed without a graph."""
+    def _weight_grid(self, xs):
+        """Weight rows for a batch of rich representations, shape (n, heads, d), computed without a graph."""
         with ad.no_grad():
-            rows = self.generator.rows([s.x for s in samples]).data
-        return rows.reshape(len(samples), self.config.heads, self.config.d)
+            rows = self.generator.rows(xs).data
+        return rows.reshape(len(xs), self.config.heads, self.config.d)
 
     def _gated_scores(self, samples, grid, live, k, rng=None):
         """Gated scores (n, heads) and, in hard mode, the selected indices (n, heads, min(k, d)).
@@ -383,28 +375,23 @@ class GatedLocalLinear(_TrunkModel):
         ``live`` is the (n, d) boolean of unmasked features. Without
         ``rng`` the gates are the exact hard top-k, one ``k_hot_gate``
         call for every head of the batch, which clamps each gate count to
-        the sample's live features. With ``rng`` they
-        are soft draws at ``tau_fine`` for the whole batch, one
-        ``k_hot_gate_rows`` call per head with the per-sample counts
-        clamped the same way. A sample with no live feature gets the
-        empty-sum score of zero. Every score is the per-row dot z . (g * w).
+        the sample's live features. With ``rng`` they are soft draws at
+        ``tau_fine``, one ``k_hot_gate_rows`` call for every head of the
+        batch with the per-sample counts clamped the same way. A sample
+        with no live feature gets the empty-sum score of zero. Every score
+        is the per-row dot z . (g * w).
         """
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
-        n, heads = grid.shape[:2]
         order = None
         if rng is None:
             g, order = gt.k_hot_gate(grid, live[:, None, :], k)
         else:
             counts = np.minimum(k, live.sum(axis=1))
-            tau = self.config.tau_fine
-            g = np.stack([gt.k_hot_gate_rows(grid[:, c], ~live, counts, tau, rng=rng)[0].data for c in range(heads)], axis=1)
-        scores = np.empty((n, heads))
-        for i, s in enumerate(samples):
-            z = np.asarray(s.z, dtype=np.float64)
-            for c in range(heads):
-                scores[i, c] = z @ (g[i, c] * grid[i, c])
-        return scores, order
+            rows = grid.reshape(len(samples), -1)
+            g = gt.k_hot_gate_rows(rows, ~live, counts, self.config.tau_fine, rng=rng)[0].data.reshape(grid.shape)
+        z = np.array([s.z for s in samples], dtype=np.float64)
+        return np.vecdot(z[:, None, :], g * grid), order
 
     def margin(self, sample, k=None):
         """Hard-gated prediction: a signed margin (binary) or class scores.
@@ -413,7 +400,7 @@ class GatedLocalLinear(_TrunkModel):
         the prediction is the empty sum, zero.
         """
         k = self.config.k if k is None else int(k)
-        scores = self._gated_scores([sample], self._weight_grid([sample]), _live([sample]), k)[0][0]
+        scores = self._gated_scores([sample], self._weight_grid([sample.x]), _live([sample]), k)[0][0]
         if self.config.num_classes == 2:
             return float(scores[0])
         return [float(v) for v in scores]
@@ -424,8 +411,8 @@ class GatedLocalLinear(_TrunkModel):
         Hard mode is the deterministic deployment path; soft mode draws
         relaxed gates at ``tau_fine`` from ``rng`` (seed 0 when none is
         given) and exists for inspecting the training objective. Both
-        gate a whole chunk at once, and soft mode draws its gates for the
-        chunk with one ``k_hot_gate_rows`` call per head. Gate counts
+        gate a whole chunk at once, and soft mode draws the gates of every
+        head of the chunk with one ``k_hot_gate_rows`` call. Gate counts
         clamp to each sample's unmasked features; a sample with none gets
         the empty-sum margin of zero.
         """
@@ -439,7 +426,7 @@ class GatedLocalLinear(_TrunkModel):
         out = np.empty(len(samples), dtype=np.int64)
         for lo in range(0, len(samples), chunk):
             batch = samples[lo : lo + chunk]
-            scores = self._gated_scores(batch, self._weight_grid(batch), _live(batch), k, rng)[0]
+            scores = self._gated_scores(batch, self._weight_grid([s.x for s in batch]), _live(batch), k, rng)[0]
             if self.config.num_classes == 2:
                 out[lo : lo + len(batch)] = np.where(scores[:, 0] >= 0, 1, -1)
             else:
@@ -461,15 +448,9 @@ class GatedLocalLinear(_TrunkModel):
         k = self.config.k if k is None else int(k)
         if not samples:
             return []
-        live = _live(samples)
-        counts = live.sum(axis=1)
-        if (counts < k).any():
-            i = int(np.argmax(counts < k))
-            raise GateExhaustedError(
-                f"sample {samples[i].id!r} has {int(counts[i])} unmasked features, fewer than k={k}"
-            )
+        live = _live(samples, need=k)
         names = feature_names if feature_names is not None else [f"f{j}" for j in range(self.config.d)]
-        grid = self._weight_grid(samples)
+        grid = self._weight_grid([s.x for s in samples])
         scores, order = self._gated_scores(samples, grid, live, k)
         out = []
         for i, s in enumerate(samples):

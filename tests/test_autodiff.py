@@ -423,12 +423,10 @@ class TestStructuralOps:
         c = rng.normal(size=24)
         c2 = rng.normal(size=(8, 6))
         idx = rng.integers(0, 4, size=8)
-        c3 = rng.normal(size=(4, 2))
         c4 = rng.normal(size=4)
         fd_check(lambda t: (t.reshape((24,)) * ad.Tensor(c)).sum(), x)
         fd_check(lambda t: (ad.concat([t, t * 2.0], axis=0) * ad.Tensor(c2)).sum(), x)
         fd_check(lambda t: (ad.gather_rows(t, idx) * ad.Tensor(c2)).sum(), x)
-        fd_check(lambda t: (ad.slice_cols(t, 1, 3) * ad.Tensor(c3)).sum(), x)
         fd_check(lambda t: (ad.take_along(t, idx[:4] % 6) * ad.Tensor(c4)).sum(), x)
         picks = np.argsort(rng.random((4, 6)), axis=1)[:, :3]  # distinct columns per row
         fd_check(lambda t: (ad.take_along(t, picks) * ad.Tensor(c2[:4, :3])).sum(), x)

@@ -238,6 +238,14 @@ class TestConfigSections:
         assert "--seed" in capsys.readouterr().err
 
 
+def absolute_image_manifest(root):
+    """The image manifest of ``root`` with its file paths made absolute, for use from another directory."""
+    manifest = json.loads((root / "manifest.json").read_text())
+    for key in ("train_images", "train_labels", "test_images", "test_labels"):
+        manifest[key] = str(root / manifest[key])
+    return manifest
+
+
 class TestManifestErrors:
     @pytest.mark.parametrize("manifest, message", [
         ([1, 2], "not an object"),
@@ -259,12 +267,26 @@ class TestManifestErrors:
         assert records == []
 
     def test_val_fraction_above_one_exits_two(self, image_run, tmp_path, capsys):
-        manifest = json.loads((image_run / "manifest.json").read_text())
-        for key in ("train_images", "train_labels", "test_images", "test_labels"):
-            manifest[key] = str(image_run / manifest[key])
+        manifest = absolute_image_manifest(image_run)
         code, records, err = train_with(capsys, tmp_path, manifest={**manifest, "val_fraction": 1.5})
         assert code == 2 and records == []
         assert "fractions must be non-negative, got [-0.5, 1.5]" in err
+
+    @pytest.mark.parametrize("field, value", [
+        ("train_limit", -1), ("train_limit", True), ("train_limit", 2.5), ("test_limit", -3), ("test_limit", "5"),
+    ])
+    def test_bad_image_limit_exits_two_naming_the_field(self, image_run, tmp_path, capsys, field, value):
+        manifest = absolute_image_manifest(image_run)
+        code, records, err = train_with(capsys, tmp_path, manifest={**manifest, field: value})
+        assert code == 2 and records == []
+        assert f'"{field}"' in err and f"got {value!r}" in err and "Traceback" not in err
+
+    def test_image_limits_keep_the_first_images(self, image_run, tmp_path):
+        manifest = absolute_image_manifest(image_run)
+        (tmp_path / "manifest.json").write_text(json.dumps({**manifest, "train_limit": 40, "test_limit": 0}))
+        data = load_manifest(tmp_path / "manifest.json")
+        assert sorted(s.id for s in data.train + data.val) == sorted(f"train{i}" for i in range(40))
+        assert data.test == []
 
     def test_data_file_errors_keep_their_type(self, tmp_path):
         (tmp_path / "corpus.tsv").write_bytes(b"+1\tgood film\n-1\tbad \xff film\n")

@@ -1,5 +1,6 @@
 """Ingestion tests: IDX containers, image and text representations, synthetic oracle."""
 
+import re
 import struct
 
 import numpy as np
@@ -22,7 +23,7 @@ from sparselocal.data import (
     write_idx_labels,
 )
 from sparselocal.digits import make_digit_images
-from sparselocal.errors import DataFormatError
+from sparselocal.errors import ConfigError, DataFormatError
 
 
 class TestIdx:
@@ -79,6 +80,15 @@ class TestIdx:
         assert float(ds.samples[0].x.max()) == 1.0
         assert ds.samples[0].x.shape == (1, 28, 28)
         assert [s.y for s in ds.samples] == [-1, 1]
+
+    @pytest.mark.parametrize("limit", [-1, True, 2.5, "1"])
+    def test_limit_must_be_a_non_negative_integer(self, tmp_path, limit):
+        write_idx_images(tmp_path / "i.idx", np.zeros((3, 28, 28), dtype=np.uint8))
+        write_idx_labels(tmp_path / "l.idx", np.zeros(3, dtype=np.uint8))
+        message = f"limit must be None or a non-negative integer, got {limit!r}"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_image_dataset(tmp_path / "i.idx", tmp_path / "l.idx", limit=limit)
+        assert len(load_image_dataset(tmp_path / "i.idx", tmp_path / "l.idx", limit=np.int64(2)).samples) == 2
 
     def test_mismatched_counts(self, tmp_path):
         write_idx_images(tmp_path / "i.idx", np.zeros((3, 28, 28), dtype=np.uint8))

@@ -355,6 +355,60 @@ class TestBatchedRows:
             gt.k_hot_gate_rows(ad.Tensor(np.ones((2, 4))), np.zeros((2, 4)), [1, 2], tau=1.0, noise=np.zeros(shape))
 
 
+class TestAllHeads:
+    """One call gates every head of (n, heads·d) rows exactly as one call per head would."""
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("heads", [1, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_stacked_one_head_calls_bitwise(self, seed, heads, sparse, frozen):
+        rng = np.random.default_rng(9900 + seed)
+        n, d = int(rng.integers(1, 30)), int(rng.integers(2, 400))
+        live = rng.random((n, d)) < (0.05 if sparse else 1.0)
+        live[np.arange(n), rng.integers(0, d, size=n)] = True
+        if sparse:
+            live[rng.random(n) < 0.2] = False  # rows with no live feature take a count of 0
+        k = np.minimum(rng.integers(0, 6, size=n), live.sum(axis=1))
+        tau = float(rng.uniform(0.05, 2.0))
+        w0 = rng.normal(size=(n, heads * d))
+        c = rng.normal(size=(n, heads * d))
+        draws = int(k.max(initial=0))
+        noise = gt.sample_gumbel((draws, n, d), rng)
+        seed_draw = int(rng.integers(2**31))
+
+        def source():
+            return {"noise": noise} if frozen else {"rng": np.random.default_rng(seed_draw)}
+
+        w = ad.Tensor(w0, requires_grad=True)
+        gate, steps = gt.k_hot_gate_rows(w, ~live, k, tau, **source())
+        if gate.requires_grad:
+            (gate * ad.Tensor(c)).sum().backward()
+        one = source()  # the per-head calls share one rng, head 0's draws first
+        ref_gates, ref_steps, ref_grads = [], [], []
+        for h in range(heads):
+            cols = slice(h * d, (h + 1) * d)
+            wh = ad.Tensor(w0[:, cols], requires_grad=True)
+            gh, sh = gt.k_hot_gate_rows(wh, ~live, k, tau, **one)
+            if gh.requires_grad:
+                (gh * ad.Tensor(c[:, cols])).sum().backward()
+            ref_gates.append(gh.data)
+            ref_steps.append([s.data for s in sh])
+            ref_grads.append(np.zeros((n, d)) if wh.grad is None else wh.grad)
+        assert np.array_equal(gate.data, np.concatenate(ref_gates, axis=1))
+        assert len(steps) == draws
+        for t, step in enumerate(steps):
+            assert step.data.shape == (n, heads * d)
+            assert np.array_equal(step.data, np.concatenate([s[t] for s in ref_steps], axis=1))
+        grad = np.zeros((n, heads * d)) if w.grad is None else w.grad
+        assert np.array_equal(grad, np.concatenate(ref_grads, axis=1))
+
+    @pytest.mark.parametrize("weights, mask", [((3, 7), (3, 2)), ((3, 4), (2, 4)), ((3, 0), (3, 4)), ((12,), (3, 4))])
+    def test_weights_must_be_whole_heads_of_the_mask(self, weights, mask):
+        with pytest.raises(ShapeError, match=r"must be \(n, heads·d\) rows"):
+            gt.k_hot_gate_rows(np.ones(weights), np.zeros(mask), 1, tau=1.0, rng=np.random.default_rng(0))
+
+
 def dense_gate_rows(w, mask, k, tau, rng=None, noise=None):
     """The soft gate with every draw over the full (n, d) rows: the reference for the live-column block."""
     w = ad.as_tensor(w)

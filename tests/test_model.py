@@ -566,7 +566,7 @@ class TestBatchedHardGate:
 
 
 class TestOneGatePerPath:
-    """Inference runs one hard-gate call per batch and training one soft-gate call per head."""
+    """Inference runs one hard-gate call per batch and training one soft-gate call per batch."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -600,12 +600,35 @@ class TestOneGatePerPath:
         assert calls == {"hard": 3, "soft": 0}
 
     @pytest.mark.parametrize("num_classes", [2, 3])
-    def test_training_calls_the_soft_gate_once_per_head(self, calls, num_classes):
+    def test_training_calls_the_soft_gate_once_per_batch(self, calls, num_classes):
         rng = np.random.default_rng(82)
         model = GatedLocalLinear(vector_config(d=8, k=3, num_classes=num_classes), rng)
         samples = [vector_sample(rng, d=8, y=1 if num_classes == 2 else 2, sid=i) for i in range(5)]
         model.batch_loss(samples, rng=rng).backward()
-        assert calls == {"hard": 0, "soft": model.config.heads}
+        assert calls == {"hard": 0, "soft": 1}
         calls.update(hard=0, soft=0)
         model.predict_labels(samples, mode="soft", rng=rng, chunk=4)
-        assert calls == {"hard": 0, "soft": 2 * model.config.heads}
+        assert calls == {"hard": 0, "soft": 2}
+
+
+def _blas_build():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}"
+
+
+class TestVecdotScores:
+    """The batched scores are bitwise the per-row dots z . (g * w) that each score stands for."""
+
+    @pytest.mark.parametrize("d", [20, 49, 128, 601, 2031])
+    @pytest.mark.parametrize("heads", [1, 3])
+    @pytest.mark.parametrize("n", [1, 7, 256])
+    def test_vecdot_equals_the_per_row_dot(self, n, heads, d):
+        rng = np.random.default_rng(n * 7919 + heads * 104729 + d)
+        z = rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.5)
+        gw = rng.normal(size=(n, heads, d)) * (rng.random((n, heads, d)) < 0.3)
+        got = np.vecdot(z[:, None, :], gw)
+        want = np.array([[z[i] @ gw[i, c] for c in range(heads)] for i in range(n)])
+        bad = np.argwhere(got != want)
+        assert bad.size == 0, (
+            f"{len(bad)} scores differ from the per-row dot, first at (row, head) {tuple(bad[0])}, on {_blas_build()}"
+        )
