@@ -266,12 +266,15 @@ def _sample_from_file(path, data):
     """Build an unlabeled sample from a raw input file (text line or IDX image)."""
     ds = data.dataset
     if ds.kind == "text":
-        tokens = content_tokens(Path(path).read_text(encoding="utf-8"), ds.stopwords)
-        return text_sample(str(path), tokens, 1, ds.vocab, ds.counts)
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(f"{path}: sample is not UTF-8 text ({exc.reason})") from exc
+        return text_sample(str(path), content_tokens(text, ds.stopwords), 1, ds.vocab, ds.counts)
     if ds.kind == "image":
         images = parse_idx(path)
-        if images.ndim != 3:
-            raise DataFormatError(f"{path}: expected an IDX image file")
+        if images.ndim != 3 or not len(images):
+            raise DataFormatError(f"{path}: expected an IDX image file holding at least one image")
         return image_sample(str(path), images[0], 1)
     raise ConfigError(f"file-based samples are not supported for {data.dataset.kind!r} datasets")
 

@@ -169,37 +169,34 @@ def k_hot_gate_rows(w, mask, k, tau, rng=None, noise=None):
     """The soft gate for a batch of weight rows: every head's gate and its k draws.
 
     ``w`` holds the generator's (n, heads·d) rows, head c in columns
-    c·d to (c+1)·d, and ``mask`` the (n, d) mask that every head of a row
-    shares. Each draw is one masked softmax ``softmax((w**2 + lam) / tau)``
-    over the live entries of one head of every row, and its winners are
-    masked out before that head's next draw. ``k`` is one gate count or
-    one count per row; row i takes the first k[i] of the max(k) draws,
-    and a row whose count is 0 gets the all-zero gate. A row past its
-    count draws over all its entries, so the softmax stays defined, and
-    that draw is zeroed.
+    c·d to (c+1)·d, and ``mask`` the (n, d) mask that every head of a
+    sample shares. Each draw is one masked softmax
+    ``softmax((w**2 + lam) / tau)`` over the live entries of each head,
+    whose winner is masked out before that head's next draw. ``k`` is one
+    gate count or one count per sample; sample i takes the first k[i] of
+    the max(k) draws, and a sample whose count is 0 gets the all-zero
+    gate. A sample past its count draws over all its entries, so the
+    softmax stays defined, and that draw is zeroed.
 
-    The inputs are checked and the live block is set up once for all
-    heads; the heads then draw one after the other. The draws run on an
-    ``(n, width)`` block of each row's live columns, ``width`` being the
-    largest live count, which each head gathers straight from the rows
-    and all heads scatter back at once: the gate of a sparse mask costs
-    its live entries, not d. The block lists a row's live columns first,
-    in index order, so a draw's first maximum is the dense row's; a
-    shorter row is padded with distinct dead columns. The Gumbel noise is
-    still drawn, or taken from ``noise``, at (n, d) and gathered, so every
-    value keeps its bits. The softmax's two row sums run over the block
-    scattered into a zero (n, d) row: numpy's pairwise sum groups by
-    position, so only a full-width sum keeps the dense row's rounding.
-    When some row is all live, the block is the whole head and nothing is
-    scattered; a one-head model then gates its rows with no gather either.
+    One draw loop serves every head, on ``w`` read as (n·heads, d) rows:
+    row i·heads + c is head c of sample i. The draws run on a block of
+    each row's live columns, as wide as the largest live count, gathered
+    and scattered back once, so a sparse mask costs its live entries, not
+    d. A row's live columns come first, in index order, so a draw's first
+    maximum is the dense row's; a shorter row is padded with distinct dead
+    columns. The softmax's two row sums run over the block scattered into
+    a zero (n·heads, d) buffer: numpy's pairwise sum groups by position,
+    so only a full-width sum keeps the dense row's rounding. When some
+    sample is all live, the block is the rows and nothing is gathered.
 
-    ``rng`` is a numpy ``Generator``; each draw of each head takes one
-    (n, d) array of uniforms from it, head 0's draws first. ``noise``,
-    when given, holds at least max(k) pre-drawn Gumbel arrays of shape
-    (n, d), which every head uses, and overrides ``rng``; freezing it
-    makes the gate deterministic, which the finite-difference checks rely
-    on. ``steps[t]`` is every head's t-th draw, one graph-free
-    (n, heads·d) tensor.
+    ``rng`` is a numpy ``Generator``; all noise is taken before the first
+    draw, head-major: max(k) (n, d) arrays of uniforms for head 0, then
+    head 1, and so on, each cut to the block's columns. ``noise``, when
+    given, holds at least max(k) pre-drawn Gumbel arrays of shape (n, d),
+    which every head uses, and overrides ``rng``; freezing it makes the
+    gate deterministic, which the finite-difference checks rely on.
+    ``steps[t]`` is every head's t-th draw, one graph-free (n, heads·d)
+    tensor.
     """
     w = ad.as_tensor(w)
     live = np.asarray(mask) == 0
@@ -236,42 +233,40 @@ def k_hot_gate_rows(w, mask, k, tau, rng=None, noise=None):
         return ad.Tensor(np.zeros((n, heads * d))), []
 
     width = int(counts.max(initial=0))
-    dense = width == d  # some row is all live: the block is the whole head, and a[...] is a
-    if dense:
-        cols, at, row_sum = np.broadcast_to(np.arange(d), (n, d)), ..., _row_sum
-    else:
+    at = np.s_[:, :]  # when some sample is all live, each block is its whole head and x[at] is x
+    if width < d:
         cols = np.argsort(~live, axis=1, kind="stable")[:, :width]  # live first; stable keeps index order
         at = (np.arange(n)[:, None], cols)
-        full = np.zeros((n, d))
+    if noise is None:
+        lam, uniform = np.empty((heads, draws, n, width)), np.empty((n, d))
+        for block in lam.reshape(-1, n, width):  # one (n, d) buffer: a (heads, draws, n, d) array faults pages in
+            block[...] = rng.random(out=uniform)[at]
+        lam = _gumbel(lam)
+    else:
+        lam = np.broadcast_to(noise[:draws][(..., *at)], (heads, draws, n, width))
+    lam = lam.transpose(1, 2, 0, 3).reshape(draws, n * heads, width) * (1.0 / tau)
+    k, free = np.repeat(k, heads), np.repeat(live[at], heads, axis=0)
+    rows, row_sum = ad.reshape(w, (n * heads, d)), _row_sum  # row i·heads + c is head c of sample i
+    if width < d:
+        at = (np.arange(n * heads)[:, None], np.repeat(cols, heads, axis=0))  # each sample's columns, per head
+        rows = ad.take_along(rows, at[1])
+        full = np.zeros((n * heads, d))
 
         def row_sum(a):  # the block's entries at their own positions, zeros elsewhere
             full[at] = a
             return full.sum(axis=1, keepdims=True)
 
-    live = live[at]
-    one = dense and heads == 1  # the block is the rows themselves
-    spots = cols[:, None, :] + d * np.arange(heads)[:, None]  # (n, heads, width) columns of the rows
-    wide = None if one else np.zeros((draws, n, heads * d))
-    uniform = np.empty((n, d)) if noise is None else None  # one buffer: a fresh array per draw costs page faults
-    gates, steps = [], []
-    for c in range(heads):
-        scaled = ad.square(w if one else ad.take_along(w, spots[:, c])) * (1.0 / tau)
-        free = live.copy()
-        gate = None
-        for t in range(draws):
-            active = t < k
-            lam = noise[t][at] if noise is not None else _gumbel(rng.random(out=uniform)[at])
-            step = _masked_softmax(scaled + ad.Tensor(lam * (1.0 / tau)), free | ~active[:, None], row_sum)
-            if not active.all():
-                step = step * ad.Tensor(np.broadcast_to(active[:, None], free.shape) * 1.0)
-            free[active, np.argmax(step.data, axis=1)[active]] = False
-            if one:
-                steps.append(ad.Tensor(step.data))
-            else:
-                wide[t][:, c * d : (c + 1) * d][at] = step.data
-            gate = step if gate is None else gate + step
-        gates.append(gate)
-    gate = gates[0] if heads == 1 else ad.concat(gates, axis=1)
-    if not dense:
-        gate = ad.put_along(gate, spots.reshape(n, -1), heads * d)
-    return gate, (steps if one else [ad.Tensor(a) for a in wide])
+    scaled = ad.square(rows) * (1.0 / tau)
+    wide = np.zeros((draws, n * heads, d))
+    gate = None
+    for t in range(draws):
+        active = t < k
+        step = _masked_softmax(scaled + ad.Tensor(lam[t]), free | ~active[:, None], row_sum)
+        if not active.all():
+            step = step * ad.Tensor(np.broadcast_to(active[:, None], free.shape) * 1.0)
+        free[active, np.argmax(step.data, axis=1)[active]] = False
+        wide[t][at] = step.data
+        gate = step if gate is None else gate + step
+    if width < d:
+        gate = ad.put_along(gate, at[1], d)
+    return ad.reshape(gate, (n, heads * d)), [ad.Tensor(a.reshape(n, heads * d)) for a in wide]

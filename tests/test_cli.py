@@ -414,6 +414,26 @@ class TestExplainCommand:
         assert code == 0
         assert len(records[0]["entries"]) == 1
 
+    def test_image_file_without_images_exits_two(self, image_run, tmp_path, capsys):
+        probe = tmp_path / "empty.idx"
+        write_idx_images(probe, np.zeros((0, 28, 28), dtype=np.uint8))
+        code, records, err = run_cli(
+            capsys, "explain", "--checkpoint", str(image_run / "model.ckpt"),
+            "--dataset", str(image_run / "manifest.json"), "--sample", str(probe),
+        )
+        assert code == 2 and records == []
+        assert f"{probe}: expected an IDX image file holding at least one image" in err
+
+    def test_text_file_that_is_not_utf8_exits_two(self, text_run, tmp_path, capsys):
+        probe = tmp_path / "latin1.txt"
+        probe.write_bytes("a wonderful d\xe9lice of a film\n".encode("latin-1"))
+        code, records, err = run_cli(
+            capsys, "explain", "--checkpoint", str(text_run / "model.ckpt"),
+            "--dataset", str(text_run / "manifest.json"), "--sample", str(probe), "--k", "1",
+        )
+        assert code == 2 and records == []
+        assert f"{probe}: sample is not UTF-8 text" in err
+
     def test_unknown_sample_id(self, synth_run, capsys):
         code, _records, err = run_cli(
             capsys, "explain", "--checkpoint", str(synth_run / "model.ckpt"),

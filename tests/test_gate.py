@@ -359,7 +359,7 @@ class TestAllHeads:
     """One call gates every head of (n, heads·d) rows exactly as one call per head would."""
 
     @pytest.mark.parametrize("frozen", [False, True])
-    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("sparse", [False, True, "mixed"])  # mixed: one all-live row, the rest ~5% live
     @pytest.mark.parametrize("heads", [1, 3])
     @pytest.mark.parametrize("seed", range(4))
     def test_equals_stacked_one_head_calls_bitwise(self, seed, heads, sparse, frozen):
@@ -369,6 +369,8 @@ class TestAllHeads:
         live[np.arange(n), rng.integers(0, d, size=n)] = True
         if sparse:
             live[rng.random(n) < 0.2] = False  # rows with no live feature take a count of 0
+        if sparse == "mixed":
+            live[rng.integers(n)] = True  # the draws run on whole heads, the other rows masked
         k = np.minimum(rng.integers(0, 6, size=n), live.sum(axis=1))
         tau = float(rng.uniform(0.05, 2.0))
         w0 = rng.normal(size=(n, heads * d))
@@ -381,7 +383,8 @@ class TestAllHeads:
             return {"noise": noise} if frozen else {"rng": np.random.default_rng(seed_draw)}
 
         w = ad.Tensor(w0, requires_grad=True)
-        gate, steps = gt.k_hot_gate_rows(w, ~live, k, tau, **source())
+        all_heads = source()
+        gate, steps = gt.k_hot_gate_rows(w, ~live, k, tau, **all_heads)
         if gate.requires_grad:
             (gate * ad.Tensor(c)).sum().backward()
         one = source()  # the per-head calls share one rng, head 0's draws first
@@ -402,6 +405,21 @@ class TestAllHeads:
             assert np.array_equal(step.data, np.concatenate([s[t] for s in ref_steps], axis=1))
         grad = np.zeros((n, heads * d)) if w.grad is None else w.grad
         assert np.array_equal(grad, np.concatenate(ref_grads, axis=1))
+        if not frozen:  # both took the same number of uniforms
+            assert all_heads["rng"].random() == one["rng"].random()
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_graph_size_does_not_grow_with_heads(self, sparse):
+        rng = np.random.default_rng(9950)
+        n, d, k = 6, 300, 4
+        live = rng.random((n, d)) < (0.05 if sparse else 1.0)
+        live[:, :k] = True
+        sizes = []
+        for heads in (1, 3):
+            w = ad.Tensor(rng.normal(size=(n, heads * d)), requires_grad=True)
+            gate, _ = gt.k_hot_gate_rows(w, ~live, k, 0.5, rng=rng)
+            sizes.append(len(ad._toposort(gate)))
+        assert sizes[0] == sizes[1]
 
     @pytest.mark.parametrize("weights, mask", [((3, 7), (3, 2)), ((3, 4), (2, 4)), ((3, 0), (3, 4)), ((12,), (3, 4))])
     def test_weights_must_be_whole_heads_of_the_mask(self, weights, mask):
