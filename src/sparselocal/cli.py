@@ -250,8 +250,7 @@ def cmd_eval(args):
         if model.config.num_classes != 2:
             raise ConfigError("linear baselines support binary labels only")
         for name, fit in (("ridge", bl.ridge_fit), ("lasso", bl.lasso_fit)):
-            grid = [a for a in (10.0**e for e in range(-4, 3)) if name == "ridge" or a > 0]
-            linear, alpha = bl.select_alpha(fit, data.train, data.val, grid)
+            linear, alpha = bl.select_alpha(fit, data.train, data.val)
             for k in ks:
                 _emit({
                     "model": name,
@@ -290,9 +289,14 @@ def _locate_sample(args, data):
         if str(s.id) == str(wanted):
             return s
     try:
-        return pool[int(wanted)]
-    except (ValueError, IndexError):
-        raise ConfigError(f"sample {wanted!r} not found in the dataset") from None
+        index = int(wanted)
+    except ValueError:
+        index = len(pool)  # not an integer, so not found
+    if index < 0:
+        raise ConfigError(f"sample index must be non-negative, got {index}")
+    if index >= len(pool):
+        raise ConfigError(f"sample {wanted!r} not found in the dataset")
+    return pool[index]
 
 
 def cmd_explain(args):

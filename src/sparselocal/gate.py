@@ -10,9 +10,9 @@ There is one function per gate, each batched over rows of weights.
 
 - The soft gate, :func:`k_hot_gate_rows`, is the training relaxation
   over the ``(n, heads·d)`` rows of every head of a batch, each row with
-  its own gate count. Every draw is a relaxed simplex vector and the
-  whole construction is differentiable with respect to the weights (the
-  mask updates are treated as gradient-stopped). A draw is the softmax
+  its own gate count. Every draw is a relaxed simplex vector; only their
+  sum is returned, and it is differentiable with respect to the weights
+  (the mask updates are treated as gradient-stopped). A draw is the softmax
   of ``(w**2 + lam) / tau`` over the live entries, which equals the
   paper's ``softmax((log pi + lam) / tau)``: ``log pi`` is ``w**2`` less
   one constant per row, and a softmax ignores such a shift. The draws
@@ -22,8 +22,8 @@ There is one function per gate, each batched over rows of weights.
 - The hard gate, :func:`k_hot_gate`, is the inference-time behaviour
   over any ``(..., d)`` batch. The noise is dropped and each draw is the
   exact one-hot argmax. Noise-free greedy draws are exactly a top-k, so
-  the hard gate is computed in one step by :func:`topk_select`: an exact
-  stable top-k over the live ``w**2``, ties going to the lowest index.
+  the hard gate is computed in one step: an exact stable top-k over the
+  live ``w**2``, ties going to the lowest index.
 
 The one-draw primitives :func:`masked_log_prob`, :func:`gate_step` and
 :func:`update_mask` follow the paper's formulas for a single vector; the
@@ -124,20 +124,6 @@ def gate_step(log_pi, lam, tau):
     return _masked_softmax(scores, live)
 
 
-def topk_select(w, live, k):
-    """Indices of the k largest ``w**2`` among live entries, along the last axis.
-
-    ``w`` is any ``(..., d)`` array and ``live`` a boolean array that
-    broadcasts against it. Each row of the ``(..., k)`` result lists its
-    indices in descending ``w**2`` order, ties going to the lowest index.
-    Dead entries sort after every live one, so a row with fewer than k
-    live entries ends with dead indices; :func:`k_hot_gate` closes them.
-    """
-    w = np.asarray(w, dtype=np.float64)
-    keys = np.where(live, -(w * w), np.inf)
-    return np.argsort(keys, axis=-1, kind="stable")[..., :k]
-
-
 def update_mask(mask, step):
     """Mark the winning index of one draw as used; ties resolve to the lowest index."""
     values = step.data if isinstance(step, ad.Tensor) else np.asarray(step)
@@ -151,22 +137,23 @@ def update_mask(mask, step):
 
 
 def k_hot_gate(w, live, k):
-    """The hard gate: a 0/1 gate over ``(..., d)`` weights and its :func:`topk_select` order.
+    """The hard gate: a 0/1 gate over ``(..., d)`` weights and its ``(..., k)`` order.
 
-    The gate opens the k largest live ``w**2`` of each row. ``live``
-    broadcasts against ``w``; a row with fewer than k live entries opens
-    only those, because the dead indices that end its order are
-    multiplied out.
+    Each row of the order lists the indices of the k largest live
+    ``w**2`` in descending order, ties going to the lowest index, and the
+    gate opens them. ``live`` broadcasts against ``w``. Dead entries sort
+    after every live one, so a row with fewer than k live entries ends
+    its order with dead indices, which the gate multiplies out.
     """
     w = np.asarray(w, dtype=np.float64)
-    order = topk_select(w, live, k)
+    order = np.argsort(np.where(live, -(w * w), np.inf), axis=-1, kind="stable")[..., :k]
     gate = np.zeros(w.size)  # a flat scatter costs half of put_along_axis on one sample
     gate[(np.arange(0, w.size, w.shape[-1]).reshape(order.shape[:-1] + (1,)) + order).ravel()] = 1.0
     return gate.reshape(w.shape) * live, order
 
 
 def k_hot_gate_rows(w, mask, k, tau, rng=None, noise=None):
-    """The soft gate for a batch of weight rows: every head's gate and its k draws.
+    """The soft gate for a batch of weight rows: every head's (n, heads·d) gate, the sum of its k draws.
 
     ``w`` holds the generator's (n, heads·d) rows, head c in columns
     c·d to (c+1)·d, and ``mask`` the (n, d) mask that every head of a
@@ -195,8 +182,8 @@ def k_hot_gate_rows(w, mask, k, tau, rng=None, noise=None):
     given, holds at least max(k) pre-drawn Gumbel arrays of shape (n, d),
     which every head uses, and overrides ``rng``; freezing it makes the
     gate deterministic, which the finite-difference checks rely on.
-    ``steps[t]`` is every head's t-th draw, one graph-free (n, heads·d)
-    tensor.
+    Draw t of a call is ``gate(k=t+1) - gate(k=t)`` under the same noise,
+    up to the rounding of the sum.
     """
     w = ad.as_tensor(w)
     live = np.asarray(mask) == 0
@@ -230,7 +217,7 @@ def k_hot_gate_rows(w, mask, k, tau, rng=None, noise=None):
                 f"of the per-head weights' shape {(n, d)}"
             )
     if draws == 0:
-        return ad.Tensor(np.zeros((n, heads * d))), []
+        return ad.Tensor(np.zeros((n, heads * d)))
 
     width = int(counts.max(initial=0))
     at = np.s_[:, :]  # when some sample is all live, each block is its whole head and x[at] is x
@@ -257,7 +244,6 @@ def k_hot_gate_rows(w, mask, k, tau, rng=None, noise=None):
             return full.sum(axis=1, keepdims=True)
 
     scaled = ad.square(rows) * (1.0 / tau)
-    wide = np.zeros((draws, n * heads, d))
     gate = None
     for t in range(draws):
         active = t < k
@@ -265,8 +251,7 @@ def k_hot_gate_rows(w, mask, k, tau, rng=None, noise=None):
         if not active.all():
             step = step * ad.Tensor(np.broadcast_to(active[:, None], free.shape) * 1.0)
         free[active, np.argmax(step.data, axis=1)[active]] = False
-        wide[t][at] = step.data
         gate = step if gate is None else gate + step
     if width < d:
         gate = ad.put_along(gate, at[1], d)
-    return ad.reshape(gate, (n, heads * d)), [ad.Tensor(a.reshape(n, heads * d)) for a in wide]
+    return ad.reshape(gate, (n, heads * d))

@@ -344,7 +344,7 @@ class GatedLocalLinear(_TrunkModel):
         if not gated:
             return self._losses(samples, w, None).mean()
         live = _live(samples, need=1)
-        g = gt.k_hot_gate_rows(w, ~live, np.minimum(k, live.sum(axis=1)), tau, rng=rng, noise=noise)[0]
+        g = gt.k_hot_gate_rows(w, ~live, np.minimum(k, live.sum(axis=1)), tau, rng=rng, noise=noise)
         return self._losses(samples, w, g).mean()
 
     def _losses(self, samples, w, g):
@@ -389,7 +389,7 @@ class GatedLocalLinear(_TrunkModel):
         else:
             counts = np.minimum(k, live.sum(axis=1))
             rows = grid.reshape(len(samples), -1)
-            g = gt.k_hot_gate_rows(rows, ~live, counts, self.config.tau_fine, rng=rng)[0].data.reshape(grid.shape)
+            g = gt.k_hot_gate_rows(rows, ~live, counts, self.config.tau_fine, rng=rng).data.reshape(grid.shape)
         z = np.array([s.z for s in samples], dtype=np.float64)
         return np.vecdot(z[:, None, :], g * grid), order
 

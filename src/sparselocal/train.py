@@ -188,6 +188,8 @@ def coarse_to_fine_train(model, train, val, schedule=None, rng=None, progress=No
     if not val:
         raise ValueError("training needs a non-empty validation set")
     k_target = model.config.k if schedule.k_target is None else schedule.k_target
+    if not schedule.k_coarse >= k_target >= 1:
+        raise ValueError("schedule requires k_coarse >= k_target >= 1")
     live = np.array([s.live_count for s in train])
     if (live < k_target).any():
         bad = [train[i].id for i in np.flatnonzero(live < k_target)[:5]]

@@ -19,6 +19,7 @@ Criteria:
   C9 gradient-masking identity is exact
 """
 
+import copy
 import time
 
 import numpy as np
@@ -187,13 +188,16 @@ def test_c2_gate_invariant_suite(report):
         flipped, _ = gt.k_hot_gate(-w, mask == 0, k)
         assert np.array_equal(g, flipped)
 
-        soft, steps = gt.k_hot_gate_rows(w[None], mask[None], k, float(rng.uniform(0.1, 1.5)), rng=rng)
-        for step in steps:
-            vals = step.data
+        tau = float(rng.uniform(0.1, 1.5))
+        # draw t is the gate cut to t + 1 draws less the gate cut to t, each call on a copy of the same rng
+        prefixes = [gt.k_hot_gate_rows(w[None], mask[None], j, tau, rng=copy.deepcopy(rng)).data for j in range(k)]
+        soft = gt.k_hot_gate_rows(w[None], mask[None], k, tau, rng=rng)
+        steps = np.diff(prefixes + [soft.data], axis=0)
+        for vals in steps:
             assert abs(vals.sum() - 1.0) <= 1e-6
             assert np.all(vals >= 0.0)
         assert np.all(soft.data[0][mask == 1] == 0.0)
-        soft_order = [int(np.argmax(step.data[0])) for step in steps]
+        soft_order = [int(np.argmax(step[0])) for step in steps]
         assert len(set(soft_order)) == k
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, f"gate suite took {elapsed:.1f}s, budget is 10s"

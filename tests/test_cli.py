@@ -442,6 +442,15 @@ class TestExplainCommand:
         assert code == 2
         assert "not found" in err
 
+    @pytest.mark.parametrize("index", ["-1", "-300"])
+    def test_negative_sample_index_exits_two(self, synth_run, capsys, index):
+        code, records, err = run_cli(
+            capsys, "explain", "--checkpoint", str(synth_run / "model.ckpt"),
+            "--dataset", str(synth_run / "manifest.json"), "--sample", index,
+        )
+        assert code == 2 and records == []
+        assert f"sample index must be non-negative, got {index}" in err
+
     @pytest.mark.parametrize("k", ["0", "-3"])
     def test_k_below_one_exits_two(self, synth_run, capsys, k):
         code, records, err = run_cli(

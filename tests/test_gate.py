@@ -6,6 +6,9 @@ arithmetic, the standard Gumbel mean against the Euler-Mascheroni
 constant by direct Monte Carlo.
 """
 
+import copy
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -140,9 +143,26 @@ def oracle_draws(w, mask, noise, tau):
     return steps, order, m
 
 
-def selection_order(steps, row=0):
+def prefix_gates(w, mask, k, tau, **source):
+    """The gate of one call cut to its first j draws, for j = 0 .. max(k), as arrays.
+
+    Every call takes the same noise: a frozen ``noise`` as is, an ``rng``
+    as a copy taken before the call, which a one-head call reads as the
+    same uniforms. Draw t is then ``gates[t + 1] - gates[t]``.
+    """
+    k = np.broadcast_to(k, (np.shape(mask)[0],))
+    cuts = range(int(k.max(initial=0)) + 1)
+    return [gt.k_hot_gate_rows(w, mask, np.minimum(k, j), tau, **copy.deepcopy(source)).data for j in cuts]
+
+
+def prefix_draws(w, mask, k, tau, **source):
+    """The draws of one soft-gate call, (max(k), n, heads·d), read as differences of its prefix gates."""
+    return np.diff(prefix_gates(w, mask, k, tau, **source), axis=0)
+
+
+def selection_order(draws, row=0):
     """Winning index of each draw of one row, in draw order."""
-    return [int(np.argmax(s.data[row])) for s in steps]
+    return [int(np.argmax(s[row])) for s in draws]
 
 
 class TestKHotGateHard:
@@ -182,9 +202,10 @@ class TestKHotGateSoft:
     def test_steps_are_simplex_vectors_and_sum_to_k(self, seed):
         rng = np.random.default_rng(2000 + seed)
         w, mask, k = random_gate_instance(rng)
-        gate, steps = gt.k_hot_gate_rows(ad.Tensor(w[None], requires_grad=True), mask[None], k, tau=1.0, rng=rng)
-        for step in steps:
-            vals = step.data
+        draws = prefix_draws(w[None], mask[None], k, 1.0, rng=rng)
+        gate = gt.k_hot_gate_rows(ad.Tensor(w[None], requires_grad=True), mask[None], k, tau=1.0, rng=rng)
+        assert len(draws) == k
+        for vals in draws:
             assert np.all(vals >= 0)
             assert abs(vals.sum() - 1.0) <= 1e-6
         assert abs(gate.data.sum() - k) <= 1e-5
@@ -193,16 +214,15 @@ class TestKHotGateSoft:
     def test_masked_entries_stay_exact_zero(self, seed):
         rng = np.random.default_rng(3000 + seed)
         w, mask, k = random_gate_instance(rng)
-        gate, _ = gt.k_hot_gate_rows(w[None], mask[None], k, tau=0.5, rng=rng)
+        gate = gt.k_hot_gate_rows(w[None], mask[None], k, tau=0.5, rng=rng)
         assert np.all(gate.data[0][mask == 1] == 0.0)
 
     @pytest.mark.parametrize("seed", range(30))
     def test_no_index_wins_twice(self, seed):
         rng = np.random.default_rng(4000 + seed)
         w, mask, k = random_gate_instance(rng)
-        _, steps = gt.k_hot_gate_rows(w[None], mask[None], k, tau=1.0, rng=rng)
-        order = selection_order(steps)
-        assert len(set(order)) == len(order)
+        order = selection_order(prefix_draws(w[None], mask[None], k, 1.0, rng=rng))
+        assert len(order) == k and len(set(order)) == k
 
     @pytest.mark.parametrize("tau", [1.0, 0.1])
     @pytest.mark.parametrize("seed", range(15))
@@ -217,7 +237,7 @@ class TestKHotGateSoft:
         c = rng.normal(size=d)
 
         def objective(x):
-            gate, _ = gt.k_hot_gate_rows(ad.as_tensor(x).reshape((1, d)), mask[None], k, tau=tau, noise=noise[:, None])
+            gate = gt.k_hot_gate_rows(ad.as_tensor(x).reshape((1, d)), mask[None], k, tau=tau, noise=noise[:, None])
             return (gate * ad.Tensor(c[None])).sum()
 
         wt = ad.Tensor(w0, requires_grad=True)
@@ -230,7 +250,7 @@ class TestKHotGateSoft:
         w = ad.Tensor(np.array([[1.0, -2.0, 0.5, 3.0]]), requires_grad=True)
         mask = np.array([[0, 1, 0, 0]])
         noise = gt.sample_gumbel((2, 4), rng)
-        gate, _ = gt.k_hot_gate_rows(w, mask, 2, tau=0.7, noise=noise[:, None])
+        gate = gt.k_hot_gate_rows(w, mask, 2, tau=0.7, noise=noise[:, None])
         (gate * ad.Tensor(np.ones((1, 4)))).sum().backward()
         assert w.grad[0, 1] == 0.0
 
@@ -239,9 +259,10 @@ class TestKHotGateSoft:
         d = 10
         w = rng.uniform(0.3, 2.0, size=d) * rng.choice([-1.0, 1.0], size=d)
         noise = gt.sample_gumbel((3, d), rng)
-        _, steps = gt.k_hot_gate_rows(ad.Tensor(w[None]), np.zeros((1, d), dtype=int), 3, tau=1e-3, noise=noise[:, None])
-        for step in steps:
-            assert step.data.max() >= 1.0 - 1e-6
+        draws = prefix_draws(ad.Tensor(w[None]), np.zeros((1, d), dtype=int), 3, 1e-3, noise=noise[:, None])
+        assert len(draws) == 3
+        for step in draws:
+            assert step.max() >= 1.0 - 1e-6
 
     def test_soft_requires_noise_source(self):
         with pytest.raises(ValueError, match="rng or pre-drawn noise"):
@@ -264,11 +285,12 @@ class TestKHotGateSoft:
             k = int(rng.integers(1, int((mask == 0).sum()) + 1))
             tau = float(rng.uniform(0.1, 2.0))
             noise = gt.sample_gumbel((k, d), rng)
-            _, steps = gt.k_hot_gate_rows(w[None], mask[None], k, tau=tau, noise=noise[:, None])
+            draws = prefix_draws(w[None], mask[None], k, tau, noise=noise[:, None])
             ref, order, _ = oracle_draws(w, mask, noise, tau)
+            assert len(draws) == k
             for t in range(k):
-                np.testing.assert_allclose(steps[t].data[0], ref[t], rtol=0, atol=1e-12)
-            assert selection_order(steps) == order
+                np.testing.assert_allclose(draws[t][0], ref[t], rtol=0, atol=1e-12)
+            assert selection_order(draws) == order
 
 
 class TestBatchedRows:
@@ -280,19 +302,19 @@ class TestBatchedRows:
         mask = (rng.random((n, d)) < 0.2).astype(int)
         mask[:, :k] = 0  # keep every row feasible
         noise = gt.sample_gumbel((k, n, d), rng)
-        batched, steps = gt.k_hot_gate_rows(ad.Tensor(w), mask, k, tau=0.8, noise=noise)
+        batched = gt.k_hot_gate_rows(ad.Tensor(w), mask, k, tau=0.8, noise=noise)
+        draws = prefix_draws(ad.Tensor(w), mask, k, 0.8, noise=noise)
         for i in range(n):
             ref, order, m = oracle_draws(w[i], mask[i], noise[:, i, :], 0.8)
             np.testing.assert_allclose(batched.data[i], np.sum(ref, axis=0), rtol=0, atol=1e-12)
-            assert selection_order(steps, i) == order
+            assert selection_order(draws, i) == order
             # drawing from an rng: a one-row batch takes one (1, d) Gumbel draw per step from it
-            row, drawn = gt.k_hot_gate_rows(
-                ad.Tensor(w[i : i + 1]), mask[i : i + 1], k, tau=0.8, rng=np.random.default_rng(seed)
-            )
+            gates = prefix_gates(ad.Tensor(w[i : i + 1]), mask[i : i + 1], k, 0.8, rng=np.random.default_rng(seed))
             ref_rng = np.random.default_rng(seed)
             ref, order, m = oracle_draws(w[i], mask[i], [gt.sample_gumbel((1, d), ref_rng)[0] for _ in range(k)], 0.8)
-            np.testing.assert_allclose(row.data[0], np.sum(ref, axis=0), rtol=0, atol=1e-12)
-            assert [s.data.shape for s in drawn] == [(1, d)] * k
+            np.testing.assert_allclose(gates[-1][0], np.sum(ref, axis=0), rtol=0, atol=1e-12)
+            drawn = np.diff(gates, axis=0)
+            assert drawn.shape == (k, 1, d)
             assert sorted(np.flatnonzero(m != mask[i])) == sorted(selection_order(drawn))
 
     def test_batched_gradients_match_stacked_singles(self):
@@ -304,10 +326,10 @@ class TestBatchedRows:
         c = rng.normal(size=(n, d))
 
         wt = ad.Tensor(w, requires_grad=True)
-        (gt.k_hot_gate_rows(wt, mask, k, tau=1.0, noise=noise)[0] * ad.Tensor(c)).sum().backward()
+        (gt.k_hot_gate_rows(wt, mask, k, tau=1.0, noise=noise) * ad.Tensor(c)).sum().backward()
         for i in range(n):
             wi = ad.Tensor(w[i : i + 1], requires_grad=True)
-            gate, _ = gt.k_hot_gate_rows(wi, mask[i : i + 1], k, tau=1.0, noise=noise[:, i : i + 1, :])
+            gate = gt.k_hot_gate_rows(wi, mask[i : i + 1], k, tau=1.0, noise=noise[:, i : i + 1, :])
             (gate * ad.Tensor(c[i : i + 1])).sum().backward()
             np.testing.assert_allclose(wt.grad[i], wi.grad[0], atol=1e-12)
 
@@ -333,21 +355,22 @@ class TestBatchedRows:
         noise = gt.sample_gumbel((int(k.max()), n, d), rng)
         c = rng.normal(size=(n, d))
         wt = ad.Tensor(w, requires_grad=True)
-        batched, _ = gt.k_hot_gate_rows(wt, mask, k, tau=0.6, noise=noise)
+        batched = gt.k_hot_gate_rows(wt, mask, k, tau=0.6, noise=noise)
         (batched * ad.Tensor(c)).sum().backward()
         assert np.all(batched.data[0] == 0.0) and np.all(wt.grad[0] == 0.0)
         for i in range(1, n):
             ref, _, _ = oracle_draws(w[i], mask[i], noise[: k[i], i], 0.6)
             np.testing.assert_allclose(batched.data[i], np.sum(ref, axis=0), rtol=0, atol=1e-12)
             wi = ad.Tensor(w[i : i + 1], requires_grad=True)
-            single, _ = gt.k_hot_gate_rows(wi, mask[i : i + 1], int(k[i]), tau=0.6, noise=noise[: k[i], i : i + 1])
+            single = gt.k_hot_gate_rows(wi, mask[i : i + 1], int(k[i]), tau=0.6, noise=noise[: k[i], i : i + 1])
             (single * ad.Tensor(c[i : i + 1])).sum().backward()
             np.testing.assert_allclose(wt.grad[i], wi.grad[0], rtol=0, atol=1e-12)
 
     def test_all_zero_counts_give_the_zero_gate(self):
-        gate, steps = gt.k_hot_gate_rows(ad.Tensor(np.ones((2, 3))), np.ones((2, 3)), 0, tau=1.0, rng=np.random.default_rng(0))
+        w = ad.Tensor(np.ones((2, 3)), requires_grad=True)
+        gate = gt.k_hot_gate_rows(w, np.ones((2, 3)), 0, tau=1.0, rng=np.random.default_rng(0))
         np.testing.assert_array_equal(gate.data, np.zeros((2, 3)))
-        assert steps == []
+        assert not gate.requires_grad and len(ad._toposort(gate)) == 1
 
     @pytest.mark.parametrize("shape", [(1, 2, 4), (2, 3, 4), (2, 2, 5), (2, 4)])
     def test_noise_of_the_wrong_shape_is_a_shape_error(self, shape):
@@ -384,25 +407,28 @@ class TestAllHeads:
 
         w = ad.Tensor(w0, requires_grad=True)
         all_heads = source()
-        gate, steps = gt.k_hot_gate_rows(w, ~live, k, tau, **all_heads)
+        gate = gt.k_hot_gate_rows(w, ~live, k, tau, **all_heads)
         if gate.requires_grad:
             (gate * ad.Tensor(c)).sum().backward()
         one = source()  # the per-head calls share one rng, head 0's draws first
-        ref_gates, ref_steps, ref_grads = [], [], []
+        ref_gates, ref_prefixes, ref_grads = [], [], []
         for h in range(heads):
             cols = slice(h * d, (h + 1) * d)
             wh = ad.Tensor(w0[:, cols], requires_grad=True)
-            gh, sh = gt.k_hot_gate_rows(wh, ~live, k, tau, **one)
+            if frozen:
+                ref_prefixes.append(prefix_gates(w0[:, cols], ~live, k, tau, noise=noise))
+            gh = gt.k_hot_gate_rows(wh, ~live, k, tau, **one)
             if gh.requires_grad:
                 (gh * ad.Tensor(c[:, cols])).sum().backward()
             ref_gates.append(gh.data)
-            ref_steps.append([s.data for s in sh])
             ref_grads.append(np.zeros((n, d)) if wh.grad is None else wh.grad)
+        assert gate.data.shape == (n, heads * d)
         assert np.array_equal(gate.data, np.concatenate(ref_gates, axis=1))
-        assert len(steps) == draws
-        for t, step in enumerate(steps):
-            assert step.data.shape == (n, heads * d)
-            assert np.array_equal(step.data, np.concatenate([s[t] for s in ref_steps], axis=1))
+        if frozen:  # every prefix of the draws, so every draw, equals the per-head draws
+            prefixes = prefix_gates(w0, ~live, k, tau, noise=noise)
+            assert len(prefixes) == draws + 1
+            for j, prefix in enumerate(prefixes):
+                assert np.array_equal(prefix, np.concatenate([r[j] for r in ref_prefixes], axis=1))
         grad = np.zeros((n, heads * d)) if w.grad is None else w.grad
         assert np.array_equal(grad, np.concatenate(ref_grads, axis=1))
         if not frozen:  # both took the same number of uniforms
@@ -417,7 +443,7 @@ class TestAllHeads:
         sizes = []
         for heads in (1, 3):
             w = ad.Tensor(rng.normal(size=(n, heads * d)), requires_grad=True)
-            gate, _ = gt.k_hot_gate_rows(w, ~live, k, 0.5, rng=rng)
+            gate = gt.k_hot_gate_rows(w, ~live, k, 0.5, rng=rng)
             sizes.append(len(ad._toposort(gate)))
         assert sizes[0] == sizes[1]
 
@@ -428,7 +454,7 @@ class TestAllHeads:
 
 
 def dense_gate_rows(w, mask, k, tau, rng=None, noise=None):
-    """The soft gate with every draw over the full (n, d) rows: the reference for the live-column block."""
+    """The soft gate with every draw over the full (n, d) rows, and those draws: the live-column block's reference."""
     w = ad.as_tensor(w)
     n, d = w.data.shape
     live = np.asarray(mask) == 0
@@ -442,7 +468,7 @@ def dense_gate_rows(w, mask, k, tau, rng=None, noise=None):
         if not active.all():
             step = step * ad.Tensor(np.broadcast_to(active[:, None], (n, d)) * 1.0)
         live[active, np.argmax(step.data, axis=1)[active]] = False
-        steps.append(step)
+        steps.append(step.data)
         gate = step if gate is None else gate + step
     return (ad.Tensor(np.zeros((n, d))) if gate is None else gate), steps
 
@@ -466,19 +492,24 @@ class TestLiveColumnBlock:
             c = rng.normal(size=(n, d))
             seed_draw = int(rng.integers(2**31))
             frozen = rng.random() < 0.5
-            got = []
-            for gate_fn in (dense_gate_rows, gt.k_hot_gate_rows):
-                source = np.random.default_rng(seed_draw)
-                kw = {"noise": gt.sample_gumbel((int(k.max(initial=0)), n, d), source)} if frozen else {"rng": source}
-                w = ad.Tensor(w0, requires_grad=True)
-                gate, steps = gate_fn(w, ~live, k, tau, **kw)
-                if gate.requires_grad:
-                    (gate * ad.Tensor(c)).sum().backward()
-                got.append((gate.data, w.grad, [s.data for s in steps]))
-            (ref, ref_grad, ref_steps), (gate, grad, steps) = got
-            assert np.array_equal(gate, ref)
-            assert (grad is None and ref_grad is None) or np.array_equal(grad, ref_grad)
-            assert len(steps) == len(ref_steps) and all(np.array_equal(a, b) for a, b in zip(steps, ref_steps))
+
+            def source():
+                draws = np.random.default_rng(seed_draw)
+                return {"noise": gt.sample_gumbel((int(k.max(initial=0)), n, d), draws)} if frozen else {"rng": draws}
+
+            w_ref, w = ad.Tensor(w0, requires_grad=True), ad.Tensor(w0, requires_grad=True)
+            ref, ref_steps = dense_gate_rows(w_ref, ~live, k, tau, **source())
+            gate = gt.k_hot_gate_rows(w, ~live, k, tau, **source())
+            for g in (ref, gate):
+                if g.requires_grad:
+                    (g * ad.Tensor(c)).sum().backward()
+            assert np.array_equal(gate.data, ref.data)
+            assert (w.grad is None and w_ref.grad is None) or np.array_equal(w.grad, w_ref.grad)
+            if frozen:  # the gate cut to j draws is the sum of the first j dense draws, so every draw is equal
+                prefixes = prefix_gates(w0, ~live, k, tau, **source())
+                sums = np.cumsum([np.zeros((n, d))] + ref_steps, axis=0)  # sequential, in the gate's order
+                assert len(prefixes) == len(sums)
+                assert all(np.array_equal(a, b) for a, b in zip(prefixes, sums))
 
     @pytest.mark.parametrize("tau", [1.0, 0.2])
     @pytest.mark.parametrize("seed", range(8))
@@ -494,7 +525,7 @@ class TestLiveColumnBlock:
         c = rng.normal(size=(n, d))
 
         def objective(x):
-            gate, _ = gt.k_hot_gate_rows(ad.as_tensor(x), ~live, k, tau=tau, noise=noise)
+            gate = gt.k_hot_gate_rows(ad.as_tensor(x), ~live, k, tau=tau, noise=noise)
             return (gate * ad.Tensor(c)).sum()
 
         wt = ad.Tensor(w0, requires_grad=True)
@@ -502,6 +533,24 @@ class TestLiveColumnBlock:
         fd = ad.finite_difference_grad(lambda x: float(objective(ad.Tensor(x)).data), w0)
         assert ad.rel_error(wt.grad, fd) <= 1e-4
         assert np.all(wt.grad[~live] == 0.0)
+
+    def test_forward_memory_grows_by_the_block_per_draw_not_the_rows(self):
+        # a bag-of-words batch: 32 samples, 3 heads, d = 2000, about 1% live
+        rng = np.random.default_rng(9800)
+        n, heads, d = 32, 3, 2000
+        live = rng.random((n, d)) < 0.01
+        live[np.arange(n)[:, None], rng.integers(0, d, size=(n, 20))] = True
+        w = ad.Tensor(rng.normal(size=(n, heads * d)), requires_grad=True)
+        peaks = {}
+        for k in (2, 20):
+            tracemalloc.start()
+            try:
+                gt.k_hot_gate_rows(w, ~live, np.minimum(k, live.sum(axis=1)), 0.5, rng=rng)
+                peaks[k] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # each further draw may keep block-wide arrays, but less than half of one (n·heads, d) float64 array
+        assert (peaks[20] - peaks[2]) / 18 < n * heads * d * 8 / 2
 
 
 def reference_topk(w, live, k):
@@ -523,23 +572,29 @@ def random_topk_rows(rng, shape):
     return w, live
 
 
+def hard_order(w, live, k):
+    """The hard gate's order: indices of the k largest live ``w**2``, dead indices last."""
+    return gt.k_hot_gate(w, live, k)[1]
+
+
 class TestTopkSelect:
+    """The hard gate's order is an exact stable top-k of the live ``w**2``."""
+
     def test_underflow_regression(self):
         # the log-softmax draw loop rounded the small weights to one value and returned [0, 1, 2]
         w = np.array([1.0, 1e-9, 2e-9, 3e-9])
-        assert gt.topk_select(w, True, 3).tolist() == [0, 3, 2]
         g, order = gt.k_hot_gate(w, True, 3)
         assert order.tolist() == [0, 3, 2]
         np.testing.assert_array_equal(g, [1.0, 0.0, 1.0, 1.0])
 
     def test_ties_go_to_lowest_index_and_sign_is_ignored(self):
         w = np.array([0.5, -2.0, 2.0, -0.5, 2.0])
-        assert gt.topk_select(w, True, 5).tolist() == [1, 2, 4, 0, 3]
+        assert hard_order(w, True, 5).tolist() == [1, 2, 4, 0, 3]
 
     def test_dead_entries_sort_last(self):
         w = np.array([5.0, 1.0, 4.0, 3.0])
         live = np.array([False, True, False, True])
-        assert gt.topk_select(w, live, 4).tolist() == [3, 1, 0, 2]
+        assert hard_order(w, live, 4).tolist() == [3, 1, 0, 2]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_reference_on_vectors(self, seed):
@@ -548,7 +603,7 @@ class TestTopkSelect:
             d = int(rng.integers(1, 40))
             w, live = random_topk_rows(rng, (d,))
             k = int(rng.integers(1, d + 1))
-            got = gt.topk_select(w, live, k)
+            got = hard_order(w, live, k)
             ref = reference_topk(w, live, k)
             np.testing.assert_array_equal(got[: ref.size], ref)
             assert not live[got[ref.size :]].any()
@@ -561,7 +616,7 @@ class TestTopkSelect:
             w, _ = random_topk_rows(rng, (n, heads, d))
             live = rng.random((n, 1, d)) < 0.7  # one mask per sample, shared by its heads
             k = int(rng.integers(1, d + 1))
-            got = gt.topk_select(w, live, k)
+            got = hard_order(w, live, k)
             assert got.shape == (n, heads, k)
             for i in range(n):
                 for c in range(heads):

@@ -149,6 +149,15 @@ class TestCoarseToFine:
         with pytest.raises(ValueError, match="non-empty"):
             coarse_to_fine_train(model, [], val, TrainSchedule(), np.random.default_rng(0))
 
+    def test_k_coarse_below_the_model_k_is_rejected_before_any_epoch(self):
+        _, train, val, _ = small_problem()
+        cfg = ModelConfig(d=8, k=5, extractor={"kind": "vector", "dim": 10}, fc_width=16)
+        model = GatedLocalLinear(cfg, np.random.default_rng(0))
+        log = []
+        with pytest.raises(ValueError, match="k_coarse >= k_target >= 1"):
+            coarse_to_fine_train(model, train, val, TrainSchedule(k_coarse=2), np.random.default_rng(0), log.append)
+        assert log == []
+
     def test_infeasible_target_k_names_samples(self):
         cfg, train, val, _ = small_problem()
         train[3].m = np.ones(8, dtype=np.int64)
