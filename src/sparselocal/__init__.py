@@ -8,8 +8,8 @@ open gates and their signed weights are the explanation of each
 prediction.
 """
 
-from .autodiff import Tensor, finite_difference_grad, rel_error
-from .gate import k_hot_gate, masked_log_prob, sample_gumbel
+from .autodiff import Tensor
+from .gate import k_hot_gate
 from .model import Explanation, GatedLocalLinear, DirectClassifier, ModelConfig
 from .train import Adam, MomentumSGD, TrainSchedule, coarse_to_fine_train, evaluate
 from .data import Dataset, Sample, make_synthetic, split_dataset
@@ -29,11 +29,7 @@ __all__ = [
     "TrainSchedule",
     "coarse_to_fine_train",
     "evaluate",
-    "finite_difference_grad",
     "k_hot_gate",
     "make_synthetic",
-    "masked_log_prob",
-    "rel_error",
-    "sample_gumbel",
     "split_dataset",
 ]

@@ -446,35 +446,3 @@ def max_pool2d(x, window):
         accumulate_grad(x, dx)
 
     return make_op(pooled, (x,), "max_pool2d", backward)
-
-
-def finite_difference_grad(f, x, eps=1e-4):
-    """Central-difference gradient of a scalar function, the verification oracle.
-
-    ``f`` must be deterministic (freeze any noise before calling) and is
-    evaluated at 2 * x.size perturbed points. The same array object is
-    passed to ``f`` every time with one coordinate displaced.
-    """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    x = np.array(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gflat = grad.reshape(-1)
-    for j in range(flat.size):
-        orig = flat[j]
-        flat[j] = orig + eps
-        fp = float(f(x))
-        flat[j] = orig - eps
-        fm = float(f(x))
-        flat[j] = orig
-        gflat[j] = (fp - fm) / (2.0 * eps)
-    return grad
-
-
-def rel_error(a, b):
-    """Max-norm relative disagreement between two gradient arrays."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))), 1e-12)
-    return float(np.max(np.abs(a - b))) / scale

@@ -235,20 +235,20 @@ def cmd_eval(args):
     if not data.test:
         raise ConfigError("evaluation needs a non-empty test split")
     ks = _parse_k_list(args.k)
+    if args.dense and model.config.num_classes != 2:
+        raise ConfigError("dense truncation evaluation supports binary models only")
+    if args.baselines and model.config.num_classes != 2:
+        raise ConfigError("linear baselines support binary labels only")
     rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     for k in ks:
         acc = evaluate(model, data.test, k=k, mode=args.mode, rng=rng)
         _emit({"model": "gated", "k": k, "mode": args.mode, "accuracy": acc})
     if args.dense:
-        if model.config.num_classes != 2:
-            raise ConfigError("dense truncation evaluation supports binary models only")
         # the top-k of the dense weights is the hard gate over samples with every feature live
         unmasked = [replace(s, m=np.zeros_like(s.m)) for s in data.test]
         for k in ks:
             _emit({"model": "dense_topk", "k": k, "accuracy": evaluate(model, unmasked, k)})
     if args.baselines:
-        if model.config.num_classes != 2:
-            raise ConfigError("linear baselines support binary labels only")
         for name, fit in (("ridge", bl.ridge_fit), ("lasso", bl.lasso_fit)):
             linear, alpha = bl.select_alpha(fit, data.train, data.val)
             for k in ks:
@@ -310,7 +310,7 @@ def cmd_explain(args):
     record = {
         "sample_id": explanation.sample_id,
         "prediction": explanation.prediction,
-        "mode": explanation.mode,
+        "mode": "hard",
         "k": k,
         "entries": [
             {"index": i, "name": n, "weight": w} for i, n, w in explanation.entries

@@ -9,10 +9,6 @@ class GateExhaustedError(RuntimeError):
     """More gates were requested than there are unmasked features."""
 
 
-class GateStateError(RuntimeError):
-    """A gate draw selected an index that was already masked."""
-
-
 class DataFormatError(ValueError):
     """An input file does not match its declared container format."""
 

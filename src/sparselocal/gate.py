@@ -25,9 +25,9 @@ There is one function per gate, each batched over rows of weights.
   the hard gate is computed in one step: an exact stable top-k over the
   live ``w**2``, ties going to the lowest index.
 
-The one-draw primitives :func:`masked_log_prob`, :func:`gate_step` and
-:func:`update_mask` follow the paper's formulas for a single vector; the
-tests compare both gates against them.
+The paper's formulas for one draw of a single vector, ``log pi``, the
+draw and the mask update, are written out in plain numpy in the tests'
+``tests/oracles.py``; the tests compare both gates against them.
 
 Masked-out entries are excluded from every softmax sum and carry an
 infinite negative sentinel in log space, so their gate values are exact
@@ -39,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .errors import GateExhaustedError, GateStateError, ShapeError
+from .errors import GateExhaustedError, ShapeError
 
 SENTINEL = -np.inf
 
@@ -48,28 +48,6 @@ def _gumbel(u):
     """Standard Gumbel values -log(-log(u)) of uniforms u, clamped away from {0, 1}."""
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
     return -np.log(-np.log(u))
-
-
-def sample_gumbel(shape, rng):
-    """Standard Gumbel draws, -log(-log(u)); uniforms clamped away from {0, 1}."""
-    return _gumbel(rng.random(shape))
-
-
-def _masked_log_softmax(x, live):
-    """Row-wise log softmax over live entries only; dead entries get the sentinel."""
-    data = x.data
-    shifted = np.where(live, data, 0.0)
-    m = np.max(np.where(live, data, SENTINEL), axis=-1, keepdims=True)
-    e = np.where(live, np.exp(shifted - m), 0.0)
-    z = e.sum(axis=-1, keepdims=True)
-    out = np.where(live, data - m - np.log(z), SENTINEL)
-    p = e / z
-
-    def backward(g):
-        gl = np.where(live, g, 0.0)
-        ad.accumulate_grad(x, gl - p * gl.sum(axis=-1, keepdims=True))
-
-    return ad.make_op(out, (x,), "masked_log_softmax", backward)
 
 
 def _row_sum(a):
@@ -93,47 +71,6 @@ def _masked_softmax(x, live, row_sum=_row_sum):
         ad.accumulate_grad(x, s * (g - dot))
 
     return ad.make_op(s, (x,), "masked_softmax", backward)
-
-
-def masked_log_prob(w, mask):
-    """Log selection probabilities for one draw: log softmax of w**2 over unmasked entries.
-
-    Masked entries receive the sentinel so that they contribute exactly
-    zero to any later softmax sum.
-    """
-    w = ad.as_tensor(w)
-    mask = np.asarray(mask)
-    if mask.shape != w.data.shape:
-        raise ShapeError(f"masked_log_prob: weights {w.data.shape} vs mask {mask.shape}")
-    live = mask == 0
-    if not live.any():
-        raise GateExhaustedError("every feature is masked; nothing can be gated open")
-    return _masked_log_softmax(ad.square(w), live)
-
-
-def gate_step(log_pi, lam, tau):
-    """One relaxed draw: softmax of (log_pi + lam) / tau over non-sentinel entries."""
-    if tau <= 0:
-        raise ValueError(f"temperature must be positive, got {tau}")
-    log_pi = ad.as_tensor(log_pi)
-    live = np.isfinite(log_pi.data)
-    if not live.any():
-        raise GateExhaustedError("gate_step: no live entries left")
-    lam = np.where(live, np.asarray(lam, dtype=np.float64), 0.0)
-    scores = (log_pi + ad.Tensor(lam)) * (1.0 / tau)
-    return _masked_softmax(scores, live)
-
-
-def update_mask(mask, step):
-    """Mark the winning index of one draw as used; ties resolve to the lowest index."""
-    values = step.data if isinstance(step, ad.Tensor) else np.asarray(step)
-    mask = np.asarray(mask)
-    j = int(np.argmax(values))
-    if mask[j] != 0:
-        raise GateStateError(f"draw winner {j} is already masked; masking of earlier draws was violated")
-    out = mask.copy()
-    out[j] = 1
-    return out
 
 
 def k_hot_gate(w, live, k):

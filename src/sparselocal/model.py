@@ -92,7 +92,6 @@ class Explanation:
 
     prediction: float
     entries: list  # (feature_index, feature_name, weight), |weight| descending
-    mode: str
     sample_id: object = None
 
     @property
@@ -460,7 +459,7 @@ class GatedLocalLinear(_TrunkModel):
                 head = int(np.argmax(scores[i]))
                 prediction = head
             entries = [(int(j), names[j], float(grid[i, head, j])) for j in order[i, head]]
-            out.append(Explanation(prediction=prediction, entries=entries, mode="hard", sample_id=s.id))
+            out.append(Explanation(prediction=prediction, entries=entries, sample_id=s.id))
         return out
 
 

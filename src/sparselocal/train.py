@@ -85,6 +85,10 @@ class TrainSchedule:
     def __post_init__(self):
         if self.k_target is not None and not self.k_coarse >= self.k_target >= 1:
             raise ValueError("schedule requires k_coarse >= k_target >= 1")
+        for field, least in (("batch_size", 1), ("max_coarse_epochs", 0), ("max_fine_epochs", 0)):
+            value = getattr(self, field)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ValueError(f"{field} must be an integer >= {least}, got {value!r}")
 
     @property
     def fine_lr(self):

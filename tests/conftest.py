@@ -1,21 +1,13 @@
-import sys
-from pathlib import Path
-
 import pytest
 
-# allow running the suite from a source checkout without installing
-SRC = Path(__file__).resolve().parent.parent / "src"
-if str(SRC) not in sys.path:
-    sys.path.insert(0, str(SRC))
-
-from sparselocal.data import (  # noqa: E402
+from sparselocal.data import (
     load_image_dataset,
     make_synthetic,
     split_dataset,
     write_idx_images,
     write_idx_labels,
 )
-from sparselocal.digits import make_digit_images  # noqa: E402
+from sparselocal.digits import make_digit_images
 
 
 @pytest.fixture(scope="session")

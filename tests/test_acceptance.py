@@ -40,6 +40,8 @@ from sparselocal.data import Sample
 from sparselocal.model import GatedLocalLinear, ModelConfig
 from sparselocal.train import TrainSchedule, coarse_to_fine_train, evaluate
 
+from oracles import grad_error, param_grad_error
+
 GRAD_TOL = 1e-4
 
 
@@ -70,13 +72,6 @@ def image_config(k):
 # --- C1 ----------------------------------------------------------------------
 
 
-def fd_matches(build, x0, eps=1e-4):
-    t = ad.Tensor(x0, requires_grad=True)
-    build(t).backward()
-    fd = ad.finite_difference_grad(lambda x: float(build(ad.Tensor(x)).data), x0, eps=eps)
-    return ad.rel_error(t.grad, fd)
-
-
 def test_c1_gradient_oracle_suite(report):
     start = time.monotonic()
     rng = np.random.default_rng(2024)
@@ -96,15 +91,15 @@ def test_c1_gradient_oracle_suite(report):
             "softplus": lambda t: (ad.softplus(t) * ad.Tensor(c)).sum(),
         }
         for name, build in cases.items():
-            worst[name] = max(worst.get(name, 0.0), fd_matches(build, x))
+            worst[name] = max(worst.get(name, 0.0), grad_error(build, x))
 
         a = rng.normal(size=(3, 4))
         b = rng.normal(size=(4, 2))
         cm = rng.normal(size=(3, 2))
         worst["matmul"] = max(
             worst.get("matmul", 0.0),
-            fd_matches(lambda t: (ad.matmul(t, ad.Tensor(b)) * ad.Tensor(cm)).sum(), a),
-            fd_matches(lambda t: (ad.matmul(ad.Tensor(a), t) * ad.Tensor(cm)).sum(), b),
+            grad_error(lambda t: (ad.matmul(t, ad.Tensor(b)) * ad.Tensor(cm)).sum(), a),
+            grad_error(lambda t: (ad.matmul(ad.Tensor(a), t) * ad.Tensor(cm)).sum(), b),
         )
 
         xi = rng.normal(size=(2, 5, 5))[None]  # the batch axis is added after the draw, keeping the stream
@@ -112,15 +107,15 @@ def test_c1_gradient_oracle_suite(report):
         co = rng.normal(size=(3, 5, 5))[None]
         worst["conv2d"] = max(
             worst.get("conv2d", 0.0),
-            fd_matches(lambda t: (ad.conv2d(t, ad.Tensor(ki), padding=1) * ad.Tensor(co)).sum(), xi),
-            fd_matches(lambda t: (ad.conv2d(ad.Tensor(xi), t, padding=1) * ad.Tensor(co)).sum(), ki),
+            grad_error(lambda t: (ad.conv2d(t, ad.Tensor(ki), padding=1) * ad.Tensor(co)).sum(), xi),
+            grad_error(lambda t: (ad.conv2d(ad.Tensor(xi), t, padding=1) * ad.Tensor(co)).sum(), ki),
         )
 
         xp = (rng.permutation(np.arange(36.0)).reshape(1, 6, 6) * 0.1)[None]
         cp = rng.normal(size=(1, 3, 3))[None]
         worst["max_pool2d"] = max(
             worst.get("max_pool2d", 0.0),
-            fd_matches(lambda t: (ad.max_pool2d(t, 2) * ad.Tensor(cp)).sum(), xp),
+            grad_error(lambda t: (ad.max_pool2d(t, 2) * ad.Tensor(cp)).sum(), xp),
         )
 
         xr = rng.normal(size=(3, 5))
@@ -131,7 +126,7 @@ def test_c1_gradient_oracle_suite(report):
             "mean": lambda t: t.mean(),
         }
         for name, build in reductions.items():
-            worst[name] = max(worst.get(name, 0.0), fd_matches(build, xr))
+            worst[name] = max(worst.get(name, 0.0), grad_error(build, xr))
 
     # the full model end to end, both operating temperatures, frozen noise
     for tau in (1.0, 0.1):
@@ -140,23 +135,10 @@ def test_c1_gradient_oracle_suite(report):
         model = GatedLocalLinear(cfg, rng_m)
         z = rng_m.normal(size=8)
         sample = Sample(id=0, x=np.concatenate([z, [1.0, 0.0]]), z=z, y=-1, m=np.zeros(8, dtype=np.int64))
-        noise = gt.sample_gumbel((3, 8), rng_m)
-        named = model.named_parameters()
-        names = sorted(named)
-        base = np.concatenate([named[n].data.ravel() for n in names])
-
-        def run(vec):
-            lo = 0
-            for n in names:
-                p = named[n]
-                p.data[...] = vec[lo : lo + p.data.size].reshape(p.data.shape)
-                lo += p.data.size
-            return model.batch_loss([sample], tau=tau, noise=noise[:, None, :])
-
-        run(base).backward()
-        analytic = np.concatenate([named[n].grad.ravel() for n in names])
-        fd = ad.finite_difference_grad(lambda v: float(run(v).data), base)
-        worst[f"model tau={tau}"] = ad.rel_error(analytic, fd)
+        noise = gt._gumbel(rng_m.random((3, 8)))
+        worst[f"model tau={tau}"] = param_grad_error(
+            model, lambda: model.batch_loss([sample], tau=tau, noise=noise[:, None, :])
+        )
 
     elapsed = time.monotonic() - start
     offenders = {k: v for k, v in worst.items() if v > GRAD_TOL}

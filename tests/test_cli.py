@@ -189,11 +189,14 @@ class TestConfigSections:
         assert (spec["embed_dim"], spec["filters"], spec["filter_widths"]) == (12, 6, [3, 4, 5])
         assert spec["pad_index"] == 0 and model.generator.extractor.filters == 6
 
-    @pytest.mark.parametrize("train", [{"tau_fine": 0.05}, {"tau_coarse": 2.0}, {"k_coarse": 0}])
+    @pytest.mark.parametrize("train", [
+        {"tau_fine": 0.05}, {"tau_coarse": 2.0}, {"k_coarse": 0},
+        {"batch_size": 0}, {"batch_size": -4}, {"max_fine_epochs": -1},
+    ])
     def test_bad_train_section_exits_two(self, tmp_path, capsys, train):
-        code, _records, err = train_with(capsys, tmp_path, train=train)
-        assert code == 2
-        assert "bad train section" in err
+        code, records, err = train_with(capsys, tmp_path, train=train)
+        assert code == 2 and records == []
+        assert "bad train section" in err and next(iter(train)) in err
 
     @pytest.mark.parametrize("model", [{"k": "one"}, {"k": 0}, {"tau_fine": 2.0}])
     def test_bad_model_value_exits_two(self, tmp_path, capsys, model):
@@ -355,6 +358,19 @@ class TestEvalCommand:
         assert "non-empty test split" in err
         assert records == []  # rejected before any row, so no NaN accuracy reaches stdout
 
+    @pytest.mark.parametrize("flag", ["--dense", "--baselines"])
+    def test_binary_only_rows_on_a_multiclass_model_exit_before_any_row(self, tmp_path, capsys, flag):
+        (tmp_path / "corpus.tsv").write_text("".join(f"{c}\t{c * 3} film\n" for c in "abc" * 6))  # three classes
+        manifest = {"type": "text", "path": "corpus.tsv", "fractions": [0.5, 0.25, 0.25], "seed": 0}
+        code, _records, _ = train_with(capsys, tmp_path, model={"embed_dim": 4, "filters": 2}, manifest=manifest)
+        assert code == 0
+        code, records, err = run_cli(
+            capsys, "eval", "--checkpoint", str(tmp_path / "m.ckpt"),
+            "--dataset", str(tmp_path / "manifest.json"), "--k", "1,2,3", flag,
+        )
+        assert code == 2 and "binary" in err
+        assert records == []  # rejected before any gated row reaches stdout
+
     def test_bad_checkpoint_version(self, synth_run, tmp_path, capsys):
         blob = bytearray((synth_run / "model.ckpt").read_bytes())
         blob[4:8] = struct.pack("<I", 99)
@@ -376,7 +392,7 @@ class TestExplainCommand:
         )
         assert code == 0
         rec = records[0]
-        assert len(rec["entries"]) == 3
+        assert len(rec["entries"]) == 3 and rec["mode"] == "hard"
         assert {"index", "name", "weight"} <= set(rec["entries"][0])
 
     def test_svg_heatmap_colors(self, image_run, capsys):

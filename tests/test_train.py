@@ -97,6 +97,14 @@ class TestSchedule:
         with pytest.raises(ValueError):
             TrainSchedule(k_coarse=2, k_target=5)
 
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 0), ("batch_size", -4), ("batch_size", 2.5), ("batch_size", True),
+        ("max_coarse_epochs", -1), ("max_fine_epochs", 1.0),
+    ])
+    def test_rejects_batch_sizes_and_epoch_budgets_that_train_nothing(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be an integer"):
+            TrainSchedule(**{field: value})
+
     def test_roundtrips_through_dict(self):
         sched = TrainSchedule(adam_lr=2e-3, k_coarse=7, k_target=3)
         assert TrainSchedule.from_dict(sched.to_dict()) == sched
