@@ -389,11 +389,13 @@ def conv2d(x, kernels, padding=0):
     oh = h + 2 * ph - kh + 1
     ow = w + 2 * pw - kw + 1
 
-    buf = np.zeros((c, n, h + 2 * ph, w + 2 * pw))
+    # im2col in one copy; columns ordered (c, kh, kw) like the kernel rows. flat is column-major, so
+    # it is copied along contiguous runs of a (c, n, h, w) view, and OpenBLAS gives each row of the
+    # product the same bits at every row count above one. Full-width kernels (ow == 1, as in text)
+    # pad into width-major (c, w, n, h) memory, so that a run is a column of oh entries, not one.
+    buf = np.zeros((c, w + 2 * pw, n, h + 2 * ph) if ow == 1 else (c, n, h + 2 * ph, w + 2 * pw))
+    buf = buf.transpose(0, 2, 3, 1) if ow == 1 else buf
     buf[:, :, ph : ph + h, pw : pw + w] = xd.transpose(1, 0, 2, 3)
-    # im2col in one copy; columns ordered (c, kh, kw) like the kernel rows. flat is column-major,
-    # so it is copied along contiguous rows of a (c, n, h, w) buffer, and OpenBLAS gives each
-    # row of the product the same bits at every row count above one.
     cols = np.lib.stride_tricks.sliding_window_view(buf, (kh, kw), axis=(2, 3)).transpose(0, 4, 5, 1, 2, 3)
     flat = np.ascontiguousarray(cols).reshape(c * kh * kw, n * oh * ow).T
     out_data = (flat @ kd.reshape(c_out, -1).T).reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
@@ -405,9 +407,10 @@ def conv2d(x, kernels, padding=0):
         if x.requires_grad:
             dcols = (gflat @ kd.reshape(c_out, -1)).reshape(n, oh, ow, c, kh, kw)
             dbuf = np.zeros((n, h + 2 * ph, w + 2 * pw, c))  # channels-last, like the rows of dcols
-            for i in range(kh):
-                for j in range(kw):
-                    dbuf[:, i : i + oh, j : j + ow] += dcols[..., i, j]
+            if ow == 1:  # swap the one output column and the kernel columns: each kernel row is one add
+                dcols = dcols.swapaxes(2, 5)
+            for i, j in np.ndindex(kh, dcols.shape[5]):
+                dbuf[:, i : i + oh, j : j + dcols.shape[2]] += dcols[..., i, j]
             accumulate_grad(x, dbuf[:, ph : ph + h, pw : pw + w].transpose(0, 3, 1, 2))
 
     return make_op(out_data, (x, kernels), "conv2d", backward)

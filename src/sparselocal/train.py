@@ -21,12 +21,35 @@ from . import autodiff as ad
 from .errors import GateExhaustedError, NonFiniteLossError
 
 
-class Adam:
+_SLICE = 1 << 15  # entries per pass of an in-place optimizer update, whose temporaries fill a fixed scratch
+
+
+class _Optimizer:
+    """Steps in place: one pass over a small parameter, runs of rows along the first axis of a large one."""
+
+    def __init__(self, params, lr):
+        self.params = list(params)
+        self.lr = float(lr)
+        width = max([min(p.data.size, max(_SLICE, p.data[:1].size)) for p in self.params if p.data.ndim] + [1])
+        scratch = np.empty((2, width))  # as large as the largest pass
+        self._plans = []  # per parameter: (index, scratch, scratch) of each pass, the scratch in the pass's shape
+        for p in self.params:
+            rows = max(1, _SLICE * len(p.data) // p.data.size) if p.data.size > _SLICE else None
+            cuts = [...] if rows is None else [slice(lo, lo + rows) for lo in range(0, len(p.data), rows)]
+            self._plans.append([(at, *(s[: p.data[at].size].reshape(p.data[at].shape) for s in scratch)) for at in cuts])
+
+    def _passes(self, *state):  # views (param, grad, *state, scratch, scratch) per pass with a gradient
+        for p, plan, *rest in zip(self.params, self._plans, *state):
+            for at, a, b in plan if p.grad is not None else ():
+                arrays = (p.data, p.grad, *rest)
+                yield *(arrays if at is ... else [x[at] for x in arrays]), a, b
+
+
+class Adam(_Optimizer):
     """Adam with bias correction; lr 1e-3, betas (0.9, 0.999), eps 1e-8 by default."""
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = list(params)
-        self.lr = float(lr)
+        super().__init__(params, lr)
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -36,32 +59,28 @@ class Adam:
         self.t += 1
         b1t = 1.0 - self.beta1**self.t
         b2t = 1.0 - self.beta2**self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            if p.grad is None:
-                continue
+        for p, g, m, v, a, b in self._passes(self.m, self.v):  # p -= lr * (m / b1t) / (sqrt(v / b2t) + eps)
             m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
+            m += np.multiply(g, 1.0 - self.beta1, out=a)
             v *= self.beta2
-            v += (1.0 - self.beta2) * (p.grad * p.grad)
-            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            v += np.multiply(np.multiply(g, g, out=a), 1.0 - self.beta2, out=a)
+            np.multiply(np.divide(m, b1t, out=a), self.lr, out=a)
+            p -= np.divide(a, np.add(np.sqrt(np.divide(v, b2t, out=b), out=b), self.eps, out=b), out=a)
 
 
-class MomentumSGD:
+class MomentumSGD(_Optimizer):
     """Heavy-ball update: v <- momentum * v + grad; param <- param - lr * v."""
 
     def __init__(self, params, lr, momentum=0.9):
-        self.params = list(params)
-        self.lr = float(lr)
+        super().__init__(params, lr)
         self.momentum = float(momentum)
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self):
-        for p, v in zip(self.params, self.v):
-            if p.grad is None:
-                continue
+        for p, g, v, a, _ in self._passes(self.v):
             v *= self.momentum
-            v += p.grad
-            p.data -= self.lr * v
+            v += g
+            p -= np.multiply(v, self.lr, out=a)
 
 
 def zero_grads(params):
@@ -85,10 +104,14 @@ class TrainSchedule:
     def __post_init__(self):
         if self.k_target is not None and not self.k_coarse >= self.k_target >= 1:
             raise ValueError("schedule requires k_coarse >= k_target >= 1")
-        for field, least in (("batch_size", 1), ("max_coarse_epochs", 0), ("max_fine_epochs", 0)):
+        for field, least in (("batch_size", 1), ("max_coarse_epochs", 0), ("max_fine_epochs", 0), ("patience", 1)):
             value = getattr(self, field)
             if isinstance(value, bool) or not isinstance(value, int) or value < least:
                 raise ValueError(f"{field} must be an integer >= {least}, got {value!r}")
+        for field, top in (("adam_lr", math.inf), ("momentum", 1)):  # a NaN fails 0 <= value
+            value = getattr(self, field)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < top:
+                raise ValueError(f"{field} must be a real number in [0, {top}), got {value!r}")
 
     @property
     def fine_lr(self):

@@ -296,6 +296,12 @@ class TestLoopReferences:
         ((2, 3, 6, 5), (4, 3, 3, 2), 0),
         ((2, 3, 6, 5), (4, 3, 3, 2), 1),
         ((2, 3, 6, 5), (4, 3, 3, 2), (0, 2)),
+        ((32, 1, 40, 64), (32, 1, 3, 64), 0),  # a perfbench text batch: full-width kernels, ow == 1
+        ((32, 1, 40, 64), (32, 1, 5, 64), 0),
+        ((2, 1, 9, 6), (4, 1, 3, 8), (1, 1)),  # full width through the padding
+        ((3, 2, 7, 5), (4, 2, 2, 5), 0),  # full width over two channels
+        ((1, 2, 8, 4), (3, 2, 3, 6), (2, 1)),  # one map, full width, padded
+        ((1, 1, 12, 64), (32, 1, 4, 64), 0),  # one map, as explain runs it
     ]
 
     @pytest.mark.parametrize("layout", ["contiguous", "channels_last"])

@@ -1,5 +1,8 @@
 """Optimizer behaviour, two-phase schedule mechanics, and evaluation."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from sparselocal.data import make_synthetic, split_dataset
 from sparselocal.errors import GateExhaustedError, NonFiniteLossError
 from sparselocal.model import GatedLocalLinear, ModelConfig
 from sparselocal.train import (
+    _SLICE,
     Adam,
     MomentumSGD,
     TrainSchedule,
@@ -84,6 +88,77 @@ class TestMomentumSGD:
         assert abs(p.data[0]) < 1e-3
 
 
+# shapes the optimizers split differently: a scalar, small tensors (one C-, one Fortran-ordered),
+# tensors larger than one pass whose first axis does not divide into whole passes (C and Fortran
+# order) and a (1, m) bias whose one row is larger than a pass
+OPTIMIZER_SHAPES = [((), "C"), ((5, 7), "F"), ((1, 128), "C"), ((2 * _SLICE // 48 + 5, 48), "C"),
+                    ((_SLICE // 100 + 3, 4, 25), "F"), ((1, _SLICE + 3), "C")]
+
+
+def textbook_run(update, steps, seed=3):
+    """Parameters after ``steps`` updates ``param, state = update(param, grad, state, t)`` on seeded gradients."""
+    rng = np.random.default_rng(seed)
+    params = [np.asarray(rng.normal(size=shape), order=order) for shape, order in OPTIMIZER_SHAPES]
+    state = [None] * len(params)
+    for t in range(1, steps + 1):
+        for i, p in enumerate(params):
+            params[i], state[i] = update(p, rng.normal(size=p.shape), state[i], t)
+    return params
+
+
+def optimizer_run(make, steps, seed=3):
+    """The same run through an optimizer, with gradients and parameters in each parameter's memory order."""
+    rng = np.random.default_rng(seed)
+    params = [ad.Tensor(np.asarray(rng.normal(size=shape), order=order), requires_grad=True)
+              for shape, order in OPTIMIZER_SHAPES]
+    opt = make(params)
+    for _ in range(steps):
+        for p in params:
+            p.grad = np.add(rng.normal(size=p.data.shape), 0.0, out=np.empty_like(p.data))
+        opt.step()
+    return [p.data for p in params]
+
+
+class TestInPlaceUpdates:
+    """Updates in place through a fixed scratch give the bits of the one-expression updates."""
+
+    def test_adam_equals_the_textbook_update(self):
+        lr, b1, b2, eps = 3e-3, 0.9, 0.999, 1e-8
+
+        def adam(p, g, state, t):
+            m, v = state or (np.zeros_like(p), np.zeros_like(p))
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * (g * g)
+            return p - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps), (m, v)
+
+        got = optimizer_run(lambda ps: Adam(ps, lr=lr), 4)
+        for mine, want in zip(got, textbook_run(adam, 4)):
+            assert mine.tobytes() == want.tobytes()
+
+    def test_momentum_sgd_equals_the_textbook_update(self):
+        lr, mu = 3e-4, 0.9
+
+        def sgd(p, g, v, t):
+            v = mu * (np.zeros_like(p) if v is None else v) + g
+            return p - lr * v, v
+
+        got = optimizer_run(lambda ps: MomentumSGD(ps, lr=lr, momentum=mu), 4)
+        for mine, want in zip(got, textbook_run(sgd, 4)):
+            assert mine.tobytes() == want.tobytes()
+
+    def test_adam_step_allocates_no_full_size_temporary(self):
+        p = ad.Tensor(np.random.default_rng(0).normal(size=(1000, 1000)), requires_grad=True)
+        p.grad = np.ones_like(p.data)
+        opt = Adam([p])
+        tracemalloc.start()
+        try:
+            opt.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < p.data.nbytes / 8
+
+
 class TestSchedule:
     def test_fine_lr_is_exactly_one_tenth(self):
         sched = TrainSchedule(adam_lr=3e-3)
@@ -100,10 +175,18 @@ class TestSchedule:
     @pytest.mark.parametrize("field, value", [
         ("batch_size", 0), ("batch_size", -4), ("batch_size", 2.5), ("batch_size", True),
         ("max_coarse_epochs", -1), ("max_fine_epochs", 1.0),
+        ("adam_lr", "0.1"), ("adam_lr", -1.0), ("adam_lr", math.nan), ("adam_lr", math.inf), ("adam_lr", True),
+        ("momentum", 1.0), ("momentum", -0.1), ("momentum", math.nan), ("momentum", "0.9"),
+        ("patience", 0), ("patience", 2.0), ("patience", True),
     ])
     def test_rejects_batch_sizes_and_epoch_budgets_that_train_nothing(self, field, value):
-        with pytest.raises(ValueError, match=rf"^{field} must be an integer"):
+        kind = "a real number" if field in ("adam_lr", "momentum") else "an integer"
+        with pytest.raises(ValueError, match=rf"^{field} must be {kind}"):
             TrainSchedule(**{field: value})
+
+    def test_zero_learning_rate_and_momentum_are_allowed(self):
+        sched = TrainSchedule(adam_lr=0.0, momentum=0.0, patience=1)
+        assert (sched.adam_lr, sched.momentum, sched.fine_lr) == (0.0, 0.0, 0.0)
 
     def test_roundtrips_through_dict(self):
         sched = TrainSchedule(adam_lr=2e-3, k_coarse=7, k_target=3)
