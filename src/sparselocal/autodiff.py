@@ -13,8 +13,9 @@ differences are not reliable below that precision. ``conv2d`` and
 ``max_pool2d`` take (n, c, h, w) batches in any strides: ``conv2d``
 returns an NCHW-shaped view of channels-last memory, and the pool keeps
 that order. The ops are those the models differentiate: add, mul,
-square, relu, softplus, matmul, sum/mean, log-softmax, reshape, concat,
-the row gather/take/put ops, conv2d and max_pool2d.
+relu, softplus, matmul, sum/mean, log-softmax, reshape, concat, the row
+gather and take ops, conv2d and max_pool2d. An op of its own, such as the
+soft gate, is built on :func:`make_op` with a hand-written backward.
 """
 
 from __future__ import annotations
@@ -186,15 +187,6 @@ def mul(a, b):
     return make_op(a.data * b.data, (a, b), "mul", backward)
 
 
-def square(a):
-    a = as_tensor(a)
-
-    def backward(g):
-        accumulate_grad(a, g * (2.0 * a.data))
-
-    return make_op(a.data * a.data, (a,), "square", backward)
-
-
 def relu(a):
     a = as_tensor(a)
     mask = a.data > 0  # subgradient at exactly 0 is defined as 0
@@ -305,26 +297,6 @@ def take_along(a, indices):
     return make_op(data, (a,), "take_along", backward)
 
 
-def put_along(a, indices, width):
-    """Scatter an (n, m) tensor into zero (n, width) rows: out[i, indices[i, j]] = a[i, j].
-
-    The inverse of :func:`take_along`; the indices within a row must be
-    distinct.
-    """
-    a = as_tensor(a)
-    idx = np.asarray(indices, dtype=np.int64)
-    if a.data.ndim != 2 or idx.shape != a.data.shape:
-        raise ShapeError(f"put_along: input {a.data.shape} and indices {idx.shape} must be equal 2-d shapes")
-    rows = np.arange(a.data.shape[0])[:, None]
-    data = np.zeros((a.data.shape[0], width))
-    data[rows, idx] = a.data
-
-    def backward(g):
-        accumulate_grad(a, g[rows, idx])
-
-    return make_op(data, (a,), "put_along", backward)
-
-
 def _check_axis(a, axis):
     if axis is not None and not -a.data.ndim <= axis < a.data.ndim:
         raise ShapeError(f"axis {axis} is out of range for shape {a.data.shape}")
@@ -396,7 +368,10 @@ def conv2d(x, kernels, padding=0):
     buf = np.zeros((c, w + 2 * pw, n, h + 2 * ph) if ow == 1 else (c, n, h + 2 * ph, w + 2 * pw))
     buf = buf.transpose(0, 2, 3, 1) if ow == 1 else buf
     buf[:, :, ph : ph + h, pw : pw + w] = xd.transpose(1, 0, 2, 3)
-    cols = np.lib.stride_tricks.sliding_window_view(buf, (kh, kw), axis=(2, 3)).transpose(0, 4, 5, 1, 2, 3)
+    # the (kh, kw) windows of each (c, n) plane, sliding_window_view's array without its Python set-up
+    windows = buf.shape[:2] + (oh, ow, kh, kw)
+    cols = np.lib.stride_tricks.as_strided(buf, windows, buf.strides + buf.strides[2:], writeable=False)
+    cols = cols.transpose(0, 4, 5, 1, 2, 3)
     flat = np.ascontiguousarray(cols).reshape(c * kh * kw, n * oh * ow).T
     out_data = (flat @ kd.reshape(c_out, -1).T).reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
 

@@ -11,8 +11,9 @@ There is one function per gate, each batched over rows of weights.
 - The soft gate, :func:`k_hot_gate_rows`, is the training relaxation
   over the ``(n, heads·d)`` rows of every head of a batch, each row with
   its own gate count. Every draw is a relaxed simplex vector; only their
-  sum is returned, and it is differentiable with respect to the weights
-  (the mask updates are treated as gradient-stopped). A draw is the softmax
+  sum is returned. It is one autodiff op whose hand-written backward sums
+  each draw's softmax Jacobian, the mask updates treated as
+  gradient-stopped. A draw is the softmax
   of ``(w**2 + lam) / tau`` over the live entries, which equals the
   paper's ``softmax((log pi + lam) / tau)``: ``log pi`` is ``w**2`` less
   one constant per row, and a softmax ignores such a shift. The draws
@@ -27,7 +28,9 @@ There is one function per gate, each batched over rows of weights.
 
 The paper's formulas for one draw of a single vector, ``log pi``, the
 draw and the mask update, are written out in plain numpy in the tests'
-``tests/oracles.py``; the tests compare both gates against them.
+``tests/oracles.py``; the tests compare both gates against them. The same
+file builds the soft gate as a graph of one node per step, the bitwise
+reference for the op's value and gradient.
 
 Masked-out entries are excluded from every softmax sum and carry an
 infinite negative sentinel in log space, so their gate values are exact
@@ -48,29 +51,6 @@ def _gumbel(u):
     """Standard Gumbel values -log(-log(u)) of uniforms u, clamped away from {0, 1}."""
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
     return -np.log(-np.log(u))
-
-
-def _row_sum(a):
-    return a.sum(axis=-1, keepdims=True)
-
-
-def _masked_softmax(x, live, row_sum=_row_sum):
-    """Row-wise softmax whose sum runs over live entries; dead entries are exact 0.
-
-    ``row_sum`` takes both sums along the last axis, the normalizer and
-    the backward's dot product.
-    """
-    data = x.data
-    shifted = np.where(live, data, 0.0)
-    m = np.max(np.where(live, data, SENTINEL), axis=-1, keepdims=True)
-    e = np.where(live, np.exp(shifted - m), 0.0)
-    s = e / row_sum(e)
-
-    def backward(g):
-        dot = row_sum(g * s)
-        ad.accumulate_grad(x, s * (g - dot))
-
-    return ad.make_op(s, (x,), "masked_softmax", backward)
 
 
 def k_hot_gate(w, live, k):
@@ -112,6 +92,9 @@ def k_hot_gate_rows(w, mask, k, tau, rng=None, noise=None):
     a zero (n·heads, d) buffer: numpy's pairwise sum groups by position,
     so only a full-width sum keeps the dense row's rounding. When some
     sample is all live, the block is the rows and nothing is gathered.
+    The gate is one graph node over ``w``. Its backward adds each draw's
+    term ``s * (g - row_sum(g * s))`` in draw order, with the same row
+    sums, so ``w.grad`` has the bits of a graph of one node per step.
 
     ``rng`` is a numpy ``Generator``; all noise is taken before the first
     draw, head-major: max(k) (n, d) arrays of uniforms for head 0, then
@@ -170,25 +153,37 @@ def k_hot_gate_rows(w, mask, k, tau, rng=None, noise=None):
         lam = np.broadcast_to(noise[:draws][(..., *at)], (heads, draws, n, width))
     lam = lam.transpose(1, 2, 0, 3).reshape(draws, n * heads, width) * (1.0 / tau)
     k, free = np.repeat(k, heads), np.repeat(live[at], heads, axis=0)
-    rows, row_sum = ad.reshape(w, (n * heads, d)), _row_sum  # row i·heads + c is head c of sample i
     if width < d:
         at = (np.arange(n * heads)[:, None], np.repeat(cols, heads, axis=0))  # each sample's columns, per head
-        rows = ad.take_along(rows, at[1])
-        full = np.zeros((n * heads, d))
+    rows = w.data.reshape(n * heads, d)[at]  # row i·heads + c is head c of sample i
+    full = np.zeros((n * heads, d))
 
-        def row_sum(a):  # the block's entries at their own positions, zeros elsewhere
-            full[at] = a
-            return full.sum(axis=1, keepdims=True)
+    def row_sum(a):  # the block's entries at their own positions, zeros elsewhere
+        full[at] = a
+        return full.sum(axis=1, keepdims=True)
 
-    scaled = ad.square(rows) * (1.0 / tau)
-    gate = None
+    scaled = rows * rows * (1.0 / tau)
+    steps, gate = [], 0.0  # steps: each draw's softmax, kept for the backward
     for t in range(draws):
         active = t < k
-        step = _masked_softmax(scaled + ad.Tensor(lam[t]), free | ~active[:, None], row_sum)
-        if not active.all():
-            step = step * ad.Tensor(np.broadcast_to(active[:, None], free.shape) * 1.0)
-        free[active, np.argmax(step.data, axis=1)[active]] = False
-        gate = step if gate is None else gate + step
-    if width < d:
-        gate = ad.put_along(gate, at[1], d)
-    return ad.reshape(gate, (n, heads * d))
+        x = scaled + lam[t]
+        on = free | ~active[:, None]  # a row past its count draws over all its entries, then that draw is zeroed
+        m = np.max(np.where(on, x, SENTINEL), axis=1, keepdims=True)
+        e = np.where(on, np.exp(np.where(on, x, 0.0) - m), 0.0)
+        steps.append(e / row_sum(e))
+        step = steps[t] * (active[:, None] * 1.0)
+        free[active, np.argmax(step, axis=1)[active]] = False
+        gate = gate + step
+
+    def backward(g):  # each draw's softmax Jacobian, summed in draw order; the mask updates are gradient-stopped
+        g, total = g.reshape(n * heads, d)[at], 0.0
+        for t, s in enumerate(steps):
+            g_t = g * ((t < k)[:, None] * 1.0)
+            total = total + s * (g_t - row_sum(g_t * s))
+        grad = np.zeros((n * heads, d))
+        grad[at] = total * (1.0 / tau) * (2.0 * rows)
+        ad.accumulate_grad(w, grad.reshape(w.data.shape))
+
+    out = np.zeros((n * heads, d))
+    out[at] = gate
+    return ad.make_op(out.reshape(n, heads * d), (w,), "soft_gate", backward)

@@ -448,7 +448,6 @@ class GatedLocalLinear(_TrunkModel):
         if not samples:
             return []
         live = _live(samples, need=k)
-        names = feature_names if feature_names is not None else [f"f{j}" for j in range(self.config.d)]
         grid = self._weight_grid([s.x for s in samples])
         scores, order = self._gated_scores(samples, grid, live, k)
         out = []
@@ -458,7 +457,8 @@ class GatedLocalLinear(_TrunkModel):
             else:
                 head = int(np.argmax(scores[i]))
                 prediction = head
-            entries = [(int(j), names[j], float(grid[i, head, j])) for j in order[i, head]]
+            entries = [(j, f"f{j}" if feature_names is None else feature_names[j], float(grid[i, head, j]))
+                       for j in order[i, head].tolist()]
             out.append(Explanation(prediction=prediction, entries=entries, sample_id=s.id))
         return out
 

@@ -102,12 +102,15 @@ class TrainSchedule:
     patience: int = 5
 
     def __post_init__(self):
-        if self.k_target is not None and not self.k_coarse >= self.k_target >= 1:
-            raise ValueError("schedule requires k_coarse >= k_target >= 1")
-        for field, least in (("batch_size", 1), ("max_coarse_epochs", 0), ("max_fine_epochs", 0), ("patience", 1)):
+        for field, least in (("k_coarse", 1), ("k_target", 1), ("batch_size", 1), ("max_coarse_epochs", 0),
+                             ("max_fine_epochs", 0), ("patience", 1)):
             value = getattr(self, field)
+            if value is None and field == "k_target":  # the model's k
+                continue
             if isinstance(value, bool) or not isinstance(value, int) or value < least:
                 raise ValueError(f"{field} must be an integer >= {least}, got {value!r}")
+        if self.k_target is not None and not self.k_coarse >= self.k_target:
+            raise ValueError("schedule requires k_coarse >= k_target >= 1")
         for field, top in (("adam_lr", math.inf), ("momentum", 1)):  # a NaN fails 0 <= value
             value = getattr(self, field)
             if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < top:

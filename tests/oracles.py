@@ -6,6 +6,12 @@
   its winner is masked out before the next draw. They share no code with
   ``sparselocal.gate``, take no arguments but valid ones, and build no
   autodiff graph.
+- The soft gate built as an autodiff graph, the way the package built it
+  before the gate became one op with its own backward: a square node, and
+  per draw a noise add, a masked-softmax node, a zeroing multiply when
+  some row is past its count and a running-sum add, with the live-column
+  block gathered and scattered by graph nodes. Its value and gradient are
+  the bitwise reference for ``sparselocal.gate.k_hot_gate_rows``.
 - Central finite differences, the gradient oracle, with one helper for a
   function of one input array and one for a model's parameters.
 """
@@ -13,6 +19,7 @@
 import numpy as np
 
 from sparselocal import autodiff as ad
+from sparselocal import gate as gt
 
 
 def masked_log_prob(w, mask):
@@ -46,6 +53,96 @@ def oracle_draws(w, mask, noise, tau):
         order.append(int(np.argmax(step)))
         m = update_mask(m, step)
     return steps, order, m
+
+
+def square(a):
+    """The graph node a * a, whose backward is g * (2 a)."""
+    return ad.make_op(a.data * a.data, (a,), "square", lambda g: ad.accumulate_grad(a, g * (2.0 * a.data)))
+
+
+def put_along(a, indices, width):
+    """The graph node that scatters (n, m) rows into zero (n, width) rows: out[i, indices[i, j]] = a[i, j]."""
+    rows = np.arange(a.data.shape[0])[:, None]
+    data = np.zeros((a.data.shape[0], width))
+    data[rows, indices] = a.data
+    return ad.make_op(data, (a,), "put_along", lambda g: ad.accumulate_grad(a, g[rows, indices]))
+
+
+def row_sum(a):
+    return a.sum(axis=-1, keepdims=True)
+
+
+def masked_softmax(x, live, row_sum=row_sum):
+    """The graph node of a row-wise softmax over the live entries; dead entries are exact 0.
+
+    ``row_sum`` takes both sums along the last axis, the normalizer and
+    the backward's dot product.
+    """
+    data = x.data
+    shifted = np.where(live, data, 0.0)
+    m = np.max(np.where(live, data, -np.inf), axis=-1, keepdims=True)
+    e = np.where(live, np.exp(shifted - m), 0.0)
+    s = e / row_sum(e)
+
+    def backward(g):
+        dot = row_sum(g * s)
+        ad.accumulate_grad(x, s * (g - dot))
+
+    return ad.make_op(s, (x,), "masked_softmax", backward)
+
+
+def graph_gate_rows(w, mask, k, tau, rng=None, noise=None):
+    """The soft gate of ``k_hot_gate_rows`` on valid arguments, as a graph of one node per step.
+
+    It draws the same noise from ``rng`` or ``noise``, runs the draws on
+    the same live-column block, and takes the softmax's row sums over a
+    zero full-width buffer, so its gate and gradient are the reference's
+    bits.
+    """
+    w = ad.as_tensor(w)
+    live = np.asarray(mask) == 0
+    n, d = live.shape
+    heads = w.data.shape[1] // d
+    k = np.broadcast_to(np.asarray(k, dtype=np.int64), (n,))
+    draws = int(k.max(initial=0))
+    if draws == 0:
+        return ad.Tensor(np.zeros((n, heads * d)))
+    width = int(live.sum(axis=1).max(initial=0))
+    at = np.s_[:, :]
+    if width < d:
+        cols = np.argsort(~live, axis=1, kind="stable")[:, :width]
+        at = (np.arange(n)[:, None], cols)
+    if noise is None:
+        lam, uniform = np.empty((heads, draws, n, width)), np.empty((n, d))
+        for block in lam.reshape(-1, n, width):
+            block[...] = rng.random(out=uniform)[at]
+        lam = gt._gumbel(lam)
+    else:
+        lam = np.broadcast_to(np.asarray(noise, dtype=np.float64)[:draws][(..., *at)], (heads, draws, n, width))
+    lam = lam.transpose(1, 2, 0, 3).reshape(draws, n * heads, width) * (1.0 / tau)
+    k, free = np.repeat(k, heads), np.repeat(live[at], heads, axis=0)
+    rows, block_sum = ad.reshape(w, (n * heads, d)), row_sum
+    if width < d:
+        at = (np.arange(n * heads)[:, None], np.repeat(cols, heads, axis=0))
+        rows = ad.take_along(rows, at[1])
+        full = np.zeros((n * heads, d))
+
+        def block_sum(a):
+            full[at] = a
+            return full.sum(axis=1, keepdims=True)
+
+    scaled = square(rows) * (1.0 / tau)
+    gate = None
+    for t in range(draws):
+        active = t < k
+        step = masked_softmax(scaled + ad.Tensor(lam[t]), free | ~active[:, None], block_sum)
+        if not active.all():
+            step = step * ad.Tensor(np.broadcast_to(active[:, None], free.shape) * 1.0)
+        free[active, np.argmax(step.data, axis=1)[active]] = False
+        gate = step if gate is None else gate + step
+    if width < d:
+        gate = put_along(gate, at[1], d)
+    return ad.reshape(gate, (n, heads * d))
 
 
 def finite_difference_grad(f, x, eps=1e-4):

@@ -86,7 +86,6 @@ def test_c1_gradient_oracle_suite(report):
         cases = {
             "add": lambda t: (t + ad.Tensor(c)).sum(),
             "mul": lambda t: (t * ad.Tensor(c)).sum(),
-            "square": lambda t: (ad.square(t) * ad.Tensor(c)).sum(),
             "relu": lambda t: (ad.relu(t) * ad.Tensor(c)).sum(),
             "softplus": lambda t: (ad.softplus(t) * ad.Tensor(c)).sum(),
         }
@@ -127,6 +126,19 @@ def test_c1_gradient_oracle_suite(report):
         }
         for name, build in reductions.items():
             worst[name] = max(worst.get(name, 0.0), grad_error(build, xr))
+
+    # the soft gate, two heads over a sparse mask so the draws run on the live-column block, and row 1 past its count
+    rng_g = np.random.default_rng(31)
+    for tau in (1.0, 0.2):
+        live = rng_g.random((3, 8)) < 0.5
+        live[:, :2], live[:, -1] = True, False
+        noise = gt._gumbel(rng_g.random((2, 3, 8)))
+        cg = rng_g.normal(size=(3, 16))
+        wg = rng_g.uniform(0.2, 2.0, size=(3, 16)) * rng_g.choice([-1.0, 1.0], size=(3, 16))
+        worst["soft_gate"] = max(
+            worst.get("soft_gate", 0.0),
+            grad_error(lambda t: (gt.k_hot_gate_rows(t, ~live, [2, 1, 2], tau, noise=noise) * ad.Tensor(cg)).sum(), wg),
+        )
 
     # the full model end to end, both operating temperatures, frozen noise
     for tau in (1.0, 0.1):

@@ -193,6 +193,7 @@ class TestConfigSections:
         {"tau_fine": 0.05}, {"tau_coarse": 2.0}, {"k_coarse": 0},
         {"batch_size": 0}, {"batch_size": -4}, {"max_fine_epochs": -1},
         {"adam_lr": "0.1"}, {"adam_lr": -1.0}, {"momentum": 1.0}, {"momentum": -0.5}, {"patience": 0},
+        {"k_coarse": 10.5}, {"k_coarse": True}, {"k_target": 1.5},
     ])
     def test_bad_train_section_exits_two(self, tmp_path, capsys, train):
         code, records, err = train_with(capsys, tmp_path, train=train)

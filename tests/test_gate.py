@@ -16,7 +16,9 @@ from sparselocal import autodiff as ad
 from sparselocal import gate as gt
 from sparselocal.errors import GateExhaustedError, ShapeError
 
-from oracles import gate_step, grad_error, masked_log_prob, oracle_draws, update_mask
+from oracles import (
+    gate_step, grad_error, graph_gate_rows, masked_log_prob, masked_softmax, oracle_draws, square, update_mask,
+)
 
 EULER_MASCHERONI = 0.5772156649015329
 
@@ -399,12 +401,10 @@ class TestAllHeads:
         n, d, k = 6, 300, 4
         live = rng.random((n, d)) < (0.05 if sparse else 1.0)
         live[:, :k] = True
-        sizes = []
         for heads in (1, 3):
             w = ad.Tensor(rng.normal(size=(n, heads * d)), requires_grad=True)
             gate = gt.k_hot_gate_rows(w, ~live, k, 0.5, rng=rng)
-            sizes.append(len(ad._toposort(gate)))
-        assert sizes[0] == sizes[1]
+            assert gate.op == "soft_gate" and len(ad._toposort(gate)) == 2  # one node over the leaf w
 
     @pytest.mark.parametrize("weights, mask", [((3, 7), (3, 2)), ((3, 4), (2, 4)), ((3, 0), (3, 4)), ((12,), (3, 4))])
     def test_weights_must_be_whole_heads_of_the_mask(self, weights, mask):
@@ -418,18 +418,52 @@ def dense_gate_rows(w, mask, k, tau, rng=None, noise=None):
     n, d = w.data.shape
     live = np.asarray(mask) == 0
     k = np.broadcast_to(np.asarray(k, dtype=np.int64), (n,))
-    scaled = ad.square(w) * (1.0 / tau)
+    scaled = square(w) * (1.0 / tau)
     gate, steps = None, []
     for t in range(int(k.max(initial=0))):
         active = t < k
         lam = noise[t] if noise is not None else gt._gumbel(rng.random((n, d)))
-        step = gt._masked_softmax(scaled + ad.Tensor(lam * (1.0 / tau)), live | ~active[:, None])
+        step = masked_softmax(scaled + ad.Tensor(lam * (1.0 / tau)), live | ~active[:, None])
         if not active.all():
             step = step * ad.Tensor(np.broadcast_to(active[:, None], (n, d)) * 1.0)
         live[active, np.argmax(step.data, axis=1)[active]] = False
         steps.append(step.data)
         gate = step if gate is None else gate + step
     return (ad.Tensor(np.zeros((n, d))) if gate is None else gate), steps
+
+
+class TestGraphReference:
+    """The one-op gate equals the gate built as a graph of one node per step, byte for byte."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_gate_and_gradient_bytes_equal_the_graph(self, seed):
+        rng = np.random.default_rng(9600 + seed)
+        for _ in range(30):
+            heads, n, d = int(rng.integers(1, 4)), int(rng.integers(1, 30)), int(rng.integers(2, 601))
+            live = rng.random((n, d)) < 10.0 ** rng.uniform(-2.0, 0.0)
+            live[np.arange(n), rng.integers(0, d, size=n)] = True
+            live[rng.random(n) < 0.1] = False  # rows with no live feature take a count of 0
+            if rng.random() < 0.15:
+                live[rng.integers(n)] = True  # some row all live: the block is the rows
+            k = np.minimum(rng.integers(0, 12, size=n), live.sum(axis=1))
+            tau = float(rng.uniform(0.05, 2.0))
+            w0 = rng.normal(size=(n, heads * d)) * 10.0 ** rng.uniform(-2.0, 1.0)
+            w0[rng.random(w0.shape) < 0.05] = 0.0
+            c = np.where(rng.random((n, heads * d)) < 0.2, -0.0, rng.normal(size=(n, heads * d)))
+            seed_draw, frozen = int(rng.integers(2**31)), rng.random() < 0.5
+
+            def source():
+                draws = np.random.default_rng(seed_draw)
+                return {"noise": gt._gumbel(draws.random((int(k.max(initial=0)), n, d)))} if frozen else {"rng": draws}
+
+            got = []
+            for gate_rows in (graph_gate_rows, gt.k_hot_gate_rows):
+                w = ad.Tensor(w0, requires_grad=True)
+                gate = gate_rows(w, ~live, k, tau, **source())
+                if gate.requires_grad:
+                    (gate * ad.Tensor(c)).sum().backward()
+                got.append((gate.data.tobytes(), None if w.grad is None else w.grad.tobytes()))
+            assert got[0] == got[1]
 
 
 class TestLiveColumnBlock:

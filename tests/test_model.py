@@ -1,6 +1,7 @@
 """Model assembly tests: weight generation, gated prediction, losses, ablations."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -358,6 +359,9 @@ class TestExplain:
         mags = [abs(wt) for _, _, wt in exp.entries]
         assert mags == sorted(mags, reverse=True)
         assert all(name == f"n{j}" for j, name, _ in exp.entries)
+        unnamed = model.explain(s, k=3)  # without names, feature j is called f{j}
+        assert unnamed.entries == [(j, f"f{j}", wt) for j, _, wt in exp.entries]
+        assert all(type(j) is int for j in unnamed.indices)
 
     def test_masked_features_never_appear(self):
         model, rng = self._trained_toyish()
@@ -545,6 +549,20 @@ class TestOneGatePerPath:
         calls.update(hard=0, soft=0)
         model.predict_labels(samples, mode="soft", rng=rng, chunk=4)
         assert calls == {"hard": 0, "soft": 2}
+
+    def test_benchmark_tracer_times_the_soft_gate_once(self, monkeypatch):
+        # perfbench's tracer patches the package by attribute name; a stale table would read the gate as 0
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        from spans import Tracer
+
+        rng = np.random.default_rng(83)
+        model = GatedLocalLinear(vector_config(d=8, k=3, num_classes=3), rng)
+        samples = [vector_sample(rng, d=8, y=2, sid=i) for i in range(5)]
+        with Tracer() as tracer:  # entering raises AttributeError for a name that src/ no longer has
+            model.batch_loss(samples, rng=rng).backward()
+        names = [span[0] for span in tracer.spans]
+        assert names.count("gate.k_hot_gate_rows") == 1
+        assert names.count("bwd.gate.soft") == 1
 
 
 def _blas_build():

@@ -25,7 +25,7 @@ from sparselocal.train import (
 
 def quadratic_step(param):
     zero_grads([param])
-    loss = ad.square(param).sum()
+    loss = (param * param).sum()
     loss.backward()
     return float(loss.data)
 
@@ -178,6 +178,7 @@ class TestSchedule:
         ("adam_lr", "0.1"), ("adam_lr", -1.0), ("adam_lr", math.nan), ("adam_lr", math.inf), ("adam_lr", True),
         ("momentum", 1.0), ("momentum", -0.1), ("momentum", math.nan), ("momentum", "0.9"),
         ("patience", 0), ("patience", 2.0), ("patience", True),
+        ("k_coarse", 10.5), ("k_coarse", 7.9), ("k_coarse", True), ("k_coarse", 0), ("k_target", 2.0), ("k_target", 0),
     ])
     def test_rejects_batch_sizes_and_epoch_budgets_that_train_nothing(self, field, value):
         kind = "a real number" if field in ("adam_lr", "momentum") else "an integer"
