@@ -6,8 +6,10 @@ closure that routes an incoming gradient to them. ``backward()`` on a
 scalar tensor walks the recorded graph once, in reverse topological
 order, accumulating gradients into every tensor that requires them.
 
-Broadcasting is deliberately limited to scalar-with-tensor and
-equal-shape operands so every gradient rule stays auditable. All data is
+Broadcasting is deliberately limited so every gradient rule stays
+auditable: equal-shape operands, a scalar with a tensor, and for ``add``
+an (n, m) left operand with a (1, m) right one (a layer's bias), whose
+gradient is ``ones((1, n)) @ g``. All data is
 kept in 64-bit floats; gradient checks against central finite
 differences are not reliable below that precision. ``conv2d`` and
 ``max_pool2d`` take (n, c, h, w) batches in any strides: ``conv2d``
@@ -145,31 +147,35 @@ def accumulate_grad(t, g):
         t.grad += g
 
 
-def _check_elementwise(a, b, name):
-    if a.data.shape == b.data.shape:
+def _check_elementwise(a, b, name, row=False):
+    """Equal shapes or a size-1 operand; with ``row``, also an (n, m) left and a (1, m) right operand."""
+    if a.data.shape == b.data.shape or a.data.size == 1 or b.data.size == 1:
         return
-    if a.data.size == 1 or b.data.size == 1:
+    if row and a.data.ndim == 2 and b.data.shape == (1, a.data.shape[1]):
         return
-    raise ShapeError(
-        f"{name}: shapes {a.data.shape} and {b.data.shape} are incompatible "
-        "(only equal-shape and scalar operands are supported)"
-    )
+    allowed = "equal-shape, scalar and (n, m) + (1, m) operands" if row else "equal-shape and scalar operands"
+    raise ShapeError(f"{name}: shapes {a.data.shape} and {b.data.shape} are incompatible (only {allowed})")
 
 
 def _fit_grad(g, shape):
-    """Collapse a broadcast gradient back onto a scalar operand."""
+    """Collapse a broadcast gradient back onto its operand: a (1, m) row by ones @ g, a scalar by a sum."""
     if g.shape == shape:
         return g
+    if len(shape) == 2 and shape[0] == 1 and g.ndim == 2 and g.shape[1] == shape[1]:
+        return np.ones((1, g.shape[0])) @ g
     return np.sum(g).reshape(shape)
 
 
 def add(a, b):
+    """a + b; ``b`` may be a (1, m) row added to every row of an (n, m) ``a``."""
     a, b = as_tensor(a), as_tensor(b)
-    _check_elementwise(a, b, "add")
+    _check_elementwise(a, b, "add", row=True)
 
     def backward(g):
-        accumulate_grad(a, _fit_grad(g, a.data.shape))
-        accumulate_grad(b, _fit_grad(g, b.data.shape))
+        if a.requires_grad:
+            accumulate_grad(a, _fit_grad(g, a.data.shape))
+        if b.requires_grad:
+            accumulate_grad(b, _fit_grad(g, b.data.shape))
 
     return make_op(a.data + b.data, (a, b), "add", backward)
 

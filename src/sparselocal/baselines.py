@@ -21,11 +21,10 @@ from . import gate as gt
 @dataclass
 class LinearModel:
     weights: np.ndarray
-    bias: float
     alpha: float
 
     def margins(self, Z):
-        return np.asarray(Z) @ self.weights + self.bias
+        return np.asarray(Z) @ self.weights
 
 
 def ridge_fit(Z, y, alpha):
@@ -44,7 +43,7 @@ def ridge_fit(Z, y, alpha):
         w = np.linalg.solve(gram, Z.T @ y)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"normal equations are singular ({exc}); use alpha > 0") from exc
-    return LinearModel(weights=w, bias=0.0, alpha=float(alpha))
+    return LinearModel(weights=w, alpha=float(alpha))
 
 
 def soft_threshold(value, level):
@@ -83,7 +82,7 @@ def lasso_fit(Z, y, alpha, max_sweeps=10_000, tol=1e-8):
             break
     else:
         warnings.warn(f"lasso did not converge; final max coordinate change {delta:.3e}")
-    return LinearModel(weights=w, bias=0.0, alpha=float(alpha))
+    return LinearModel(weights=w, alpha=float(alpha))
 
 
 def topk_truncate(weights, k):
@@ -110,13 +109,15 @@ def design_matrix(samples):
     return Z, y
 
 
-def select_alpha(fit, train_samples, val_samples, grid=None):
-    """Pick the regularization strength with the best validation sign accuracy."""
-    grid = grid if grid is not None else [10.0**e for e in range(-4, 3)]
+ALPHAS = [10.0**e for e in range(-4, 3)]
+
+
+def select_alpha(fit, train_samples, val_samples):
+    """Pick the regularization strength in ``ALPHAS`` with the best validation sign accuracy."""
     Ztr, ytr = design_matrix(train_samples)
     Zval, yval = design_matrix(val_samples)
     best_alpha, best_acc, best_model = None, -1.0, None
-    for alpha in grid:
+    for alpha in ALPHAS:
         model = fit(Ztr, ytr, alpha)
         acc = float(np.mean(np.where(model.margins(Zval) >= 0, 1, -1) == yval))
         if acc > best_acc:

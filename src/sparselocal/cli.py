@@ -176,13 +176,18 @@ def _file_sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _check_seed(seed):
+    """The seed of ``train`` and ``eval``: a non-negative integer, else a ConfigError."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"the seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 def cmd_train(args):
     config = _read_json(args.config, "config")
     if not isinstance(config.get("dataset"), str):
         raise ConfigError('config is missing required field "dataset", or it is not a path string')
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"the seed must be a non-negative integer, got {seed!r}")
+    seed = _check_seed(args.seed if args.seed is not None else config.get("seed", 0))
     manifest_path = Path(args.config).parent / config["dataset"]
     data = load_manifest(manifest_path)
 
@@ -230,6 +235,7 @@ def _parse_k_list(text):
 
 
 def cmd_eval(args):
+    rng = np.random.default_rng(_check_seed(args.seed))
     model, _header = load_checkpoint(args.checkpoint)
     data = load_manifest(args.dataset)
     if not data.test:
@@ -239,7 +245,6 @@ def cmd_eval(args):
         raise ConfigError("dense truncation evaluation supports binary models only")
     if args.baselines and model.config.num_classes != 2:
         raise ConfigError("linear baselines support binary labels only")
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
     for k in ks:
         acc = evaluate(model, data.test, k=k, mode=args.mode, rng=rng)
         _emit({"model": "gated", "k": k, "mode": args.mode, "accuracy": acc})
@@ -386,7 +391,7 @@ def build_parser():
     p_eval.add_argument("--mode", choices=["hard", "soft"], default="hard")
     p_eval.add_argument("--dense", action="store_true", help="also evaluate top-k truncated dense weights")
     p_eval.add_argument("--baselines", action="store_true", help="also fit and evaluate ridge and lasso")
-    p_eval.add_argument("--seed", type=int, default=None)
+    p_eval.add_argument("--seed", type=int, default=0)
     p_eval.set_defaults(fn=cmd_eval)
 
     p_explain = sub.add_parser("explain", help="explanation record for one sample")

@@ -71,20 +71,15 @@ def _digit_skeleton(digit):
     raise ValueError(f"digit must be 0..9, got {digit}")
 
 
-_GRID_CACHE = {}
+SIZE = 28  # image side in pixels, the size that ``data.image_sample`` accepts
+# (x, y) of every pixel, row-major
+_PIXELS = np.stack([np.tile(np.arange(SIZE), SIZE), np.repeat(np.arange(SIZE), SIZE)], axis=1).astype(np.float64)
 
 
-def _pixel_grid(size):
-    if size not in _GRID_CACHE:
-        ys, xs = np.mgrid[0:size, 0:size]
-        _GRID_CACHE[size] = np.stack([xs.ravel(), ys.ravel()], axis=1).astype(np.float64)
-    return _GRID_CACHE[size]
-
-
-def render_digit(digit, rng, size=28):
-    """One jittered grayscale rendering of a digit, uint8 (size, size)."""
+def render_digit(digit, rng):
+    """One jittered grayscale rendering of a digit, uint8 (SIZE, SIZE)."""
     margin = 4.0
-    span = size - 2.0 * margin
+    span = SIZE - 2.0 * margin
     theta = rng.uniform(-0.25, 0.25)
     scale = rng.uniform(0.80, 1.12, size=2)
     shear = rng.uniform(-0.18, 0.18)
@@ -92,8 +87,7 @@ def render_digit(digit, rng, size=28):
     rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     aff = rot @ np.array([[scale[0], shear * scale[0]], [0.0, scale[1]]])
 
-    grid = _pixel_grid(size)
-    ink = np.zeros(size * size)
+    ink = np.zeros(SIZE * SIZE)
     sigma = rng.uniform(0.55, 0.95)
     for stroke in _digit_skeleton(digit):
         pts = stroke + rng.normal(0.0, 0.018, size=stroke.shape)
@@ -104,22 +98,22 @@ def render_digit(digit, rng, size=28):
             seg = q - p
             denom = float(seg @ seg)
             if denom < 1e-12:
-                dist = np.linalg.norm(grid - p, axis=1)
+                dist = np.linalg.norm(_PIXELS - p, axis=1)
             else:
-                t = np.clip(((grid - p) @ seg) / denom, 0.0, 1.0)
-                dist = np.linalg.norm(grid - (p + t[:, None] * seg), axis=1)
+                t = np.clip(((_PIXELS - p) @ seg) / denom, 0.0, 1.0)
+                dist = np.linalg.norm(_PIXELS - (p + t[:, None] * seg), axis=1)
             np.maximum(ink, np.exp(-0.5 * (dist / sigma) ** 2), out=ink)
 
-    img = ink.reshape(size, size) * rng.uniform(200.0, 255.0)
+    img = ink.reshape(SIZE, SIZE) * rng.uniform(200.0, 255.0)
     img += rng.normal(0.0, 6.0, size=img.shape)
     return np.clip(img, 0, 255).astype(np.uint8)
 
 
-def make_digit_images(n, seed, size=28):
+def make_digit_images(n, seed):
     """n digit images with uniformly drawn classes; returns (images, digits)."""
     rng = np.random.default_rng(seed)
     digits = rng.integers(0, 10, size=n).astype(np.uint8)
-    images = np.empty((n, size, size), dtype=np.uint8)
+    images = np.empty((n, SIZE, SIZE), dtype=np.uint8)
     for i in range(n):
-        images[i] = render_digit(int(digits[i]), rng, size=size)
+        images[i] = render_digit(int(digits[i]), rng)
     return images, digits

@@ -8,18 +8,22 @@ the inner product of the gated weights with the simplified
 representation, so every prediction decomposes into k named, signed
 contributions.
 
-Both models share one network trunk (``WeightGenerator``) and differ
-only in its head width: d weights per class for the gated model, class
-logits for the plain ``DirectClassifier`` reference. Every extractor
-takes the whole batch of rich representations, so the trunk is one
-batched forward pass for images, token sequences and vectors alike.
+Both models are one network trunk (``WeightGenerator``, which they
+subclass) and differ only in its head width: d weights per class for the
+gated model, class logits for the plain ``DirectClassifier`` reference.
+Every extractor takes the whole batch of rich representations, so the
+trunk is one batched forward pass for images, token sequences and
+vectors alike.
 
 ``batch_loss`` is the one loss: it gates every head's weight rows for
 the whole batch with one soft-gate call (``gate.k_hot_gate_rows``), and a
 single sample is a one-sample batch. The dense ablation is
 ``batch_loss(gated=False)``, the same loss with every gate open.
-Inference (``margin``, hard ``predict_labels``, ``explain_batch``) gates
-every head of a batch with one hard-gate call (``gate.k_hot_gate``).
+Inference (``margin``, ``predict_labels`` and ``explain_batch``) is one
+pass over chunks of ``CHUNK`` samples: per chunk, the weight grid, one
+gate call for every head (hard ``gate.k_hot_gate``, or soft draws for
+``predict_labels(mode="soft")``) and the scores. So its memory depends
+on the chunk size, not on the length of the list.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ from . import autodiff as ad
 from . import gate as gt
 from .errors import GateExhaustedError
 
+
+CHUNK = 256  # samples per inference pass; its memory scales with this, not with the list
 
 # Per-kind architecture defaults; the data decides in_shape (image), dim (vector) and vocab_size (text).
 EXTRACTOR_DEFAULTS = {"image": {"channels": (16, 32, 64)}, "vector": {},
@@ -107,9 +113,7 @@ class _Linear:
         self.bias = ad.Tensor(np.zeros((1, n_out)), requires_grad=True)
 
     def __call__(self, x):
-        # bias broadcast over rows realized as ones @ bias, keeping add shape-strict
-        ones = ad.Tensor(np.ones((x.data.shape[0], 1)))
-        return ad.matmul(x, self.weight) + ad.matmul(ones, self.bias)
+        return ad.matmul(x, self.weight) + self.bias  # the (1, n_out) bias row broadcasts over the batch
 
     def params(self, prefix):
         return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
@@ -266,6 +270,9 @@ class WeightGenerator:
         out.update(self.head.params("head"))
         return out
 
+    def parameters(self):
+        return list(self.named_parameters().values())
+
 
 def _binary_targets(samples):
     y = np.array([s.y for s in samples], dtype=np.float64)
@@ -296,21 +303,7 @@ def _live(samples, need=0):
     return live
 
 
-class _TrunkModel:
-    """A model whose parameters are those of one ``WeightGenerator`` trunk."""
-
-    def __init__(self, config: ModelConfig, rng, width):
-        self.config = config
-        self.generator = WeightGenerator(config, rng, width)
-
-    def named_parameters(self):
-        return self.generator.named_parameters()
-
-    def parameters(self):
-        return list(self.named_parameters().values())
-
-
-class GatedLocalLinear(_TrunkModel):
+class GatedLocalLinear(WeightGenerator):
     """Per-sample linear classifier whose weights pass through a k-hot gate."""
 
     def __init__(self, config: ModelConfig, rng):
@@ -323,8 +316,9 @@ class GatedLocalLinear(_TrunkModel):
         Returns shape (d,) for binary models and (num_classes, d) when
         the model has per-class heads.
         """
-        grid = self._weight_grid([x])[0]
-        return grid[0] if self.config.heads == 1 else grid
+        with ad.no_grad():
+            rows = self.rows([x]).data
+        return rows[0] if self.config.heads == 1 else rows.reshape(self.config.heads, self.config.d)
 
     # -- losses ----------------------------------------------------------
     def batch_loss(self, samples, k=None, tau=None, rng=None, noise=None, gated=True):
@@ -339,7 +333,7 @@ class GatedLocalLinear(_TrunkModel):
             raise ValueError("batch_loss needs at least one sample")
         k = self.config.k if k is None else int(k)
         tau = self.config.tau_fine if tau is None else float(tau)
-        w = self.generator.rows([s.x for s in samples])
+        w = self.rows([s.x for s in samples])
         if not gated:
             return self._losses(samples, w, None).mean()
         live = _live(samples, need=1)
@@ -362,35 +356,34 @@ class GatedLocalLinear(_TrunkModel):
         return picked * (-1.0)
 
     # -- inference --------------------------------------------------------
-    def _weight_grid(self, xs):
-        """Weight rows for a batch of rich representations, shape (n, heads, d), computed without a graph."""
-        with ad.no_grad():
-            rows = self.generator.rows(xs).data
-        return rows.reshape(len(xs), self.config.heads, self.config.d)
+    def _chunks(self, samples, k, rng=None, need=0):
+        """The one inference pass: ``(batch, grid, scores, order)`` per ``CHUNK`` samples.
 
-    def _gated_scores(self, samples, grid, live, k, rng=None):
-        """Gated scores (n, heads) and, in hard mode, the selected indices (n, heads, min(k, d)).
-
-        ``live`` is the (n, d) boolean of unmasked features. Without
-        ``rng`` the gates are the exact hard top-k, one ``k_hot_gate``
-        call for every head of the batch, which clamps each gate count to
-        the sample's live features. With ``rng`` they are soft draws at
-        ``tau_fine``, one ``k_hot_gate_rows`` call for every head of the
-        batch with the per-sample counts clamped the same way. A sample
-        with no live feature gets the empty-sum score of zero. Every score
-        is the per-row dot z . (g * w).
+        Per chunk: the live check (each sample needs ``need`` features),
+        the weight grid (n, heads, d) without a graph, one gate call for
+        every head, and the scores z . (g * w), shape (n, heads). Without
+        ``rng`` the gate is the exact hard top-k, whose selected indices
+        (n, heads, min(k, d)) are ``order``; with it, soft draws at
+        ``tau_fine`` and no order. Both clamp each count to the sample's
+        live features, so a sample with none scores the empty sum, zero.
         """
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
-        order = None
-        if rng is None:
-            g, order = gt.k_hot_gate(grid, live[:, None, :], k)
-        else:
-            counts = np.minimum(k, live.sum(axis=1))
-            rows = grid.reshape(len(samples), -1)
-            g = gt.k_hot_gate_rows(rows, ~live, counts, self.config.tau_fine, rng=rng).data.reshape(grid.shape)
-        z = np.array([s.z for s in samples], dtype=np.float64)
-        return np.vecdot(z[:, None, :], g * grid), order
+        heads, d = self.config.heads, self.config.d
+        for lo in range(0, len(samples), CHUNK):
+            batch = samples[lo : lo + CHUNK]
+            live = _live(batch, need)
+            with ad.no_grad():
+                grid = self.rows([s.x for s in batch]).data.reshape(len(batch), heads, d)
+            order = None
+            if rng is None:
+                g, order = gt.k_hot_gate(grid, live[:, None, :], k)
+            else:
+                counts = np.minimum(k, live.sum(axis=1))
+                rows = grid.reshape(len(batch), -1)
+                g = gt.k_hot_gate_rows(rows, ~live, counts, self.config.tau_fine, rng=rng).data.reshape(grid.shape)
+            z = np.array([s.z for s in batch], dtype=np.float64)
+            yield batch, grid, np.vecdot(z[:, None, :], g * grid), order
 
     def margin(self, sample, k=None):
         """Hard-gated prediction: a signed margin (binary) or class scores.
@@ -399,21 +392,20 @@ class GatedLocalLinear(_TrunkModel):
         the prediction is the empty sum, zero.
         """
         k = self.config.k if k is None else int(k)
-        scores = self._gated_scores([sample], self._weight_grid([sample.x]), _live([sample]), k)[0][0]
+        scores = next(self._chunks([sample], k))[2][0]
         if self.config.num_classes == 2:
             return float(scores[0])
         return [float(v) for v in scores]
 
-    def predict_labels(self, samples, k=None, mode="hard", rng=None, chunk=256):
+    def predict_labels(self, samples, k=None, mode="hard", rng=None):
         """Gated labels for a list of samples; +1/-1 or class indices.
 
         Hard mode is the deterministic deployment path; soft mode draws
         relaxed gates at ``tau_fine`` from ``rng`` (seed 0 when none is
         given) and exists for inspecting the training objective. Both
-        gate a whole chunk at once, and soft mode draws the gates of every
-        head of the chunk with one ``k_hot_gate_rows`` call. Gate counts
-        clamp to each sample's unmasked features; a sample with none gets
-        the empty-sum margin of zero.
+        gate a whole chunk at once. Gate counts clamp to each sample's
+        unmasked features; a sample with none gets the empty-sum margin
+        of zero.
         """
         k = self.config.k if k is None else int(k)
         if mode not in ("soft", "hard"):
@@ -422,22 +414,17 @@ class GatedLocalLinear(_TrunkModel):
             rng = None
         elif rng is None:
             rng = np.random.default_rng(0)
-        out = np.empty(len(samples), dtype=np.int64)
-        for lo in range(0, len(samples), chunk):
-            batch = samples[lo : lo + chunk]
-            scores = self._gated_scores(batch, self._weight_grid([s.x for s in batch]), _live(batch), k, rng)[0]
-            if self.config.num_classes == 2:
-                out[lo : lo + len(batch)] = np.where(scores[:, 0] >= 0, 1, -1)
-            else:
-                out[lo : lo + len(batch)] = np.argmax(scores, axis=1)
-        return out
+        binary = self.config.num_classes == 2
+        labels = [np.where(scores[:, 0] >= 0, 1, -1) if binary else np.argmax(scores, axis=1)
+                  for _, _, scores, _ in self._chunks(samples, k, rng)]
+        return np.concatenate([np.empty(0, dtype=np.int64), *labels])
 
     def explain(self, sample, k=None, feature_names=None):
         """Hard-gated explanation: the k open features with their signed weights."""
         return self.explain_batch([sample], k=k, feature_names=feature_names)[0]
 
     def explain_batch(self, samples, k=None, feature_names=None):
-        """Explanations for a list of samples from one batched weight pass and gate selection.
+        """Explanations for a list of samples, one inference pass per ``CHUNK`` of them.
 
         Each entry lists the k live features with the largest ``w**2`` of
         the predicted class's weights (ties to the lowest index) with
@@ -445,32 +432,22 @@ class GatedLocalLinear(_TrunkModel):
         features.
         """
         k = self.config.k if k is None else int(k)
-        if not samples:
-            return []
-        live = _live(samples, need=k)
-        grid = self._weight_grid([s.x for s in samples])
-        scores, order = self._gated_scores(samples, grid, live, k)
         out = []
-        for i, s in enumerate(samples):
-            if self.config.num_classes == 2:
-                head, prediction = 0, float(scores[i, 0])
-            else:
-                head = int(np.argmax(scores[i]))
-                prediction = head
-            entries = [(j, f"f{j}" if feature_names is None else feature_names[j], float(grid[i, head, j]))
-                       for j in order[i, head].tolist()]
-            out.append(Explanation(prediction=prediction, entries=entries, sample_id=s.id))
+        for batch, grid, scores, order in self._chunks(samples, k, need=k):
+            for i, s in enumerate(batch):
+                head = 0 if self.config.heads == 1 else int(np.argmax(scores[i]))
+                prediction = float(scores[i, 0]) if self.config.heads == 1 else head
+                entries = [(j, f"f{j}" if feature_names is None else feature_names[j], float(grid[i, head, j]))
+                           for j in order[i, head].tolist()]
+                out.append(Explanation(prediction=prediction, entries=entries, sample_id=s.id))
         return out
 
 
-class DirectClassifier(_TrunkModel):
+class DirectClassifier(WeightGenerator):
     """The same trunk with a head of class logits in place of weight rows."""
 
     def __init__(self, config: ModelConfig, rng):
         super().__init__(config, rng, config.num_classes)
-
-    def logits(self, xs):
-        return self.generator.rows(xs)
 
     def _class_indices(self, samples):
         if self.config.num_classes == 2:
@@ -480,12 +457,12 @@ class DirectClassifier(_TrunkModel):
 
     def batch_loss(self, samples, rng=None, **_ignored):
         y = self._class_indices(samples)
-        logp = ad.log_softmax(self.logits([s.x for s in samples]), axis=1)
+        logp = ad.log_softmax(self.rows([s.x for s in samples]), axis=1)
         return (ad.take_along(logp, y) * (-1.0)).mean()
 
     def predict_labels(self, samples, k=None, mode=None, rng=None):
         with ad.no_grad():
-            picks = np.argmax(self.logits([s.x for s in samples]).data, axis=1)
+            picks = np.argmax(self.rows([s.x for s in samples]).data, axis=1)
         if self.config.num_classes == 2:
             return picks * 2 - 1
         return picks

@@ -211,7 +211,9 @@ def coarse_to_fine_train(model, train, val, schedule=None, rng=None, progress=No
 
     The fine phase requires the target gate count to be feasible for
     every training sample; the coarse gate count is clamped per sample
-    instead, since it is only a gradient-spreading device.
+    instead, since it is only a gradient-spreading device. Every
+    validation sample needs one live feature, as its loss is gated too.
+    Both checks run before the first epoch.
     """
     schedule = schedule or TrainSchedule()
     rng = rng if rng is not None else np.random.default_rng()
@@ -220,12 +222,11 @@ def coarse_to_fine_train(model, train, val, schedule=None, rng=None, progress=No
     k_target = model.config.k if schedule.k_target is None else schedule.k_target
     if not schedule.k_coarse >= k_target >= 1:
         raise ValueError("schedule requires k_coarse >= k_target >= 1")
-    live = np.array([s.live_count for s in train])
-    if (live < k_target).any():
-        bad = [train[i].id for i in np.flatnonzero(live < k_target)[:5]]
-        raise GateExhaustedError(
-            f"k={k_target} is infeasible for some training samples (e.g. ids {bad})"
-        )
+    for split, samples, need in (("training", train, k_target), ("validation", val, 1)):
+        live = np.array([s.live_count for s in samples])
+        if (live < need).any():
+            bad = [samples[i].id for i in np.flatnonzero(live < need)[:5]]
+            raise GateExhaustedError(f"k={need} is infeasible for some {split} samples (e.g. ids {bad})")
 
     log = []
 

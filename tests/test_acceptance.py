@@ -127,6 +127,16 @@ def test_c1_gradient_oracle_suite(report):
         for name, build in reductions.items():
             worst[name] = max(worst.get(name, 0.0), grad_error(build, xr))
 
+    # a layer's bias: an (n, m) batch plus a (1, m) row, both operands checked
+    rng_b = np.random.default_rng(43)
+    for _ in range(12):
+        xb, bb, cb = rng_b.normal(size=(5, 4)), rng_b.normal(size=(1, 4)), rng_b.normal(size=(5, 4))
+        worst["add_row"] = max(
+            worst.get("add_row", 0.0),
+            grad_error(lambda t: ((t + ad.Tensor(bb)) * ad.Tensor(cb)).sum(), xb),
+            grad_error(lambda t: ((ad.Tensor(xb) + t) * ad.Tensor(cb)).sum(), bb),
+        )
+
     # the soft gate, two heads over a sparse mask so the draws run on the live-column block, and row 1 past its count
     rng_g = np.random.default_rng(31)
     for tau in (1.0, 0.2):

@@ -109,6 +109,35 @@ class TestElementwise:
         with pytest.raises(ShapeError, match=r"\(2,\).*\(3,\)"):
             ad.add(ad.Tensor([1.0, 2.0]), ad.Tensor([1.0, 2.0, 3.0]))
 
+    def test_row_add_values_and_gradients(self):
+        # an (n, m) batch plus a (1, m) row, as a layer adds its bias
+        rng = np.random.default_rng(8)
+        x = ad.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        b = ad.Tensor(rng.normal(size=(1, 3)), requires_grad=True)
+        g = rng.normal(size=(5, 3))
+        out = x + b
+        np.testing.assert_array_equal(out.data, x.data + b.data)
+        (out * ad.Tensor(g)).sum().backward()
+        np.testing.assert_array_equal(x.grad, accumulated(g))
+        np.testing.assert_array_equal(b.grad, accumulated(np.ones((1, 5)) @ g))
+        np.testing.assert_allclose(b.grad, g.sum(axis=0, keepdims=True), rtol=1e-12)
+
+    @pytest.mark.parametrize("n, m", [(1, 4), (6, 1), (7, 5)])
+    def test_row_add_gradients(self, n, m):
+        rng = np.random.default_rng(10 * n + m)
+        x, b, c = rng.normal(size=(n, m)), rng.normal(size=(1, m)), rng.normal(size=(n, m))
+        assert grad_error(lambda t: ((t + ad.Tensor(b)) * ad.Tensor(c)).sum(), x) <= TOL
+        assert grad_error(lambda t: ((ad.Tensor(x) + t) * ad.Tensor(c)).sum(), b) <= TOL
+
+    @pytest.mark.parametrize("left, right", [((1, 3), (4, 3)), ((4, 3), (2, 3)), ((4, 3), (1, 2)), ((4, 3), (3,))])
+    def test_add_takes_a_row_only_on_the_right(self, left, right):
+        with pytest.raises(ShapeError, match=rf"add: shapes \({left[0]}, .*\) and \({right[0]},.*\) are incompatible"):
+            ad.add(ad.Tensor(np.zeros(left)), ad.Tensor(np.zeros(right)))
+
+    def test_mul_takes_no_row(self):
+        with pytest.raises(ShapeError, match=r"mul: shapes \(4, 3\) and \(1, 3\)"):
+            ad.mul(ad.Tensor(np.zeros((4, 3))), ad.Tensor(np.zeros((1, 3))))
+
     @pytest.mark.parametrize("seed", range(100))
     def test_binary_op_gradients(self, seed):
         rng = np.random.default_rng(seed)

@@ -49,7 +49,6 @@ class TestRidge:
     def test_identity_design(self):
         model = ridge_fit(np.eye(2), np.array([1.0, -1.0]), alpha=0.0)
         np.testing.assert_allclose(model.weights, [1.0, -1.0], atol=1e-12)
-        assert model.bias == 0.0
 
     def test_large_alpha_shrinks_to_zero(self):
         rng = np.random.default_rng(0)

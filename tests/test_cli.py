@@ -187,7 +187,7 @@ class TestConfigSections:
         model, header = load_checkpoint(text_run / "model.ckpt")
         spec = header["config"]["extractor"]
         assert (spec["embed_dim"], spec["filters"], spec["filter_widths"]) == (12, 6, [3, 4, 5])
-        assert spec["pad_index"] == 0 and model.generator.extractor.filters == 6
+        assert spec["pad_index"] == 0 and model.extractor.filters == 6
 
     @pytest.mark.parametrize("train", [
         {"tau_fine": 0.05}, {"tau_coarse": 2.0}, {"k_coarse": 0},
@@ -233,6 +233,12 @@ class TestConfigSections:
                                      "--checkpoint", str(tmp_path / "m.ckpt"))
         assert code == 2 and records == []
         assert f"the seed must be a non-negative integer, got {seed!r}" in err
+
+    def test_negative_eval_seed_exits_two(self, synth_run, capsys):
+        code, records, err = run_cli(capsys, "eval", "--checkpoint", str(synth_run / "model.ckpt"),
+                                     "--dataset", str(synth_run / "manifest.json"), "--mode", "soft", "--seed", "-1")
+        assert code == 2 and records == []
+        assert "the seed must be a non-negative integer, got -1" in err
 
     @pytest.mark.parametrize("command", ["explain", "bench"])
     def test_deterministic_commands_take_no_seed(self, synth_run, capsys, command):

@@ -1,6 +1,7 @@
 """Model assembly tests: weight generation, gated prediction, losses, ablations."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from sparselocal import autodiff as ad
 from sparselocal import gate as gt
+from sparselocal import model as model_module
 from sparselocal.data import Sample
 from sparselocal.errors import GateExhaustedError, ShapeError
 from sparselocal.model import DirectClassifier, GatedLocalLinear, ModelConfig
@@ -106,7 +108,7 @@ class TestGenerateWeights:
         rng = np.random.default_rng(3)
         model = GatedLocalLinear(tiny_image_config(), rng)
         x = rng.uniform(size=(1, 8, 8))
-        assert param_grad_error(model, lambda: model.generator.rows([x]).sum(), ["extractor.block0.kernels"]) <= 1e-4
+        assert param_grad_error(model, lambda: model.rows([x]).sum(), ["extractor.block0.kernels"]) <= 1e-4
 
 
 class TestTextTrunk:
@@ -125,10 +127,10 @@ class TestTextTrunk:
         model = self._model(60)
         # a large padding row: unmasked padding past a sequence's end would win the max pool
         model.named_parameters()["extractor.embed"].data[0] = 3.0
-        rows = model.generator.rows(self.SEQUENCES).data
+        rows = model.rows(self.SEQUENCES).data
         for i, ids in enumerate(self.SEQUENCES):
             # not bitwise: BLAS may round a one-row product differently from the same row in a larger one
-            np.testing.assert_allclose(rows[i], model.generator.rows([ids]).data[0], rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(rows[i], model.rows([ids]).data[0], rtol=1e-12, atol=1e-15)
 
     def test_gradients_through_embedding_and_kernels(self):
         model = self._model(61)
@@ -136,7 +138,7 @@ class TestTextTrunk:
         named = model.named_parameters()
         names = sorted(n for n in named if n.startswith("extractor."))
         assert len(names) == 4  # the embedding and one kernel bank per filter width
-        assert param_grad_error(model, lambda: (model.generator.rows(self.SEQUENCES) * c).sum(), names) <= 1e-4
+        assert param_grad_error(model, lambda: (model.rows(self.SEQUENCES) * c).sum(), names) <= 1e-4
 
 
 class TestForwardLoss:
@@ -258,7 +260,7 @@ class TestGradientMaskingIdentity:
         cfg = vector_config(d=5, k=2)
         model = GatedLocalLinear(cfg, rng)
         s = vector_sample(rng, d=5)
-        w = model.generator.rows([s.x]).reshape((5,))
+        w = model.rows([s.x]).reshape((5,))
         g, _ = gt.k_hot_gate(w.data, s.m == 0, 2)
         margin = (ad.Tensor(s.z) * ad.Tensor(g) * w).sum()
         margin.backward()
@@ -307,7 +309,7 @@ class TestDenseAndDirectVariants:
     def test_direct_classifier_logit_length(self):
         rng = np.random.default_rng(53)
         dnn = DirectClassifier(vector_config(num_classes=4), rng)
-        assert dnn.logits([rng.normal(size=8)]).data[0].shape == (4,)
+        assert dnn.rows([rng.normal(size=8)]).data[0].shape == (4,)
 
     def test_direct_classifier_never_touches_gating(self, monkeypatch):
         rng = np.random.default_rng(54)
@@ -329,7 +331,7 @@ class TestDenseAndDirectVariants:
         rng = np.random.default_rng(55)
         dnn = DirectClassifier(vector_config(num_classes=num_classes), rng)
         samples = [vector_sample(rng, sid=i) for i in range(5)]
-        picks = np.argmax(dnn.logits([s.x for s in samples]).data, axis=1)
+        picks = np.argmax(dnn.rows([s.x for s in samples]).data, axis=1)
         want = picks * 2 - 1 if num_classes == 2 else picks
         built = []
         make_op = ad.make_op
@@ -342,7 +344,7 @@ class TestDenseAndDirectVariants:
         labels = dnn.predict_labels(samples)
         np.testing.assert_array_equal(labels, want)
         assert built and all(t._parents == () and t._backward is None for t in built)
-        assert dnn.logits([s.x for s in samples]).requires_grad
+        assert dnn.rows([s.x for s in samples]).requires_grad
 
 
 class TestExplain:
@@ -424,12 +426,13 @@ def masked_samples(rng, d, n, num_classes=2):
 
 class TestBatchedHardGate:
     @pytest.mark.parametrize("num_classes", [2, 3])
-    def test_predict_labels_equal_per_sample_margins(self, num_classes):
+    def test_predict_labels_equal_per_sample_margins(self, monkeypatch, num_classes):
+        monkeypatch.setattr(model_module, "CHUNK", 16)
         rng = np.random.default_rng(71)
         model = GatedLocalLinear(vector_config(d=8, k=4, num_classes=num_classes), rng)
         samples = masked_samples(rng, 8, 60, num_classes)
         assert any(0 < s.live_count < 4 for s in samples) and any(s.live_count == 0 for s in samples)
-        labels = model.predict_labels(samples, chunk=16)
+        labels = model.predict_labels(samples)
         for s, label in zip(samples, labels):
             margin = model.margin(s)
             if num_classes == 2:
@@ -505,6 +508,35 @@ class TestBatchedHardGate:
         assert model.explain_batch([], k=3) == []
 
 
+class TestChunkedInference:
+    """margin, predict_labels and explain_batch run one pass per ``CHUNK`` samples."""
+
+    def _model_and_samples(self, n):
+        rng = np.random.default_rng(77)
+        model = GatedLocalLinear(vector_config(d=600, k=3, num_classes=3), rng)
+        return model, [vector_sample(rng, d=600, sid=i) for i in range(n)]
+
+    def test_explain_batch_equals_per_chunk_calls_and_predicted_labels(self):
+        model, samples = self._model_and_samples(2 * model_module.CHUNK + 9)
+        batch = model.explain_batch(samples)
+        chunks = range(0, len(samples), model_module.CHUNK)
+        assert batch == [e for lo in chunks for e in model.explain_batch(samples[lo : lo + model_module.CHUNK])]
+        assert [e.prediction for e in batch] == model.predict_labels(samples).tolist()
+
+    def test_explain_batch_memory_does_not_grow_with_the_list(self):
+        chunk = model_module.CHUNK
+        model, samples = self._model_and_samples(6 * chunk + 3)
+        model.explain_batch(samples[:chunk])  # warm-up, off the trace
+        peaks = []
+        for n in (2 * chunk, len(samples)):
+            tracemalloc.start()
+            model.explain_batch(samples[:n])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        # one grid over the whole list would take three times the peak of two chunks
+        assert peaks[1] < 1.25 * peaks[0], f"peak {peaks[1] / 1e6:.1f} MB over 7 chunks, {peaks[0] / 1e6:.1f} MB over 2"
+
+
 class TestOneGatePerPath:
     """Inference runs one hard-gate call per batch and training one soft-gate call per batch."""
 
@@ -522,7 +554,7 @@ class TestOneGatePerPath:
         return counts
 
     @pytest.mark.parametrize("num_classes", [2, 3])
-    def test_inference_calls_the_hard_gate_once_per_batch(self, calls, num_classes):
+    def test_inference_calls_the_hard_gate_once_per_batch(self, calls, monkeypatch, num_classes):
         rng = np.random.default_rng(81)
         model = GatedLocalLinear(vector_config(d=8, k=3, num_classes=num_classes), rng)
         samples = [s for s in masked_samples(rng, 8, 30, num_classes) if s.live_count >= 3][:10]
@@ -536,18 +568,23 @@ class TestOneGatePerPath:
             run()
             assert calls == {"hard": 1, "soft": 0}
         calls.update(hard=0, soft=0)
-        model.predict_labels(samples, chunk=4)
+        monkeypatch.setattr(model_module, "CHUNK", 4)
+        model.predict_labels(samples)
+        assert calls == {"hard": 3, "soft": 0}
+        calls.update(hard=0, soft=0)
+        model.explain_batch(samples)
         assert calls == {"hard": 3, "soft": 0}
 
     @pytest.mark.parametrize("num_classes", [2, 3])
-    def test_training_calls_the_soft_gate_once_per_batch(self, calls, num_classes):
+    def test_training_calls_the_soft_gate_once_per_batch(self, calls, monkeypatch, num_classes):
         rng = np.random.default_rng(82)
         model = GatedLocalLinear(vector_config(d=8, k=3, num_classes=num_classes), rng)
         samples = [vector_sample(rng, d=8, y=1 if num_classes == 2 else 2, sid=i) for i in range(5)]
         model.batch_loss(samples, rng=rng).backward()
         assert calls == {"hard": 0, "soft": 1}
         calls.update(hard=0, soft=0)
-        model.predict_labels(samples, mode="soft", rng=rng, chunk=4)
+        monkeypatch.setattr(model_module, "CHUNK", 4)
+        model.predict_labels(samples, mode="soft", rng=rng)
         assert calls == {"hard": 0, "soft": 2}
 
     def test_benchmark_tracer_times_the_soft_gate_once(self, monkeypatch):
@@ -563,6 +600,25 @@ class TestOneGatePerPath:
         names = [span[0] for span in tracer.spans]
         assert names.count("gate.k_hot_gate_rows") == 1
         assert names.count("bwd.gate.soft") == 1
+
+    def test_benchmark_tracer_times_the_trunk_inside_inference(self, monkeypatch):
+        # perfbench reads model.explain.generate_ms and model.predict.rows_ms from model.rows spans under these
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        from spans import Tracer
+
+        monkeypatch.setattr(model_module, "CHUNK", 4)
+        rng = np.random.default_rng(84)
+        model = GatedLocalLinear(vector_config(d=8, k=3, num_classes=3), rng)
+        samples = [vector_sample(rng, d=8, y=2, sid=i) for i in range(10)]
+        with Tracer() as tracer:
+            model.explain(samples[0])
+            model.predict_labels(samples)
+        names = [span[0] for span in tracer.spans]
+        for outer, chunks in (("model.explain", 1), ("model.predict_labels", 3)):
+            at = names.index(outer)
+            inner = [span for span in tracer.spans if span[0] == "model.rows" and span[3] == at]
+            assert len(inner) == chunks
+        assert names.count("model.rows") == 4
 
 
 def _blas_build():

@@ -257,6 +257,18 @@ class TestCoarseToFine:
         with pytest.raises(GateExhaustedError, match="infeasible"):
             coarse_to_fine_train(model, train, val, TrainSchedule(), np.random.default_rng(0))
 
+    def test_validation_sample_without_live_features_is_rejected_before_any_step(self, monkeypatch):
+        cfg, train, val, _ = small_problem()
+        for i in (2, 5):
+            val[i].m = np.ones(8, dtype=np.int64)
+        model = GatedLocalLinear(cfg, np.random.default_rng(0))
+        steps = []
+        monkeypatch.setattr(Adam, "step", lambda self: steps.append(1))
+        want = rf"k=1 is infeasible for some validation samples \(e.g. ids \[{val[2].id!r}, {val[5].id!r}\]\)"
+        with pytest.raises(GateExhaustedError, match=want):
+            coarse_to_fine_train(model, train, val, TrainSchedule(k_coarse=4), np.random.default_rng(0))
+        assert steps == []
+
     def test_patience_stops_a_stalled_phase(self):
         cfg, train, val, _ = small_problem(n=120)
         model = GatedLocalLinear(cfg, np.random.default_rng(0))
