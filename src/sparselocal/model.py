@@ -380,10 +380,11 @@ class GatedLocalLinear(WeightGenerator):
                 g, order = gt.k_hot_gate(grid, live[:, None, :], k)
             else:
                 counts = np.minimum(k, live.sum(axis=1))
-                rows = grid.reshape(len(batch), -1)
-                g = gt.k_hot_gate_rows(rows, ~live, counts, self.config.tau_fine, rng=rng).data.reshape(grid.shape)
+                g = gt.k_hot_gate_rows(grid.reshape(len(batch), -1), ~live, counts, self.config.tau_fine, rng=rng)
+                g = g.data.reshape(grid.shape)
             z = np.array([s.z for s in batch], dtype=np.float64)
             yield batch, grid, np.vecdot(z[:, None, :], g * grid), order
+            del grid, g, order  # the next chunk's trunk and gate run without this one's arrays
 
     def margin(self, sample, k=None):
         """Hard-gated prediction: a signed margin (binary) or class scores.
@@ -440,6 +441,7 @@ class GatedLocalLinear(WeightGenerator):
                 entries = [(j, f"f{j}" if feature_names is None else feature_names[j], float(grid[i, head, j]))
                            for j in order[i, head].tolist()]
                 out.append(Explanation(prediction=prediction, entries=entries, sample_id=s.id))
+            del grid, scores, order  # the next chunk's trunk and gate run without this one's arrays
         return out
 
 
@@ -461,8 +463,10 @@ class DirectClassifier(WeightGenerator):
         return (ad.take_along(logp, y) * (-1.0)).mean()
 
     def predict_labels(self, samples, k=None, mode=None, rng=None):
-        with ad.no_grad():
-            picks = np.argmax(self.rows([s.x for s in samples]).data, axis=1)
+        with ad.no_grad():  # one trunk pass per CHUNK samples, as in the gated model's inference
+            picks = [np.argmax(self.rows([s.x for s in samples[lo : lo + CHUNK]]).data, axis=1)
+                     for lo in range(0, len(samples), CHUNK)]
+        picks = np.concatenate([np.empty(0, dtype=np.int64), *picks])
         if self.config.num_classes == 2:
             return picks * 2 - 1
         return picks

@@ -14,11 +14,16 @@
   the bitwise reference for ``sparselocal.gate.k_hot_gate_rows``.
 - Central finite differences, the gradient oracle, with one helper for a
   function of one input array and one for a model's parameters.
+- The digit renderer as it was before it took all segments of an image
+  in one pass: each stroke jittered and placed on its own, then one
+  ``np.linalg.norm`` pass per segment. Its ink fields, images and labels
+  are the bitwise reference for ``sparselocal.digits``.
 """
 
 import numpy as np
 
 from sparselocal import autodiff as ad
+from sparselocal import digits as dg
 from sparselocal import gate as gt
 
 
@@ -207,3 +212,55 @@ def param_grad_error(model, loss_of, names=None):
     fd = finite_difference_grad(loss_at, base)
     loss_at(base)
     return rel_error(analytic, fd)
+
+
+def stroke_ink(strokes, sigma):
+    """The ink field, (SIZE * SIZE,), of strokes in pixel coordinates, one segment at a time."""
+    pixels = dg._PIXELS
+    ink = np.zeros(dg.SIZE * dg.SIZE)
+    for pts in strokes:
+        for p, q in zip(pts[:-1], pts[1:]):
+            seg = q - p
+            denom = float(seg @ seg)
+            if denom < 1e-12:
+                dist = np.linalg.norm(pixels - p, axis=1)
+            else:
+                t = np.clip(((pixels - p) @ seg) / denom, 0.0, 1.0)
+                dist = np.linalg.norm(pixels - (p + t[:, None] * seg), axis=1)
+            np.maximum(ink, np.exp(-0.5 * (dist / sigma) ** 2), out=ink)
+    return ink
+
+
+def digit_ink(digit, rng):
+    """One rendering's float ink field: geometry, stroke width, then each stroke's jitter, drawn from rng."""
+    margin = 4.0
+    span = dg.SIZE - 2.0 * margin
+    theta = rng.uniform(-0.25, 0.25)
+    scale = rng.uniform(0.80, 1.12, size=2)
+    shear = rng.uniform(-0.18, 0.18)
+    shift = rng.uniform(-2.6, 2.6, size=2)
+    rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    aff = rot @ np.array([[scale[0], shear * scale[0]], [0.0, scale[1]]])
+    sigma = rng.uniform(0.55, 0.95)
+    strokes = []
+    for stroke in dg._STROKES[digit]:
+        pts = stroke + rng.normal(0.0, 0.018, size=stroke.shape)
+        pts = (pts - 0.5) @ aff.T + 0.5
+        pts = margin + pts * span
+        pts += shift
+        strokes.append(pts)
+    return stroke_ink(strokes, sigma)
+
+
+def make_digit_images(n, seed):
+    """``(images, digits, inks)``: n rendered digits, their classes and each image's ink before scaling and noise."""
+    rng = np.random.default_rng(seed)
+    digits = rng.integers(0, 10, size=n).astype(np.uint8)
+    images = np.empty((n, dg.SIZE, dg.SIZE), dtype=np.uint8)
+    inks = []
+    for i in range(n):
+        inks.append(digit_ink(int(digits[i]), rng))
+        img = inks[-1].reshape(dg.SIZE, dg.SIZE) * rng.uniform(200.0, 255.0)
+        img += rng.normal(0.0, 6.0, size=img.shape)
+        images[i] = np.clip(img, 0, 255).astype(np.uint8)
+    return images, digits, inks

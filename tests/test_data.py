@@ -1,7 +1,9 @@
 """Ingestion tests: IDX containers, image and text representations, synthetic oracle."""
 
+import hashlib
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -22,8 +24,11 @@ from sparselocal.data import (
     write_idx_images,
     write_idx_labels,
 )
+from sparselocal import digits as digits_module
 from sparselocal.digits import make_digit_images
 from sparselocal.errors import ConfigError, DataFormatError
+
+import oracles
 
 
 class TestIdx:
@@ -318,6 +323,49 @@ class TestSplit:
 
 
 class TestDigitRenderer:
+    def test_images_labels_and_ink_fields_equal_the_segment_loop(self, monkeypatch):
+        inks, ink = [], digits_module._ink
+
+        def recorded(digit, rng):
+            inks.append(ink(digit, rng))
+            return inks[-1]
+
+        monkeypatch.setattr(digits_module, "_ink", recorded)
+        classes = set()
+        for seed in range(30):
+            inks.clear()
+            images, labels = make_digit_images(40, seed=seed)
+            want_images, want_labels, want_inks = oracles.make_digit_images(40, seed)
+            assert images.tobytes() == want_images.tobytes() and labels.tobytes() == want_labels.tobytes()
+            assert [f.tobytes() for f in inks] == [f.tobytes() for f in want_inks], f"seed {seed}"
+            classes.update(labels.tolist())
+        assert classes == set(range(10))
+
+    def test_degenerate_segments_take_the_start_point(self):
+        # a repeated point, a stroke of one repeated point, and lengths either side of the 1e-6 cut-off
+        strokes = [np.array([[5.0, 5.0], [5.0, 5.0], [12.5, 20.25]]), np.array([[20.0, 4.0], [20.0, 4.0]]),
+                   np.array([[23.3, 22.7], [23.3 + 5e-7, 22.7]]), np.array([[16.1, 9.6], [16.1, 9.6 + 2e-6]])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sigma in (0.55, 0.8):
+                got = digits_module._ink_field(*digits_module._polyline(strokes), sigma)
+                assert got.tobytes() == oracles.stroke_ink(strokes, sigma).tobytes()
+
+    def test_images_are_the_pinned_bytes(self):
+        images, labels = make_digit_images(64, seed=0)
+        digest = hashlib.sha256(images.tobytes() + labels.tobytes()).hexdigest()
+        assert digest == "09c6ba2e7aa0a92b789779c6b0e2b7f4dcbcd583f0e6bb09176b01e41f4435f7"
+
+    @pytest.mark.parametrize("n", [-1, 2.5, True, "3", None])
+    def test_bad_counts_are_rejected(self, n):
+        with pytest.raises(ValueError, match=r"^n must be a non-negative integer, got "):
+            make_digit_images(n, seed=0)
+
+    def test_zero_and_numpy_counts(self):
+        images, labels = make_digit_images(0, seed=0)
+        assert images.shape == (0, 28, 28) and images.dtype == np.uint8 and labels.shape == (0,)
+        assert make_digit_images(np.int64(3), seed=0)[0].tobytes() == make_digit_images(3, seed=0)[0].tobytes()
+
     def test_images_are_uint8_and_labeled(self):
         images, digits = make_digit_images(20, seed=0)
         assert images.shape == (20, 28, 28) and images.dtype == np.uint8
