@@ -129,12 +129,7 @@ def make_op(data, parents, op, backward):
     out.grad = None
     out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
     out.op = op
-    if out.requires_grad:
-        out._parents = tuple(parents)
-        out._backward = backward
-    else:
-        out._parents = ()
-        out._backward = None
+    out._parents, out._backward = (tuple(parents), backward) if out.requires_grad else ((), None)
     return out
 
 
@@ -253,14 +248,11 @@ def concat(parts, axis=0):
     if not parts:
         raise ShapeError("concat of an empty sequence")
     data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    cuts = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
 
     def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(int(lo), int(hi))
-            accumulate_grad(p, g[tuple(sl)])
+        for p, part in zip(parts, np.split(g, cuts, axis=axis)):
+            accumulate_grad(p, part)
 
     return make_op(data, tuple(parts), "concat", backward)
 
@@ -414,19 +406,27 @@ def max_pool2d(x, window):
     if wh > h or ww > w:
         raise ShapeError(f"max_pool2d: window {(wh, ww)} exceeds input extent {(h, w)}")
     oh, ow = h // wh, w // ww
-
-    at = [(slice(i, i + wh * oh, wh), slice(j, j + ww * ow, ww)) for i in range(wh) for j in range(ww)]
-    pooled = xd[(..., *at[-1])].copy(order="K")
-    for rows, cols in reversed(at[:-1]):
-        np.maximum(pooled, xd[..., rows, cols], out=pooled)  # a tie returns the second operand: the earlier offset
+    if ww == 1:  # windows down the rows only, as the text trunk's global pool: one reduction, one routing pass
+        win = xd[:, :, : wh * oh].reshape(xd.shape[:2] + (oh, wh, w))  # a view; axis 3 runs through a window
+        pooled = np.maximum.reduce(win[:, :, :, ::-1], axis=3)  # the offset loop below, in its order
+    else:
+        at = [(slice(i, i + wh * oh, wh), slice(j, j + ww * ow, ww)) for i in range(wh) for j in range(ww)]
+        pooled = xd[(..., *at[-1])].copy(order="K")
+        for rows, cols in reversed(at[:-1]):
+            np.maximum(pooled, xd[..., rows, cols], out=pooled)  # a tie returns the second operand: the earlier offset
 
     def backward(g):
         dx = np.zeros_like(xd)
-        free = np.ones_like(pooled, dtype=bool)
-        for rows, cols in at:
-            hit = (xd[..., rows, cols] == pooled) & free
-            dx[..., rows, cols] = np.where(hit, g, 0.0)  # windows do not overlap, so no position repeats
-            free ^= hit
+        if ww == 1:  # the first position equal to the output; a NaN output routes none
+            first = np.argmax(win == pooled[:, :, :, None], axis=3)[:, :, :, None]
+            routed = np.where(pooled == pooled, g, 0.0)[:, :, :, None]
+            np.put_along_axis(dx[:, :, : wh * oh].reshape(win.shape), first, routed, axis=3)
+        else:
+            free = np.ones_like(pooled, dtype=bool)
+            for rows, cols in at:
+                hit = (xd[..., rows, cols] == pooled) & free
+                dx[..., rows, cols] = np.where(hit, g, 0.0)  # windows do not overlap, so no position repeats
+                free ^= hit
         accumulate_grad(x, dx)
 
     return make_op(pooled, (x,), "max_pool2d", backward)

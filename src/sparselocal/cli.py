@@ -366,6 +366,8 @@ def cmd_bench(args):
             "reps": reps,
             "mean_ms": float(times.mean() * 1e3),
             "sd_ms": float(times.std(ddof=1) * 1e3) if reps > 1 else 0.0,
+            "p50_ms": float(np.percentile(times, 50) * 1e3),
+            "p95_ms": float(np.percentile(times, 95) * 1e3),
         })
     return 0
 

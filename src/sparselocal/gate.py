@@ -53,20 +53,34 @@ def _gumbel(u):
     return -np.log(-np.log(u))
 
 
+def live_block(live, width):
+    """Each row's first ``width`` columns once its live ones move to the front, both parts in index order."""
+    return np.argsort(~live, axis=-1, kind="stable")[..., :width]
+
+
 def k_hot_gate(w, live, k):
     """The hard gate: a 0/1 gate over ``(..., d)`` weights and its ``(..., k)`` order.
 
-    Each row of the order lists the indices of the k largest live
-    ``w**2`` in descending order, ties going to the lowest index, and the
-    gate opens them. ``live`` broadcasts against ``w``. Dead entries sort
-    after every live one, so a row with fewer than k live entries ends
-    its order with dead indices, which the gate multiplies out.
+    A row's order is the stable sort of its keys, ``-w**2`` if live and
+    ``+inf`` if dead, cut to k: the k largest live ``w**2``, ties to the
+    lowest index, then dead indices, then live NaN weights, which sort
+    after ``+inf``. The gate opens the selected live entries. ``live`` is
+    ``True`` or has ``w``'s number of axes. With some entry dead, only
+    each row's :func:`live_block` of all live and k dead columns is sorted.
     """
-    w = np.asarray(w, dtype=np.float64)
-    order = np.argsort(np.where(live, -(w * w), np.inf), axis=-1, kind="stable")[..., :k]
+    w, live = np.asarray(w, dtype=np.float64), np.asarray(live)
+    rows = np.arange(0, w.size, w.shape[-1]).reshape(w.shape[:-1] + (1,))  # each row's flat offset
+    if live.all():  # dense data: sort the rows themselves; every selected entry opens
+        order, opened = np.argsort(-(w * w), axis=-1, kind="stable")[..., :k], 1.0
+    else:
+        counts = live.sum(axis=-1, keepdims=True)
+        at = rows + live_block(live, int(counts.max()) + k)  # the flat positions of each row's block
+        key = np.where(np.arange(at.shape[-1]) < counts, -np.square(w.reshape(-1)[at]), np.inf)
+        sub = np.argsort(key, axis=-1, kind="stable")[..., :k]
+        order, opened = np.take_along_axis(at, sub, axis=-1) - rows, (sub < counts).ravel()
     gate = np.zeros(w.size)  # a flat scatter costs half of put_along_axis on one sample
-    gate[(np.arange(0, w.size, w.shape[-1]).reshape(order.shape[:-1] + (1,)) + order).ravel()] = 1.0
-    return gate.reshape(w.shape) * live, order
+    gate[(rows + order).ravel()] = opened
+    return gate.reshape(w.shape), order
 
 
 def k_hot_gate_rows(w, mask, k, tau, rng=None, noise=None):
@@ -140,10 +154,8 @@ def k_hot_gate_rows(w, mask, k, tau, rng=None, noise=None):
         return ad.Tensor(np.zeros((n, heads * d)))
 
     width = int(counts.max(initial=0))
-    at = np.s_[:, :]  # when some sample is all live, each block is its whole head and x[at] is x
-    if width < d:
-        cols = np.argsort(~live, axis=1, kind="stable")[:, :width]  # live first; stable keeps index order
-        at = (np.arange(n)[:, None], cols)
+    # when some sample is all live, each block is its whole head and x[at] is x
+    at = np.s_[:, :] if width == d else (np.arange(n)[:, None], live_block(live, width))
     if noise is None:
         lam, uniform = np.empty((heads, draws, n, width)), np.empty((n, d))
         for block in lam.reshape(-1, n, width):  # one (n, d) buffer: a (heads, draws, n, d) array faults pages in
@@ -154,7 +166,7 @@ def k_hot_gate_rows(w, mask, k, tau, rng=None, noise=None):
     lam = lam.transpose(1, 2, 0, 3).reshape(draws, n * heads, width) * (1.0 / tau)
     k, free = np.repeat(k, heads), np.repeat(live[at], heads, axis=0)
     if width < d:
-        at = (np.arange(n * heads)[:, None], np.repeat(cols, heads, axis=0))  # each sample's columns, per head
+        at = (np.arange(n * heads)[:, None], np.repeat(at[1], heads, axis=0))  # each sample's columns, per head
     rows = w.data.reshape(n * heads, d)[at]  # row i·heads + c is head c of sample i
     full = np.zeros((n * heads, d))
 

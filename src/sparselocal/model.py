@@ -375,13 +375,12 @@ class GatedLocalLinear(WeightGenerator):
             live = _live(batch, need)
             with ad.no_grad():
                 grid = self.rows([s.x for s in batch]).data.reshape(len(batch), heads, d)
-            order = None
             if rng is None:
                 g, order = gt.k_hot_gate(grid, live[:, None, :], k)
             else:
                 counts = np.minimum(k, live.sum(axis=1))
                 g = gt.k_hot_gate_rows(grid.reshape(len(batch), -1), ~live, counts, self.config.tau_fine, rng=rng)
-                g = g.data.reshape(grid.shape)
+                g, order = g.data.reshape(grid.shape), None
             z = np.array([s.z for s in batch], dtype=np.float64)
             yield batch, grid, np.vecdot(z[:, None, :], g * grid), order
             del grid, g, order  # the next chunk's trunk and gate run without this one's arrays
@@ -416,9 +415,11 @@ class GatedLocalLinear(WeightGenerator):
         elif rng is None:
             rng = np.random.default_rng(0)
         binary = self.config.num_classes == 2
-        labels = [np.where(scores[:, 0] >= 0, 1, -1) if binary else np.argmax(scores, axis=1)
-                  for _, _, scores, _ in self._chunks(samples, k, rng)]
-        return np.concatenate([np.empty(0, dtype=np.int64), *labels])
+        labels = [np.empty(0, dtype=np.int64)]
+        for _, _, scores, _ in self._chunks(samples, k, rng):
+            labels.append(np.where(scores[:, 0] >= 0, 1, -1) if binary else np.argmax(scores, axis=1))
+            del scores, _  # only the labels stay while the next chunk's trunk and gate run
+        return np.concatenate(labels)
 
     def explain(self, sample, k=None, feature_names=None):
         """Hard-gated explanation: the k open features with their signed weights."""

@@ -245,6 +245,7 @@ def test_c3_synthetic_local_linearity_oracle(synthetic_splits, report):
 # --- C4 ----------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_c4_desk_scale_digit_images(digit_splits, report):
     start = time.monotonic()
     train, val, test = digit_splits
@@ -288,6 +289,7 @@ def test_c4_desk_scale_digit_images(digit_splits, report):
 # --- C5 ----------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_c5_coarse_to_fine_beats_fine_only(synthetic_splits, report):
     train, val, test = synthetic_splits
     two_phase, fine_only = [], []

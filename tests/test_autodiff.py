@@ -275,6 +275,28 @@ class TestMaxPool:
         np.testing.assert_array_equal(np.isnan(out), [[[[True, False], [True, False]]]])
         np.testing.assert_array_equal(out[~np.isnan(out)], [2.0, -1.0])
 
+    @pytest.mark.parametrize("layout", ["contiguous", "channels_last"])
+    @pytest.mark.parametrize("x_shape,window", [((3, 4, 9, 1), (9, 1)), ((1, 4, 40, 1), (40, 1)), ((3, 4, 9, 1), (4, 1))])
+    def test_single_axis_windows_with_nan_and_signed_zeros(self, x_shape, window, layout):
+        # the text trunk's global (out, 1) pool, a one-sample map and a ragged window whose last row is left out
+        rng = np.random.default_rng(462)
+        x = signed_integers(rng, x_shape, high=1)
+        x[:, 0] = rng.choice([0.0, -0.0], size=x[:, 0].shape)  # windows of signed zeros alone, in both orders
+        x[:, 2] = -x[:, 0]
+        x[:, 1][rng.random(x[:, 1].shape) < 0.3] = np.nan
+        x = channels_last(x) if layout == "channels_last" else x
+        xt = ad.Tensor(x, requires_grad=True)
+        out = ad.max_pool2d(xt, window)
+        g = rng.normal(size=out.data.shape) * rng.choice([1.0, -1.0], size=out.data.shape)
+        (out * ad.Tensor(g)).sum().backward()
+        want_out, want_dx = reference_max_pool2d(x, window, g)
+        want_dx[np.isnan(x)] = 0.0  # the reference routes a NaN window's gradient to its first NaN; the pool routes none
+        zeros = out.data[:, [0, 2]]
+        assert np.isnan(out.data[:, 1]).any() and (zeros == 0.0).all()
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+        assert out.data.tobytes() == want_out.tobytes()
+        assert xt.grad.tobytes() == accumulated(want_dx).tobytes()
+
     @pytest.mark.parametrize("window", [2, (3, 1), (2, 3)])
     def test_gradient_equals_scatter_add_reference(self, window):
         # ragged extents leave trailing rows/columns out; integer values make ties
@@ -358,6 +380,7 @@ class TestLoopReferences:
         ((2, 32, 14, 14), 2),  # digits block outputs
         ((1, 3, 7, 5), 2),  # one-map batches
         ((1, 3, 7, 5), (2, 3)),
+        ((1, 4, 40, 1), (40, 1)),  # one sample's global pool, as explain runs it
     ]
 
     @pytest.mark.parametrize("layout", ["contiguous", "channels_last"])

@@ -503,8 +503,9 @@ class TestBenchCommand:
         )
         assert code == 0
         assert [r["k"] for r in records] == [1, 4, 8]
-        assert all({"mean_ms", "sd_ms", "reps"} <= set(r) for r in records)
+        assert all({"mean_ms", "sd_ms", "p50_ms", "p95_ms", "reps"} <= set(r) for r in records)
         assert all(np.isfinite(r["mean_ms"]) and r["mean_ms"] > 0 for r in records)
+        assert all(0 < r["p50_ms"] <= r["p95_ms"] for r in records)
 
     @pytest.mark.parametrize("reps", ["0", "-1"])
     def test_reps_below_one_exits_two(self, synth_run, capsys, reps):

@@ -569,6 +569,30 @@ def hard_order(w, live, k):
     return gt.k_hot_gate(w, live, k)[1]
 
 
+def full_sort_gate(w, live, k):
+    """The hard gate as one stable argsort of every row's keys, then a gate multiplied by ``live``."""
+    order = np.argsort(np.where(live, -(w * w), np.inf), axis=-1, kind="stable")[..., :k]
+    gate = np.zeros(w.shape)
+    np.put_along_axis(gate, order, 1.0, axis=-1)
+    return gate * live, order
+
+
+def sparse_gate_case(rng):
+    """(n, heads, d) weights with ties, extreme magnitudes and NaN, about 1% live, and a gate count."""
+    n, heads, d = (int(v) for v in rng.integers(1, [9, 4, 400]))
+    w = rng.choice([-1.0, 1.0], size=(n, heads, d)) * 10.0 ** rng.uniform(-12, 0, size=(n, heads, d))
+    w = np.where(rng.random(w.shape) < 0.3, rng.integers(-2, 3, size=w.shape) * 1.0, w)  # ties, zeros of both signs
+    pick = rng.random(w.shape)
+    w[pick < 0.03] = rng.choice([1e200, -1e200, 1e-200, -1e-200], size=int((pick < 0.03).sum()))
+    w[(pick > 0.97) & (rng.random(w.shape) < 0.5)] = np.nan
+    w[rng.random(n) < 0.1] = np.nan  # whole samples of NaN weights
+    live = rng.random((n, 1, d)) < rng.choice([0.01, 0.03, 0.3])
+    live[rng.random(n) < 0.15] = True  # all-live samples beside sparse ones
+    live[rng.random(n) < 0.1] = False  # samples with no live entry
+    k = int(rng.choice([rng.integers(1, 12), rng.integers(1, d + 3)]))  # counts past a sample's live entries, and k > d
+    return w, live, k
+
+
 class TestTopkSelect:
     """The hard gate's order is an exact stable top-k of the live ``w**2``."""
 
@@ -625,3 +649,28 @@ class TestTopkSelect:
         ref = reference_topk(w, live, k)
         assert order.tolist() == ref.tolist()
         assert np.flatnonzero(g).tolist() == sorted(ref.tolist())
+
+    def test_a_live_nan_weight_sorts_after_the_dead_entries(self):
+        # NaN keys sort after the dead entries' +inf, so the dead indices fill the order first
+        w = np.array([np.nan, 1.0, 5.0, 2.0, 3.0])
+        live = np.array([True, True, False, False, False])
+        g, order = gt.k_hot_gate(w, live, 3)
+        assert order.tolist() == [1, 2, 3]
+        np.testing.assert_array_equal(g, [0.0, 1.0, 0.0, 0.0, 0.0])
+        g, order = gt.k_hot_gate(w[:3], live[:3], 3)  # with the dead entries used up, the live NaN is selected and opens
+        assert order.tolist() == [1, 2, 0]
+        np.testing.assert_array_equal(g, [1.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_sparse_gate_equals_the_full_sort(self, seed):
+        rng = np.random.default_rng(9100 + seed)
+        blocked = 0
+        for _ in range(500):
+            w, live, k = sparse_gate_case(rng)
+            with np.errstate(over="ignore"):
+                g, order = gt.k_hot_gate(w, live, k)
+                want_g, want_order = full_sort_gate(w, live, k)
+            assert order.tobytes() == want_order.tobytes() and order.shape == want_order.shape
+            assert g.tobytes() == want_g.tobytes() and g.shape == want_g.shape
+            blocked += int(live.sum(axis=-1).max()) + k < w.shape[-1] and not live.all()
+        assert blocked > 150  # a good share of the cases sort a block narrower than the rows

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -540,6 +541,23 @@ class TestChunkedInference:
         one, seven = self._peaks(model.explain_batch, samples, (chunk, len(samples)))
         # holding the previous chunk's grid, gate and order while the next one runs read 27.4 MB against 16.1 MB
         assert seven < 1.15 * one, f"peak {seven / 1e6:.1f} MB over 7 chunks, {one / 1e6:.1f} MB over 1"
+
+    @pytest.mark.parametrize("mode", ["hard", "soft"])
+    def test_predict_labels_drops_each_chunk_before_the_next(self, monkeypatch, mode):
+        model, samples = self._model_and_samples(10)
+        monkeypatch.setattr(model_module, "CHUNK", 4)
+        chunks, freed = GatedLocalLinear._chunks, []
+
+        def watched(self, *args, **kwargs):
+            for chunk in chunks(self, *args, **kwargs):
+                scores = weakref.ref(chunk[2])
+                yield chunk
+                del chunk
+                freed.append(scores() is None)  # the caller has asked for the next chunk
+
+        monkeypatch.setattr(GatedLocalLinear, "_chunks", watched)
+        labels = model.predict_labels(samples, mode=mode)
+        assert freed == [True] * 3 and labels.shape == (10,)  # three chunks of at most 4 samples
 
     def test_direct_classifier_labels_are_chunked(self, monkeypatch):
         chunk = model_module.CHUNK

@@ -433,6 +433,7 @@ class TestTrainPlain:
         assert evaluate(model, test, k=20) >= 0.9
 
 
+@pytest.mark.slow
 class TestReferenceClassifierParity:
     def test_direct_classifier_tracks_gated_accuracy(self, digit_splits):
         from sparselocal.model import DirectClassifier
