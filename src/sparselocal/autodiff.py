@@ -11,13 +11,17 @@ auditable: equal-shape operands, a scalar with a tensor, and for ``add``
 an (n, m) left operand with a (1, m) right one (a layer's bias), whose
 gradient is ``ones((1, n)) @ g``. All data is
 kept in 64-bit floats; gradient checks against central finite
-differences are not reliable below that precision. ``conv2d`` and
-``max_pool2d`` take (n, c, h, w) batches in any strides: ``conv2d``
-returns an NCHW-shaped view of channels-last memory, and the pool keeps
-that order. The ops are those the models differentiate: add, mul,
-relu, softplus, matmul, sum/mean, log-softmax, reshape, concat, the row
-gather and take ops, conv2d and max_pool2d. An op of its own, such as the
-soft gate, is built on :func:`make_op` with a hand-written backward.
+differences are not reliable below that precision. The ops are those the
+models differentiate: add, mul, relu, softplus, matmul, sum/mean,
+log-softmax, reshape, concat, the row gather and take ops, and
+``conv_block``. That is the CNN trunk's conv (im2col + GEMM), max pool
+and relu as one op on (n, c, h, w) batches in any strides, in
+channels-last memory: its backward routes the gradient through relu and
+the pool straight into the conv GEMMs' buffer, and col2im is one GEMM
+per kernel tap. ``conv2d`` and ``max_pool2d`` share its code as graph
+ops of their own, which the benchmark's tracer patches by name. An op of
+its own, such as the soft gate, is built on :func:`make_op` with a
+hand-written backward.
 """
 
 from __future__ import annotations
@@ -335,27 +339,17 @@ def _as_pair(v):
     return (int(v), int(v)) if np.isscalar(v) else (int(v[0]), int(v[1]))
 
 
-def conv2d(x, kernels, padding=0):
-    """Cross-correlation of x with a bank of kernels (no kernel flip).
-
-    ``x`` is a batch (n, c, h, w) in any strides; ``kernels`` has shape
-    (c_out, c_in, kh, kw). The stride is 1,
-    so the output spatial extent is h + 2*padding - kh + 1 per axis. The
-    output is an NCHW-shaped view of channels-last memory.
-    """
-    x, kernels = as_tensor(x), as_tensor(kernels)
-    xd, kd = x.data, kernels.data
+def _conv(xd, kd, padding, name):
+    """im2col + GEMM, stride 1: the output (an NCHW view of channels-last memory), im2col's flat, the padding."""
     if xd.ndim != 4 or kd.ndim != 4:
-        raise ShapeError(f"conv2d: input {xd.shape} and kernels {kd.shape} must be 4-d")
+        raise ShapeError(f"{name}: input {xd.shape} and kernels {kd.shape} must be 4-d")
     n, c, h, w = xd.shape
     c_out, c_in, kh, kw = kd.shape
     if c_in != c:
-        raise ShapeError(f"conv2d: input has {c} channels but kernels expect {c_in}")
+        raise ShapeError(f"{name}: input has {c} channels but kernels expect {c_in}")
     ph, pw = _as_pair(padding)
     if kh > h + 2 * ph or kw > w + 2 * pw:
-        raise ShapeError(
-            f"conv2d: kernel {(kh, kw)} larger than padded input {(h + 2 * ph, w + 2 * pw)}"
-        )
+        raise ShapeError(f"{name}: kernel {(kh, kw)} larger than padded input {(h + 2 * ph, w + 2 * pw)}")
     oh = h + 2 * ph - kh + 1
     ow = w + 2 * pw - kw + 1
 
@@ -371,62 +365,118 @@ def conv2d(x, kernels, padding=0):
     cols = np.lib.stride_tricks.as_strided(buf, windows, buf.strides + buf.strides[2:], writeable=False)
     cols = cols.transpose(0, 4, 5, 1, 2, 3)
     flat = np.ascontiguousarray(cols).reshape(c * kh * kw, n * oh * ow).T
-    out_data = (flat @ kd.reshape(c_out, -1).T).reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2)
+    return (flat @ kd.reshape(c_out, -1).T).reshape(n, oh, ow, c_out).transpose(0, 3, 1, 2), flat, (ph, pw)
 
-    def backward(g):
-        gflat = g.transpose(0, 2, 3, 1).reshape(n * oh * ow, c_out)
-        if kernels.requires_grad:
-            accumulate_grad(kernels, (gflat.T @ flat).reshape(kd.shape))
-        if x.requires_grad:
-            dcols = (gflat @ kd.reshape(c_out, -1)).reshape(n, oh, ow, c, kh, kw)
-            dbuf = np.zeros((n, h + 2 * ph, w + 2 * pw, c))  # channels-last, like the rows of dcols
-            if ow == 1:  # swap the one output column and the kernel columns: each kernel row is one add
-                dcols = dcols.swapaxes(2, 5)
-            for i, j in np.ndindex(kh, dcols.shape[5]):
-                dbuf[:, i : i + oh, j : j + dcols.shape[2]] += dcols[..., i, j]
-            accumulate_grad(x, dbuf[:, ph : ph + h, pw : pw + w].transpose(0, 3, 1, 2))
 
-    return make_op(out_data, (x, kernels), "conv2d", backward)
+def _conv_grads(x, kernels, flat, g, padding):
+    """Push dkernels, ``gflat.T @ flat``, and dx by col2im from g, the output gradient, as (n*oh*ow, c_out) gflat.
+
+    col2im adds one GEMM per kernel tap, ``gflat @ K[:, :, i, j]``, into the
+    padded channels-last buffer as one ``ow * c`` run per output row; with
+    ow == 1 a tap is a kernel row. One input channel takes one GEMM for all
+    taps, as numpy's path for a one-column product rounds differently.
+    """
+    kd = kernels.data
+    gflat = g.transpose(0, 2, 3, 1).reshape(-1, kd.shape[0])
+    if kernels.requires_grad:
+        accumulate_grad(kernels, (gflat.T @ flat).reshape(kd.shape))
+    if not x.requires_grad:
+        return
+    n, c, h, w = x.data.shape
+    (c_out, _, kh, kw), (oh, ow), (ph, pw) = kd.shape, g.shape[2:], padding
+    taps = kw if ow == 1 else kh * kw if c == 1 else 1  # per GEMM, in (kh, kw) order
+    # row-major (c_out, taps * c) blocks: each GEMM has the layout, and so the bits, of the one over all taps
+    blocks = np.ascontiguousarray(kd.reshape(c_out, c, -1, taps).transpose(2, 0, 3, 1))
+    dbuf, prod = np.zeros((n, h + 2 * ph, w + 2 * pw, c)), np.empty((n * oh * ow, taps * c))  # one product buffer
+    for first, block in zip(range(0, kh * kw, taps), blocks):
+        part = np.matmul(gflat, block.reshape(c_out, -1), out=prod).reshape(n, oh, ow, taps, c)
+        part = part.swapaxes(2, 3) if ow == 1 else part  # one output column: the kernel row is one add
+        for t in range(part.shape[3]):
+            i, j = divmod(first + t, kw)
+            dbuf[:, i : i + oh, j : j + part.shape[2]] += part[:, :, :, t]
+    accumulate_grad(x, dbuf[:, ph : ph + h, pw : pw + w].transpose(0, 3, 1, 2))
+
+
+def conv2d(x, kernels, padding=0):
+    """Cross-correlation (no kernel flip, stride 1) of an (n, c, h, w) x with (c_out, c, kh, kw) kernels.
+
+    The output, h + 2*padding - kh + 1 by the same for w, is an NCHW view
+    of channels-last memory.
+    """
+    x, kernels = as_tensor(x), as_tensor(kernels)
+    out, flat, pad = _conv(x.data, kernels.data, padding, "conv2d")
+    return make_op(out, (x, kernels), "conv2d", lambda g: _conv_grads(x, kernels, flat, g, pad))
+
+
+def _windows(xd, wh, ww):
+    """The non-overlapping windows of an (n, c, h, w) array in any strides, as an (n, c, oh, wh, ow, ww) view."""
+    n, c, h, w = xd.shape
+    return xd[:, :, : h - h % wh, : w - w % ww].reshape(n, c, h // wh, wh, w // ww, ww)
+
+
+def _pool(xd, window, name):
+    """Max pool of an array in any strides: its windows, and the pooled maxima in xd's memory order."""
+    if xd.ndim != 4:
+        raise ShapeError(f"{name}: input must be 4-d, got {xd.shape}")
+    wh, ww = _as_pair(window)
+    if wh > xd.shape[2] or ww > xd.shape[3]:
+        raise ShapeError(f"{name}: window {(wh, ww)} exceeds input extent {xd.shape[2:]}")
+    win = _windows(xd, wh, ww)
+    if ww == 1:  # windows down the rows only, as in the text trunk's global pool: one reduction, in the loop's order
+        return win, np.maximum.reduce(win[:, :, :, ::-1, :, 0], axis=3)
+    pooled = win[:, :, :, -1, :, -1].copy(order="K")
+    for i, j in reversed([divmod(t, ww) for t in range(wh * ww - 1)]):
+        np.maximum(pooled, win[:, :, :, i, :, j], out=pooled)  # a tie returns the second operand, the earlier offset
+    return win, pooled
+
+
+def _route(xd, win, pooled, g, free):
+    """A max pool's input gradient, laid out like xd: where ``free``, g at each window's first position equal to it.
+
+    The other entries are zeros of either sign, which the gradient sums
+    absorb; g must be finite. A map the windows tile is written, not zeroed.
+    """
+    dx = np.empty_like(xd) if win.size == xd.size else np.zeros_like(xd)
+    hit = win == pooled[:, :, :, None, :, None]  # a NaN output equals nothing and routes none
+    if win.shape[5] == 1:  # windows down the rows only: the first hit is one argmax
+        first = np.argmax(hit, axis=3)[:, :, :, None]
+        hit = (np.arange(win.shape[3])[:, None, None] == first) & free[:, :, :, None, :, None]
+    else:
+        taken = ~free
+        for i, j in np.ndindex(win.shape[3], win.shape[5]):  # row-major: an earlier offset wins a tie
+            at = hit[:, :, :, i, :, j]
+            at &= ~taken
+            taken |= at
+    np.multiply(g[:, :, :, None, :, None], hit, out=_windows(dx, win.shape[3], win.shape[5]))
+    return dx
 
 
 def max_pool2d(x, window):
-    """Maximum over non-overlapping windows of an (n, c, h, w) batch in any strides, kept in its memory order.
+    """Maximum over non-overlapping windows of an (n, c, h, w) batch, kept in its memory order.
 
-    Each output is the first maximum of its window in row-major order,
-    compared bitwise: [0.0, -0.0] gives 0.0, [-0.0, 0.0] gives -0.0, and
-    NaN propagates. The gradient routes to the first position equal to
-    the output, so a NaN output routes none.
+    Each output is its window's first maximum in row-major order, compared
+    bitwise ([0.0, -0.0] gives 0.0, [-0.0, 0.0] gives -0.0), and NaN
+    propagates. The gradient routes to the first position equal to it.
     """
     x = as_tensor(x)
-    xd = x.data
-    if xd.ndim != 4:
-        raise ShapeError(f"max_pool2d: input must be 4-d, got {xd.shape}")
-    wh, ww = _as_pair(window)
-    h, w = xd.shape[2:]
-    if wh > h or ww > w:
-        raise ShapeError(f"max_pool2d: window {(wh, ww)} exceeds input extent {(h, w)}")
-    oh, ow = h // wh, w // ww
-    if ww == 1:  # windows down the rows only, as the text trunk's global pool: one reduction, one routing pass
-        win = xd[:, :, : wh * oh].reshape(xd.shape[:2] + (oh, wh, w))  # a view; axis 3 runs through a window
-        pooled = np.maximum.reduce(win[:, :, :, ::-1], axis=3)  # the offset loop below, in its order
-    else:
-        at = [(slice(i, i + wh * oh, wh), slice(j, j + ww * ow, ww)) for i in range(wh) for j in range(ww)]
-        pooled = xd[(..., *at[-1])].copy(order="K")
-        for rows, cols in reversed(at[:-1]):
-            np.maximum(pooled, xd[..., rows, cols], out=pooled)  # a tie returns the second operand: the earlier offset
+    win, pooled = _pool(x.data, window, "max_pool2d")
+    return make_op(pooled, (x,), "max_pool2d",
+                   lambda g: accumulate_grad(x, _route(x.data, win, pooled, g, pooled == pooled)))
 
-    def backward(g):
-        dx = np.zeros_like(xd)
-        if ww == 1:  # the first position equal to the output; a NaN output routes none
-            first = np.argmax(win == pooled[:, :, :, None], axis=3)[:, :, :, None]
-            routed = np.where(pooled == pooled, g, 0.0)[:, :, :, None]
-            np.put_along_axis(dx[:, :, : wh * oh].reshape(win.shape), first, routed, axis=3)
-        else:
-            free = np.ones_like(pooled, dtype=bool)
-            for rows, cols in at:
-                hit = (xd[..., rows, cols] == pooled) & free
-                dx[..., rows, cols] = np.where(hit, g, 0.0)  # windows do not overlap, so no position repeats
-                free ^= hit
-        accumulate_grad(x, dx)
 
-    return make_op(pooled, (x,), "max_pool2d", backward)
+def conv_block(x, kernels, window, padding=0, keep=None):
+    """relu(max_pool2d(conv2d(x, kernels, padding) * keep, window)) as one op, bitwise the three ops'.
+
+    ``keep``, optional, is a boolean array that broadcasts against the conv
+    output. The backward routes g through relu and the pool into gflat.
+    """
+    x, kernels = as_tensor(x), as_tensor(kernels)
+    conv, flat, pad = _conv(x.data, kernels.data, padding, "conv_block")
+    if not (_grad_enabled and (x.requires_grad or kernels.requires_grad)):
+        del flat  # the backward's operand: free it before the pool allocates, as conv2d's dropped closure does
+    if keep is not None:
+        conv *= keep
+    win, pooled = _pool(conv, window, "conv_block")
+    live = pooled > 0  # relu's subgradient at exactly 0 is 0; _route lays its output out like conv, channels-last
+    return make_op(np.where(live, pooled, 0.0), (x, kernels), "conv_block",
+                   lambda g: _conv_grads(x, kernels, flat, _route(conv, win, pooled, g, live), pad))

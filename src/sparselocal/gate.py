@@ -70,14 +70,15 @@ def k_hot_gate(w, live, k):
     """
     w, live = np.asarray(w, dtype=np.float64), np.asarray(live)
     rows = np.arange(0, w.size, w.shape[-1]).reshape(w.shape[:-1] + (1,))  # each row's flat offset
-    if live.all():  # dense data: sort the rows themselves; every selected entry opens
-        order, opened = np.argsort(-(w * w), axis=-1, kind="stable")[..., :k], 1.0
-    else:
-        counts = live.sum(axis=-1, keepdims=True)
-        at = rows + live_block(live, int(counts.max()) + k)  # the flat positions of each row's block
-        key = np.where(np.arange(at.shape[-1]) < counts, -np.square(w.reshape(-1)[at]), np.inf)
-        sub = np.argsort(key, axis=-1, kind="stable")[..., :k]
-        order, opened = np.take_along_axis(at, sub, axis=-1) - rows, (sub < counts).ravel()
+    with np.errstate(over="ignore"):  # a |w| above about 1.3e154 squares to inf: its key -inf sorts first
+        if live.all():  # dense data: sort the rows themselves; every selected entry opens
+            order, opened = np.argsort(-(w * w), axis=-1, kind="stable")[..., :k], 1.0
+        else:
+            counts = live.sum(axis=-1, keepdims=True)
+            at = rows + live_block(live, int(counts.max()) + k)  # the flat positions of each row's block
+            key = np.where(np.arange(at.shape[-1]) < counts, -np.square(w.reshape(-1)[at]), np.inf)
+            sub = np.argsort(key, axis=-1, kind="stable")[..., :k]
+            order, opened = np.take_along_axis(at, sub, axis=-1) - rows, (sub < counts).ravel()
     gate = np.zeros(w.size)  # a flat scatter costs half of put_along_axis on one sample
     gate[(rows + order).ravel()] = opened
     return gate.reshape(w.shape), order

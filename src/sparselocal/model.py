@@ -119,48 +119,29 @@ class _Linear:
         return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
 
 
-class _ConvBlock:
-    """convolution (3x3, stride 1, pad 1) -> 2x2 max pool -> relu, which commutes with the pool."""
-
-    def __init__(self, c_in, c_out, rng):
-        std = math.sqrt(2.0 / (c_in * 9))
-        self.kernels = ad.Tensor(rng.normal(0.0, std, size=(c_out, c_in, 3, 3)), requires_grad=True)
-
-    def __call__(self, x):
-        return ad.relu(ad.max_pool2d(ad.conv2d(x, self.kernels, padding=1), 2))
-
-    def params(self, prefix):
-        return {f"{prefix}.kernels": self.kernels}
-
-
 def _stack(xs):
     """One float64 tensor of shape (n, ...) from a batch of equal-shape arrays."""
     return ad.Tensor(np.stack([np.asarray(x, dtype=np.float64) for x in xs]))
 
 
 class ImageExtractor:
-    """Stacked convolution blocks over (channels, height, width) maps."""
+    """Stacked blocks over (channels, height, width) maps: one ``ad.conv_block`` of 3x3 conv (pad 1), 2x2 pool, relu."""
 
     def __init__(self, in_shape, channels, rng):
         self.in_shape = tuple(int(v) for v in in_shape)
-        self.blocks = []
-        c = self.in_shape[0]
-        for c_out in channels:
-            self.blocks.append(_ConvBlock(c, int(c_out), rng))
-            c = int(c_out)
+        sizes = [self.in_shape[0], *(int(c) for c in channels)]
+        self.kernels = [ad.Tensor(rng.normal(0.0, math.sqrt(2.0 / (c_in * 9)), size=(c_out, c_in, 3, 3)),
+                                  requires_grad=True) for c_in, c_out in zip(sizes, sizes[1:])]
         self.out_dim = self([np.zeros(self.in_shape)]).data.shape[1]
 
     def __call__(self, xs):
         h = _stack(xs)
-        for block in self.blocks:
-            h = block(h)
+        for kernels in self.kernels:
+            h = ad.conv_block(h, kernels, 2, padding=1)
         return h.reshape((h.data.shape[0], -1))
 
     def params(self):
-        out = {}
-        for i, block in enumerate(self.blocks):
-            out.update(block.params(f"extractor.block{i}"))
-        return out
+        return {f"extractor.block{i}.kernels": kernels for i, kernels in enumerate(self.kernels)}
 
 
 class VectorExtractor:
@@ -218,12 +199,9 @@ class TextExtractor:
         ragged = bool((lengths < span).any())  # an unpadded batch (one sample, say) skips the mask
         pooled = []
         for w, kernels in zip(self.filter_widths, self.kernels):
-            conv = ad.conv2d(grid, kernels)
             out = span - w + 1
-            if ragged:
-                ends = np.arange(out)[None, :] < (lengths - w + 1)[:, None]
-                conv = conv * ad.Tensor(np.broadcast_to(ends[:, None, :, None], conv.data.shape))
-            pooled.append(ad.relu(ad.max_pool2d(conv, (out, 1))).reshape((n, self.filters)))
+            ends = (np.arange(out) < (lengths - w + 1)[:, None])[:, None, :, None] if ragged else None
+            pooled.append(ad.conv_block(grid, kernels, (out, 1), keep=ends).reshape((n, self.filters)))
         return ad.concat(pooled, axis=1)
 
     def params(self):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from sparselocal.data import (
@@ -31,3 +32,10 @@ def digit_splits(tmp_path_factory):
     test_ds = load_image_dataset(root / "test-images.idx", root / "test-labels.idx")
     train, val = split_dataset(train_ds.samples, [0.9, 0.1], seed=0)
     return train, val, test_ds.samples
+
+
+@pytest.fixture(scope="session")
+def blas_build():
+    """The numpy and BLAS build, named in failures whose bits depend on it."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}"

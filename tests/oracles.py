@@ -12,6 +12,11 @@
   some row is past its count and a running-sum add, with the live-column
   block gathered and scattered by graph nodes. Its value and gradient are
   the bitwise reference for ``sparselocal.gate.k_hot_gate_rows``.
+- The CNN trunk block as the graph the package built before the block
+  became one op: ``conv2d``, for text a ``mul`` by the end mask,
+  ``max_pool2d`` and ``relu``, one node each. Its value and gradients are
+  the bitwise reference for ``sparselocal.autodiff.conv_block``; the two
+  public ops it uses are checked against loop code in the autodiff tests.
 - Central finite differences, the gradient oracle, with one helper for a
   function of one input array and one for a model's parameters.
 - The digit renderer as it was before it took all segments of an image
@@ -148,6 +153,14 @@ def graph_gate_rows(w, mask, k, tau, rng=None, noise=None):
     if width < d:
         gate = put_along(gate, at[1], d)
     return ad.reshape(gate, (n, heads * d))
+
+
+def graph_conv_block(x, kernels, window, padding=0, keep=None):
+    """relu(max_pool2d(conv2d(x, kernels, padding) * keep, window)), one graph node per op."""
+    conv = ad.conv2d(x, kernels, padding=padding)
+    if keep is not None:
+        conv = conv * ad.Tensor(np.broadcast_to(keep, conv.data.shape))
+    return ad.relu(ad.max_pool2d(conv, window))
 
 
 def finite_difference_grad(f, x, eps=1e-4):

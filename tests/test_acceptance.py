@@ -150,6 +150,22 @@ def test_c1_gradient_oracle_suite(report):
             grad_error(lambda t: (gt.k_hot_gate_rows(t, ~live, [2, 1, 2], tau, noise=noise) * ad.Tensor(cg)).sum(), wg),
         )
 
+    # the conv block: an image block whose 2x2 pool drops the last row of its 5x6 map, and a ragged text block
+    rng_c = np.random.default_rng(53)
+    keep = (np.arange(5) < np.array([5, 3])[:, None])[:, None, :, None]
+    for name, x_shape, k_shape, window, padding, mask in (
+        ("conv_block", (2, 2, 5, 6), (3, 2, 3, 3), 2, 1, None),
+        ("conv_block_text", (2, 1, 7, 4), (3, 1, 3, 4), (5, 1), 0, keep),
+    ):
+        for _ in range(6):
+            xc, kc = rng_c.normal(size=x_shape), rng_c.normal(size=k_shape)
+            cc = rng_c.normal(size=ad.conv_block(xc, kc, window, padding, mask).data.shape)
+            worst[name] = max(
+                worst.get(name, 0.0),
+                grad_error(lambda t: (ad.conv_block(t, ad.Tensor(kc), window, padding, mask) * ad.Tensor(cc)).sum(), xc),
+                grad_error(lambda t: (ad.conv_block(ad.Tensor(xc), t, window, padding, mask) * ad.Tensor(cc)).sum(), kc),
+            )
+
     # the full model end to end, both operating temperatures, frozen noise
     for tau in (1.0, 0.1):
         rng_m = np.random.default_rng(17)

@@ -13,7 +13,7 @@ import pytest
 from sparselocal import autodiff as ad
 from sparselocal.errors import ShapeError
 
-from oracles import finite_difference_grad, grad_error
+from oracles import finite_difference_grad, grad_error, graph_conv_block
 
 TOL = 1e-4
 
@@ -428,6 +428,81 @@ class TestReluPoolCommute:
             assert (conv == 0).any() and (windows < 0).any() and (windows == 0).any()
         for a, b in zip(after, before):
             assert a.tobytes() == b.tobytes()
+
+
+class TestConvBlock:
+    """conv_block's value and both gradients are bitwise those of the graph it replaced (``graph_conv_block``)."""
+
+    # (x, kernels, window, padding, text lengths or None): digits blocks, layer 3's 7 -> 3 pool dropping a row and
+    # a column, one-sample batches, uneven windows, and text grids with ragged, equal and one-sample lengths
+    CASES = [
+        *[(x, k, 2, 1, None) for x, k in DIGIT_BLOCKS],
+        ((1, 1, 28, 28), (16, 1, 3, 3), 2, 1, None),
+        ((1, 32, 7, 7), (64, 32, 3, 3), 2, 1, None),
+        ((2, 3, 7, 8), (4, 3, 3, 2), (1, 2), 0, None),
+        ((3, 1, 12, 16), (8, 1, 3, 16), None, 0, [12, 7, 3]),
+        ((3, 1, 12, 16), (8, 1, 5, 16), None, 0, [12, 7, 5]),
+        ((2, 1, 9, 16), (8, 1, 4, 16), None, 0, [9, 9]),
+        ((1, 1, 5, 64), (32, 1, 5, 64), None, 0, [5]),
+        ((32, 1, 40, 64), (32, 1, 4, 64), None, 0, list(range(9, 41))),
+    ]
+
+    @pytest.mark.parametrize("values", ["integers", "nan", "normal"])
+    @pytest.mark.parametrize("layout", ["contiguous", "channels_last"])
+    @pytest.mark.parametrize("x_shape,k_shape,window,padding,lengths", CASES)
+    def test_value_and_gradients_equal_the_graph(self, x_shape, k_shape, window, padding, lengths, layout, values):
+        rng = np.random.default_rng(463)
+        if values == "normal":
+            x, k = rng.normal(size=x_shape), rng.normal(size=k_shape)
+        else:  # products of {-1, 0, 1}: exact and signed zeros, ties, all-negative windows
+            x, k = signed_integers(rng, x_shape, high=1), rng.integers(-1, 2, size=k_shape).astype(np.float64)
+        if values == "nan":  # windows whose conv output is NaN, and a NaN in the kernel gradient
+            x.reshape(-1)[rng.choice(x.size, size=3, replace=False)] = np.nan
+        x = channels_last(x) if layout == "channels_last" else x
+        keep = None
+        if lengths is not None:  # the text trunk's global pool over positions before each sequence's end
+            out = x_shape[2] - k_shape[2] + 1
+            window = (out, 1)
+            if min(lengths) < x_shape[2]:
+                keep = (np.arange(out) < (np.array(lengths) - k_shape[2] + 1)[:, None])[:, None, :, None]
+        results = []
+        for op in (ad.conv_block, graph_conv_block):
+            xt, kt = ad.Tensor(x, requires_grad=True), ad.Tensor(k, requires_grad=True)
+            out = op(xt, kt, window, padding=padding, keep=keep)
+            if not results:
+                assert out.op == "conv_block" and out._parents == (xt, kt)  # one node: no pool, relu or mul node
+                g = rng.normal(size=out.data.shape)
+            (out * ad.Tensor(g)).sum().backward()
+            results.append((out.data, xt.grad, kt.grad))
+        if values == "integers":
+            assert (results[0][0] == 0).any()
+        for got, want in zip(*results):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_inference_output_equals_the_graph_and_holds_no_graph(self):
+        rng = np.random.default_rng(464)
+        x, k = rng.normal(size=(3, 16, 14, 14)), ad.Tensor(rng.normal(size=(32, 16, 3, 3)), requires_grad=True)
+        with ad.no_grad():
+            out = ad.conv_block(x, k, 2, padding=1)
+        assert out._parents == () and out._backward is None
+        assert out.data.tobytes() == graph_conv_block(x, k, 2, padding=1).data.tobytes()
+
+    @pytest.mark.parametrize("seed", range(50))
+    @pytest.mark.parametrize("kind", ["image", "text"])
+    def test_gradients_match_finite_differences(self, kind, seed):
+        rng = np.random.default_rng(465 + seed)
+        x, k, keep = rng.normal(size=(2, 2, 5, 6)), rng.normal(size=(3, 2, 3, 3)), None
+        if kind == "text":  # full-width kernels, a ragged end mask and the global pool
+            x, k = rng.normal(size=(2, 1, 7, 4)), rng.normal(size=(3, 1, 3, 4))
+            keep = (np.arange(5) < np.array([5, 3])[:, None])[:, None, :, None]
+        window, padding = ((5, 1), 0) if kind == "text" else (2, 1)
+        c = rng.normal(size=ad.conv_block(x, k, window, padding=padding, keep=keep).data.shape)
+
+        def loss(xt, kt):
+            return (ad.conv_block(xt, kt, window, padding, keep) * ad.Tensor(c)).sum()
+
+        assert grad_error(lambda t: loss(t, ad.Tensor(k)), x) <= TOL
+        assert grad_error(lambda t: loss(ad.Tensor(x), t), k) <= TOL
 
 
 class TestReductions:

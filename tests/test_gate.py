@@ -650,6 +650,17 @@ class TestTopkSelect:
         assert order.tolist() == ref.tolist()
         assert np.flatnonzero(g).tolist() == sorted(ref.tolist())
 
+    def test_weights_whose_squares_overflow_sort_first(self):
+        # |w| above about 1.3e154 squares to inf, whose key -inf sorts first, ties to the lowest index;
+        # the call runs where warnings are errors, so an unguarded overflow would raise
+        w = np.array([1.0, -1e200, 3.0, 1e200, 2.0])
+        g, order = gt.k_hot_gate(w, True, 3)
+        assert order.tolist() == [1, 3, 2]
+        np.testing.assert_array_equal(g, [0.0, 1.0, 1.0, 1.0, 0.0])
+        g, order = gt.k_hot_gate(w, np.array([True, True, True, False, True]), 3)  # the live-block path
+        assert order.tolist() == [1, 2, 4]
+        np.testing.assert_array_equal(g, [0.0, 1.0, 1.0, 0.0, 1.0])
+
     def test_a_live_nan_weight_sorts_after_the_dead_entries(self):
         # NaN keys sort after the dead entries' +inf, so the dead indices fill the order first
         w = np.array([np.nan, 1.0, 5.0, 2.0, 3.0])
@@ -667,8 +678,8 @@ class TestTopkSelect:
         blocked = 0
         for _ in range(500):
             w, live, k = sparse_gate_case(rng)
-            with np.errstate(over="ignore"):
-                g, order = gt.k_hot_gate(w, live, k)
+            g, order = gt.k_hot_gate(w, live, k)
+            with np.errstate(over="ignore"):  # the reference squares without a guard
                 want_g, want_order = full_sort_gate(w, live, k)
             assert order.tobytes() == want_order.tobytes() and order.shape == want_order.shape
             assert g.tobytes() == want_g.tobytes() and g.shape == want_g.shape

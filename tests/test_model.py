@@ -658,18 +658,13 @@ class TestOneGatePerPath:
         assert names.count("model.rows") == 4
 
 
-def _blas_build():
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return f"numpy {np.__version__}, BLAS {blas.get('name')} {blas.get('version')}"
-
-
 class TestVecdotScores:
     """The batched scores are bitwise the per-row dots z . (g * w) that each score stands for."""
 
     @pytest.mark.parametrize("d", [20, 49, 128, 601, 2031])
     @pytest.mark.parametrize("heads", [1, 3])
     @pytest.mark.parametrize("n", [1, 7, 256])
-    def test_vecdot_equals_the_per_row_dot(self, n, heads, d):
+    def test_vecdot_equals_the_per_row_dot(self, n, heads, d, blas_build):
         rng = np.random.default_rng(n * 7919 + heads * 104729 + d)
         z = rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.5)
         gw = rng.normal(size=(n, heads, d)) * (rng.random((n, heads, d)) < 0.3)
@@ -677,5 +672,5 @@ class TestVecdotScores:
         want = np.array([[z[i] @ gw[i, c] for c in range(heads)] for i in range(n)])
         bad = np.argwhere(got != want)
         assert bad.size == 0, (
-            f"{len(bad)} scores differ from the per-row dot, first at (row, head) {tuple(bad[0])}, on {_blas_build()}"
+            f"{len(bad)} scores differ from the per-row dot, first at (row, head) {tuple(bad[0])}, on {blas_build}"
         )
