@@ -124,9 +124,10 @@ def make_op(data, parents, op, backward):
     """Create a graph tensor for a primitive; used by extension ops as well.
 
     ``backward`` receives the output gradient and must push contributions
-    to the parents via :func:`accumulate_grad`. Links are dropped when no
-    parent requires gradients, or inside :func:`no_grad`, so constant
-    subgraphs carry no overhead.
+    to the parents via :func:`accumulate_grad`: only arrays it built itself
+    go as ``fresh``, to be kept (zeros as +0.0); views are copied. Links are
+    dropped when no parent requires gradients, or inside :func:`no_grad`, so
+    constant subgraphs carry no overhead.
     """
     out = Tensor.__new__(Tensor)
     out.data = data if isinstance(data, np.ndarray) else np.asarray(data, dtype=np.float64)
@@ -137,13 +138,21 @@ def make_op(data, parents, op, backward):
     return out
 
 
-def accumulate_grad(t, g):
+def accumulate_grad(t, g, fresh=False):
+    """Add g into t.grad, storing a first g as g + 0.0 so that a zero reads +0.0.
+
+    A ``fresh`` g, an array its op built and holds no other reference to, becomes t.grad in place when it is
+    laid out as ``np.empty_like(t.data)``. Any other g, a view above all, is copied, so no two gradients share memory.
+    """
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))  # one pass, in t.data's memory order
-    else:
+    if t.grad is not None:
         t.grad += g
+    elif (fresh and type(g) is np.ndarray and g.dtype == np.float64 and g.shape == t.data.shape
+          and g.strides == np.empty_like(t.data).strides):  # a numpy scalar, as from 0-d operands, is copied
+        t.grad = np.add(g, 0.0, out=g)
+    else:
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))  # one pass, in t.data's memory order
 
 
 def _check_elementwise(a, b, name, row=False):
@@ -171,10 +180,9 @@ def add(a, b):
     _check_elementwise(a, b, "add", row=True)
 
     def backward(g):
-        if a.requires_grad:
-            accumulate_grad(a, _fit_grad(g, a.data.shape))
-        if b.requires_grad:
-            accumulate_grad(b, _fit_grad(g, b.data.shape))
+        for p in (a, b):  # g itself passes through to an operand of its shape; a row's or scalar's sum is fresh
+            if p.requires_grad:
+                accumulate_grad(p, _fit_grad(g, p.data.shape), fresh=p.data.shape != g.shape)
 
     return make_op(a.data + b.data, (a, b), "add", backward)
 
@@ -185,9 +193,9 @@ def mul(a, b):
 
     def backward(g):
         if a.requires_grad:
-            accumulate_grad(a, _fit_grad(g * b.data, a.data.shape))
+            accumulate_grad(a, _fit_grad(g * b.data, a.data.shape), fresh=True)
         if b.requires_grad:
-            accumulate_grad(b, _fit_grad(g * a.data, b.data.shape))
+            accumulate_grad(b, _fit_grad(g * a.data, b.data.shape), fresh=True)
 
     return make_op(a.data * b.data, (a, b), "mul", backward)
 
@@ -197,7 +205,7 @@ def relu(a):
     mask = a.data > 0  # subgradient at exactly 0 is defined as 0
 
     def backward(g):
-        accumulate_grad(a, g * mask)
+        accumulate_grad(a, g * mask, fresh=True)
 
     return make_op(np.where(mask, a.data, 0.0), (a,), "relu", backward)
 
@@ -218,7 +226,7 @@ def softplus(a):
     s = _sigmoid_values(a.data)
 
     def backward(g):
-        accumulate_grad(a, g * s)
+        accumulate_grad(a, g * s, fresh=True)
 
     return make_op(out_data, (a,), "softplus", backward)
 
@@ -230,9 +238,9 @@ def matmul(a, b):
 
     def backward(g):
         if a.requires_grad:
-            accumulate_grad(a, g @ b.data.T)
+            accumulate_grad(a, g @ b.data.T, fresh=True)
         if b.requires_grad:
-            accumulate_grad(b, a.data.T @ g)
+            accumulate_grad(b, a.data.T @ g, fresh=True)
 
     return make_op(a.data @ b.data, (a, b), "matmul", backward)
 
@@ -273,7 +281,7 @@ def gather_rows(table, indices):
         if table.requires_grad:
             gt = np.zeros_like(table.data)
             np.add.at(gt, idx, g)
-            accumulate_grad(table, gt)
+            accumulate_grad(table, gt, fresh=True)
 
     return make_op(data, (table,), "gather_rows", backward)
 
@@ -294,7 +302,7 @@ def take_along(a, indices):
     def backward(g):
         ga = np.zeros_like(a.data)
         ga[rows, idx] = g
-        accumulate_grad(a, ga)
+        accumulate_grad(a, ga, fresh=True)
 
     return make_op(data, (a,), "take_along", backward)
 
@@ -314,9 +322,9 @@ def _reduce(a, axis, kind):
 
     def backward(g):
         if axis is None:
-            accumulate_grad(a, np.full(a.data.shape, float(g) * scale))
+            accumulate_grad(a, np.full(a.data.shape, float(g) * scale), fresh=True)
         else:
-            accumulate_grad(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape) * scale)
+            accumulate_grad(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape) * scale, fresh=True)
 
     return make_op(data, (a,), kind, backward)
 
@@ -330,7 +338,7 @@ def log_softmax(a, axis=-1):
     out_data = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
     def backward(g):
-        accumulate_grad(a, g - np.exp(out_data) * g.sum(axis=axis, keepdims=True))
+        accumulate_grad(a, g - np.exp(out_data) * g.sum(axis=axis, keepdims=True), fresh=True)
 
     return make_op(out_data, (a,), "log_softmax", backward)
 
@@ -379,7 +387,7 @@ def _conv_grads(x, kernels, flat, g, padding):
     kd = kernels.data
     gflat = g.transpose(0, 2, 3, 1).reshape(-1, kd.shape[0])
     if kernels.requires_grad:
-        accumulate_grad(kernels, (gflat.T @ flat).reshape(kd.shape))
+        accumulate_grad(kernels, (gflat.T @ flat).reshape(kd.shape), fresh=True)
     if not x.requires_grad:
         return
     n, c, h, w = x.data.shape

@@ -106,7 +106,7 @@ def k_hot_gate_rows(w, mask, k, tau, rng=None, noise=None):
     columns. The softmax's two row sums run over the block scattered into
     a zero (n·heads, d) buffer: numpy's pairwise sum groups by position,
     so only a full-width sum keeps the dense row's rounding. When some
-    sample is all live, the block is the rows and nothing is gathered.
+    sample is all live, the block is the rows: nothing is gathered or scattered.
     The gate is one graph node over ``w``. Its backward adds each draw's
     term ``s * (g - row_sum(g * s))`` in draw order, with the same row
     sums, so ``w.grad`` has the bits of a graph of one node per step.
@@ -158,45 +158,53 @@ def k_hot_gate_rows(w, mask, k, tau, rng=None, noise=None):
     # when some sample is all live, each block is its whole head and x[at] is x
     at = np.s_[:, :] if width == d else (np.arange(n)[:, None], live_block(live, width))
     if noise is None:
-        lam, uniform = np.empty((heads, draws, n, width)), np.empty((n, d))
-        for block in lam.reshape(-1, n, width):  # one (n, d) buffer: a (heads, draws, n, d) array faults pages in
-            block[...] = rng.random(out=uniform)[at]
+        lam = np.empty((heads, draws, n, width))
+        if width == d:  # every block is its rows: one call draws all of them, the same stream
+            rng.random(out=lam)
+        else:
+            uniform = np.empty((n, d))
+            for block in lam.reshape(-1, n, width):  # one (n, d) buffer: a (heads, draws, n, d) array faults pages in
+                block[...] = rng.random(out=uniform)[at]
         lam = _gumbel(lam)
     else:
         lam = np.broadcast_to(noise[:draws][(..., *at)], (heads, draws, n, width))
     lam = lam.transpose(1, 2, 0, 3).reshape(draws, n * heads, width) * (1.0 / tau)
     k, free = np.repeat(k, heads), np.repeat(live[at], heads, axis=0)
+    # row i·heads + c is head c of sample i; when the block is the rows, nothing is scattered
+    rows, spread, full = w.data.reshape(n * heads, d), (lambda a, out=None: a), None
     if width < d:
         at = (np.arange(n * heads)[:, None], np.repeat(at[1], heads, axis=0))  # each sample's columns, per head
-    rows = w.data.reshape(n * heads, d)[at]  # row i·heads + c is head c of sample i
-    full = np.zeros((n * heads, d))
+        rows, full = rows[at], np.zeros((n * heads, d))
 
-    def row_sum(a):  # the block's entries at their own positions, zeros elsewhere
-        full[at] = a
-        return full.sum(axis=1, keepdims=True)
+        def spread(a, out=None):  # the block's entries at their own positions, zeros elsewhere
+            out = np.zeros((n * heads, d)) if out is None else out
+            out[at] = a
+            return out
 
-    scaled = rows * rows * (1.0 / tau)
+    def row_sum(a):
+        return spread(a, full).sum(axis=1, keepdims=True)
+
+    every, first = bool((k == draws).all()), np.arange(0, free.size, width)  # first: each row's flat offset in free
     steps, gate = [], 0.0  # steps: each draw's softmax, kept for the backward
-    for t in range(draws):
-        active = t < k
-        x = scaled + lam[t]
-        on = free | ~active[:, None]  # a row past its count draws over all its entries, then that draw is zeroed
-        m = np.max(np.where(on, x, SENTINEL), axis=1, keepdims=True)
-        e = np.where(on, np.exp(np.where(on, x, 0.0) - m), 0.0)
-        steps.append(e / row_sum(e))
-        step = steps[t] * (active[:, None] * 1.0)
-        free[active, np.argmax(step, axis=1)[active]] = False
-        gate = gate + step
+    with np.errstate(over="ignore", invalid="ignore"):  # a |w| above about 1.3e154 squares to inf: its row is NaN
+        scaled = rows * rows * (1.0 / tau)
+        for t in range(draws):
+            x = scaled + lam[t]
+            on = free if every else free | (t >= k)[:, None]  # a row past its count draws over all its entries...
+            m = np.max(np.where(on, x, SENTINEL), axis=1, keepdims=True)
+            e = np.where(on, np.exp(np.where(on, x, 0.0) - m), 0.0)
+            steps.append(e / row_sum(e))
+            step = steps[t] if every else steps[t] * ((t < k)[:, None] * 1.0)  # ...and that draw is zeroed
+            won = first + np.argmax(step, axis=1)
+            free.reshape(-1)[won if every else won[t < k]] = False
+            gate = gate + step
 
     def backward(g):  # each draw's softmax Jacobian, summed in draw order; the mask updates are gradient-stopped
         g, total = g.reshape(n * heads, d)[at], 0.0
         for t, s in enumerate(steps):
-            g_t = g * ((t < k)[:, None] * 1.0)
+            g_t = g if every else g * ((t < k)[:, None] * 1.0)
             total = total + s * (g_t - row_sum(g_t * s))
-        grad = np.zeros((n * heads, d))
-        grad[at] = total * (1.0 / tau) * (2.0 * rows)
-        ad.accumulate_grad(w, grad.reshape(w.data.shape))
+        grad = spread(total * (1.0 / tau) * (2.0 * rows))
+        ad.accumulate_grad(w, grad.reshape(w.data.shape), fresh=True)
 
-    out = np.zeros((n * heads, d))
-    out[at] = gate
-    return ad.make_op(out.reshape(n, heads * d), (w,), "soft_gate", backward)
+    return ad.make_op(spread(gate).reshape(n, heads * d), (w,), "soft_gate", backward)

@@ -16,9 +16,10 @@ trunk is one batched forward pass for images, token sequences and
 vectors alike.
 
 ``batch_loss`` is the one loss: it gates every head's weight rows for
-the whole batch with one soft-gate call (``gate.k_hot_gate_rows``), and a
-single sample is a one-sample batch. The dense ablation is
-``batch_loss(gated=False)``, the same loss with every gate open.
+the whole batch with one soft-gate call (``gate.k_hot_gate_rows``) and
+scores them with one op (:func:`gated_scores`); a single sample is a
+one-sample batch. The dense ablation is ``batch_loss(gated=False)``, the
+same loss with every gate open.
 Inference (``margin``, ``predict_labels`` and ``explain_batch``) is one
 pass over chunks of ``CHUNK`` samples: per chunk, the weight grid, one
 gate call for every head (hard ``gate.k_hot_gate``, or soft draws for
@@ -121,7 +122,7 @@ class _Linear:
 
 def _stack(xs):
     """One float64 tensor of shape (n, ...) from a batch of equal-shape arrays."""
-    return ad.Tensor(np.stack([np.asarray(x, dtype=np.float64) for x in xs]))
+    return ad.Tensor(np.array(xs, dtype=np.float64))  # one copy; np.stack pays per-array Python set-up
 
 
 class ImageExtractor:
@@ -268,6 +269,26 @@ def _class_targets(samples, num_classes):
     return y
 
 
+def gated_scores(z, w, g=None):
+    """Every head's score z . (g * w) as one op: (n, heads) from (n, d) z and (n, heads·d) rows w and gate g.
+
+    ``g=None`` opens every gate. The bits are those of the graph ``z * g * w`` over z tiled per head, summed over
+    d: ``(z * g) * w`` forward, ``dw = G * (z * g)`` and ``dg = (G * w) * z`` back, up to the sign of a NaN that
+    meets a NaN of the other sign, which numpy's loops pick by their blocking.
+    """
+    shape = (len(z), w.data.shape[1] // z.shape[1], z.shape[1])
+    z3, w3 = z[:, None, :], w.data.reshape(shape)
+    zg = z3 if g is None else z3 * g.data.reshape(shape)
+
+    def backward(grad):
+        grad = grad[:, :, None]
+        ad.accumulate_grad(w, (grad * zg).reshape(w.data.shape), fresh=True)
+        if g is not None:  # a parent that needs no gradient takes none
+            ad.accumulate_grad(g, (grad * w3 * z3).reshape(g.data.shape), fresh=True)
+
+    return ad.make_op((zg * w3).sum(axis=2), (w,) if g is None else (g, w), "scores", backward)
+
+
 def _live(samples, need=0):
     """Boolean (n, d) array of the samples' unmasked features, of which each sample needs ``need``."""
     live = np.array([s.m for s in samples]) == 0
@@ -321,15 +342,13 @@ class GatedLocalLinear(WeightGenerator):
     def _losses(self, samples, w, g):
         """Per-sample losses from the generator rows w and their gate g; ``g=None`` opens every gate.
 
-        A head's score is z . (g * w) over its d columns. Binary models
-        take the logistic loss of the margin, multiclass models the
-        softmax cross-entropy of the per-head scores.
+        Every head's score z . (g * w) is one :func:`gated_scores` op.
+        Binary models take the logistic loss of the margin, multiclass
+        models the softmax cross-entropy of the per-head scores.
         """
-        n, heads = len(samples), self.config.heads
-        z = ad.Tensor(np.tile(np.array([s.z for s in samples], dtype=np.float64), heads))
-        scores = (z * w if g is None else z * g * w).reshape((n, heads, self.config.d)).sum(axis=2)
+        scores = gated_scores(np.array([s.z for s in samples], dtype=np.float64), w, g)
         if self.config.num_classes == 2:
-            return ad.softplus(scores.reshape((n,)) * ad.Tensor(-_binary_targets(samples)))
+            return ad.softplus(scores.reshape((len(samples),)) * ad.Tensor(-_binary_targets(samples)))
         picked = ad.take_along(ad.log_softmax(scores, axis=1), _class_targets(samples, self.config.num_classes))
         return picked * (-1.0)
 

@@ -17,6 +17,10 @@
   ``max_pool2d`` and ``relu``, one node each. Its value and gradients are
   the bitwise reference for ``sparselocal.autodiff.conv_block``; the two
   public ops it uses are checked against loop code in the autodiff tests.
+- The per-head scores z . (g * w) as the graph the model built before
+  they became one op: z tiled per head, a mul by g, a mul by w, a
+  reshape and a sum. Its value and gradients are the bitwise reference
+  for ``sparselocal.model.gated_scores``.
 - Central finite differences, the gradient oracle, with one helper for a
   function of one input array and one for a model's parameters.
 - The digit renderer as it was before it took all segments of an image
@@ -161,6 +165,14 @@ def graph_conv_block(x, kernels, window, padding=0, keep=None):
     if keep is not None:
         conv = conv * ad.Tensor(np.broadcast_to(keep, conv.data.shape))
     return ad.relu(ad.max_pool2d(conv, window))
+
+
+def graph_scores(z, w, g=None):
+    """Every head's score z . (g * w) from (n, d) z, one graph node per step: tile, mul, mul, reshape, sum."""
+    n, d = z.shape
+    heads = w.data.shape[1] // d
+    zt = ad.Tensor(np.tile(z, heads))
+    return (zt * w if g is None else zt * g * w).reshape((n, heads, d)).sum(axis=2)
 
 
 def finite_difference_grad(f, x, eps=1e-4):

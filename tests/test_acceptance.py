@@ -37,7 +37,7 @@ from sparselocal.baselines import (
 )
 from sparselocal.checkpoint import load_checkpoint, save_checkpoint
 from sparselocal.data import Sample
-from sparselocal.model import GatedLocalLinear, ModelConfig
+from sparselocal.model import GatedLocalLinear, ModelConfig, gated_scores
 from sparselocal.train import TrainSchedule, coarse_to_fine_train, evaluate
 
 from oracles import grad_error, param_grad_error
@@ -164,6 +164,19 @@ def test_c1_gradient_oracle_suite(report):
                 worst.get(name, 0.0),
                 grad_error(lambda t: (ad.conv_block(t, ad.Tensor(kc), window, padding, mask) * ad.Tensor(cc)).sum(), xc),
                 grad_error(lambda t: (ad.conv_block(ad.Tensor(xc), t, window, padding, mask) * ad.Tensor(cc)).sum(), kc),
+            )
+
+    # the per-head scores z . (g * w), one head and three, gated on w and g and ungated on w
+    rng_s = np.random.default_rng(61)
+    for heads in (1, 3):
+        for _ in range(6):
+            zs, ws = rng_s.normal(size=(4, 5)), rng_s.normal(size=(4, heads * 5))
+            gs, cs = rng_s.random((4, heads * 5)), rng_s.normal(size=(4, heads))
+            worst["scores"] = max(
+                worst.get("scores", 0.0),
+                grad_error(lambda t: (gated_scores(zs, t, ad.Tensor(gs)) * ad.Tensor(cs)).sum(), ws),
+                grad_error(lambda t: (gated_scores(zs, ad.Tensor(ws), t) * ad.Tensor(cs)).sum(), gs),
+                grad_error(lambda t: (gated_scores(zs, t) * ad.Tensor(cs)).sum(), ws),
             )
 
     # the full model end to end, both operating temperatures, frozen noise

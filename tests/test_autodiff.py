@@ -617,6 +617,61 @@ class TestBackwardContract:
         assert np.array_equal(g1, g2)
 
 
+class TestGradientHandOver:
+    """accumulate_grad keeps a fresh gradient as t.grad, laid out as a copy would be, and copies every view."""
+
+    @pytest.mark.parametrize("layout", ["c", "channels_last"])
+    def test_a_fresh_gradient_is_kept_only_when_its_layout_matches(self, layout):
+        rng = np.random.default_rng(40)
+        data = rng.normal(size=(2, 3, 4, 5))
+        data = channels_last(data) if layout == "channels_last" else data
+        for g, keeps in ((np.empty_like(data), True), (np.ascontiguousarray(data), layout == "c"),
+                         (np.asfortranarray(data), False), (channels_last(data), layout == "channels_last")):
+            g[...] = rng.normal(size=g.shape)
+            want = g.copy()
+            for fresh in (True, False):
+                t = ad.Tensor(data, requires_grad=True)
+                ad.accumulate_grad(t, g, fresh=fresh)
+                assert (t.grad is g) == (fresh and keeps)
+                assert t.grad.strides == np.empty_like(data).strides
+                np.testing.assert_array_equal(t.grad, want)
+
+    def test_a_fresh_negative_zero_is_stored_as_positive_zero(self):
+        g = np.array([-0.0, 1.5, -0.0, np.nan])
+        t = ad.Tensor(np.zeros(4), requires_grad=True)
+        ad.accumulate_grad(t, g, fresh=True)
+        assert t.grad is g and g.tobytes() == np.array([0.0, 1.5, 0.0, np.nan]).tobytes()
+        x = ad.Tensor(np.ones(3), requires_grad=True)  # mul's backward builds g * b: -0.0 where b is -0.0
+        (x * ad.Tensor([-0.0, 2.0, -0.0])).sum().backward()
+        assert x.grad.tobytes() == np.array([0.0, 2.0, 0.0]).tobytes()
+
+    def test_zero_dimensional_gradients_are_stored_as_arrays(self):
+        # numpy returns a scalar, not an array, for arithmetic on 0-d arrays; mul, relu and softplus build one
+        x, y = ad.Tensor(3.0, requires_grad=True), ad.Tensor(0.5, requires_grad=True)
+        (ad.softplus(ad.relu(x * y) + x) * ad.Tensor(2.0)).backward()
+        assert type(x.grad) is np.ndarray and type(y.grad) is np.ndarray and x.grad.shape == y.grad.shape == ()
+        s = 2.0 / (1.0 + np.exp(-4.5))  # 2 sigmoid(x y + x)
+        np.testing.assert_allclose([x.grad, y.grad], [s * 1.5, s * 3.0], rtol=1e-15)
+
+    def test_views_are_copied_so_no_two_gradients_share_memory(self):
+        rng = np.random.default_rng(41)
+        a = ad.Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        b = ad.Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        s = a + b  # each operand gets g itself
+        r = s.reshape((6, 4))  # s gets a view of r's gradient
+        c = ad.concat([r, b.reshape((6, 4)), r * 2.0], axis=0)  # each part gets a view of c's gradient
+        loss = (c * ad.Tensor(rng.normal(size=(18, 4)))).sum()
+        loss.backward()
+        held = [t for t in ad._toposort(loss) if t.grad is not None]
+        assert len(held) == 9
+        for i, t in enumerate(held):
+            assert not any(np.shares_memory(t.grad, u.grad) for u in held[i + 1 :])
+        for t in held:
+            before = [u.grad.tobytes() for u in held if u is not t]
+            t.grad += 1.0
+            assert [u.grad.tobytes() for u in held if u is not t] == before
+
+
 class TestFiniteDifferenceOracle:
     def test_quadratic_slope(self):
         g = finite_difference_grad(lambda x: float(x[0] ** 2), np.array([3.0]))

@@ -223,6 +223,12 @@ class TestKHotGateSoft:
         for step in draws:
             assert step.max() >= 1.0 - 1e-6
 
+    @pytest.mark.parametrize("mask", [[[0, 0, 0, 0]], [[0, 0, 0, 1]]])
+    def test_weights_whose_squares_overflow_give_a_nan_gate_without_a_warning(self, mask):
+        # -1e200 squares to inf and the row's softmax to NaN, which training reports as a non-finite loss
+        gate = gt.k_hot_gate_rows([[1.0, -1e200, 3.0, 2.0]], np.array(mask), 2, 1.0, rng=np.random.default_rng(0))
+        assert np.isnan(gate.data[0, np.array(mask[0]) == 0]).all()
+
     def test_soft_requires_noise_source(self):
         with pytest.raises(ValueError, match="rng or pre-drawn noise"):
             gt.k_hot_gate_rows(np.ones((1, 4)), np.zeros((1, 4), dtype=int), 2, tau=1.0)
@@ -432,8 +438,49 @@ def dense_gate_rows(w, mask, k, tau, rng=None, noise=None):
     return (ad.Tensor(np.zeros((n, d))) if gate is None else gate), steps
 
 
+def equal_count_case(rng, heads, all_live):
+    """(w, mask, k, tau, c) where every row takes all k draws: rows all live, or sparse with at least k live each.
+
+    Weights and the cotangent ``c`` hold zeros of both signs.
+    """
+    k = int(rng.integers(1, 12))
+    n, d = int(rng.integers(1, 30)), int(rng.integers(k + 1, 601))
+    live = np.ones((n, d), dtype=bool)
+    if not all_live:
+        live = rng.random((n, d)) < 10.0 ** rng.uniform(-2.0, -0.3)
+        cols = rng.permuted(np.tile(np.arange(d), (n, 1)), axis=1)
+        live[np.arange(n)[:, None], cols[:, :k]] = True
+        live[np.arange(n), cols[:, -1]] = False  # no row all live: the draws run on a block
+    w = rng.normal(size=(n, heads * d)) * 10.0 ** rng.uniform(-2.0, 1.0)
+    w[rng.random(w.shape) < 0.05] = rng.choice([0.0, -0.0])
+    c = np.where(rng.random(w.shape) < 0.2, -0.0, rng.normal(size=w.shape))
+    return w, ~live, k, float(rng.uniform(0.05, 2.0)), c
+
+
+def equal_count_bytes(gate_rows, case, seed_draw, frozen):
+    """Gate bytes, ``w.grad`` bytes and the next uniform of the noise rng after one call on an equal_count_case."""
+    w0, mask, k, tau, c = case
+    draws = np.random.default_rng(seed_draw)
+    source = {"noise": gt._gumbel(draws.random((k, *mask.shape)))} if frozen else {"rng": draws}
+    w = ad.Tensor(w0, requires_grad=True)
+    gate = gate_rows(w, mask, k, tau, **source)
+    (gate * ad.Tensor(c)).sum().backward()
+    return gate.data.tobytes(), w.grad.tobytes(), draws.random()  # the last: the same stream was used
+
+
 class TestGraphReference:
     """The one-op gate equals the gate built as a graph of one node per step, byte for byte."""
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("all_live", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equal_counts_give_the_graph_bytes(self, seed, all_live, frozen):
+        # every row takes every draw: no row's draw is zeroed; all live, the block is the rows and the noise one call
+        rng = np.random.default_rng(9650 + seed)
+        for _ in range(10):
+            case, seed_draw = equal_count_case(rng, int(rng.integers(1, 4)), all_live), int(rng.integers(2**31))
+            want = equal_count_bytes(graph_gate_rows, case, seed_draw, frozen)
+            assert equal_count_bytes(gt.k_hot_gate_rows, case, seed_draw, frozen) == want
 
     @pytest.mark.parametrize("seed", range(10))
     def test_gate_and_gradient_bytes_equal_the_graph(self, seed):
@@ -503,6 +550,16 @@ class TestLiveColumnBlock:
                 sums = np.cumsum([np.zeros((n, d))] + ref_steps, axis=0)  # sequential, in the gate's order
                 assert len(prefixes) == len(sums)
                 assert all(np.array_equal(a, b) for a, b in zip(prefixes, sums))
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    @pytest.mark.parametrize("all_live", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equal_counts_equal_the_dense_draws(self, seed, all_live, frozen):
+        rng = np.random.default_rng(9550 + seed)
+        for _ in range(10):
+            case, seed_draw = equal_count_case(rng, 1, all_live), int(rng.integers(2**31))
+            want = equal_count_bytes(lambda *args, **kw: dense_gate_rows(*args, **kw)[0], case, seed_draw, frozen)
+            assert equal_count_bytes(gt.k_hot_gate_rows, case, seed_draw, frozen) == want
 
     @pytest.mark.parametrize("tau", [1.0, 0.2])
     @pytest.mark.parametrize("seed", range(8))

@@ -13,9 +13,10 @@ from sparselocal import gate as gt
 from sparselocal import model as model_module
 from sparselocal.data import Sample
 from sparselocal.errors import GateExhaustedError, ShapeError
-from sparselocal.model import DirectClassifier, GatedLocalLinear, ModelConfig
+from sparselocal.model import DirectClassifier, GatedLocalLinear, ModelConfig, gated_scores
+from sparselocal.train import Adam
 
-from oracles import oracle_draws, param_grad_error
+from oracles import graph_scores, oracle_draws, param_grad_error
 
 
 def vector_config(d=6, k=2, **kw):
@@ -574,6 +575,45 @@ class TestChunkedInference:
         assert dnn.predict_labels([]).shape == (0,)
 
 
+class TestGatedScores:
+    """The score op equals the graph it replaced, z tiled per head then mul, mul, reshape and sum, byte for byte."""
+
+    @pytest.mark.parametrize("gated", [False, True])
+    @pytest.mark.parametrize("heads", [1, 3])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_value_and_gradients_equal_the_graph(self, seed, heads, gated):
+        rng = np.random.default_rng(8700 + seed)
+        specials = np.array([0.0, -0.0, np.nan])
+
+        def draw(shape, scale=1.0):  # normal values with zeros of both signs and NaN
+            a = rng.normal(size=shape) * scale
+            pick = rng.random(shape) < 0.15
+            a[pick] = rng.choice(specials, size=int(pick.sum()))
+            return a
+
+        for _ in range(20):
+            n, d = int(rng.integers(1, 40)), int(rng.integers(1, 90))
+            z = draw((n, d)) * (rng.random((n, d)) < 0.7)  # dead features are zeros of z
+            w0 = draw((n, heads * d), 10.0 ** rng.uniform(-3.0, 3.0))
+            g0 = np.where(rng.random((n, heads * d)) < 0.6, 0.0, np.abs(draw((n, heads * d))))  # closed gates
+            c = draw((n, heads))
+            got = []
+            for scores in (graph_scores, gated_scores):
+                w = ad.Tensor(w0, requires_grad=True)
+                g = ad.Tensor(g0, requires_grad=True) if gated else None
+                out = scores(z, w, g)
+                (out * ad.Tensor(c)).sum().backward()
+                got.append((out.data.tobytes(), w.grad.tobytes(), g.grad.tobytes() if gated else None))
+            assert got[0] == got[1]
+            assert out.op == "scores" and len(ad._toposort(out)) == 2 + gated  # one node over w and g
+
+    def test_a_constant_gate_gets_no_gradient(self):
+        rng = np.random.default_rng(8790)
+        w, g = ad.Tensor(rng.normal(size=(3, 8)), requires_grad=True), ad.Tensor(rng.random((3, 8)))
+        gated_scores(rng.normal(size=(3, 4)), w, g).sum().backward()
+        assert g.grad is None and w.grad.shape == (3, 8)
+
+
 class TestOneGatePerPath:
     """Inference runs one hard-gate call per batch and training one soft-gate call per batch."""
 
@@ -637,6 +677,30 @@ class TestOneGatePerPath:
         names = [span[0] for span in tracer.spans]
         assert names.count("gate.k_hot_gate_rows") == 1
         assert names.count("bwd.gate.soft") == 1
+
+    @pytest.mark.parametrize("name", ["synthetic", "digits", "text"])
+    def test_benchmark_tracer_counts_the_score_op_as_one_node(self, name, tmp_path, monkeypatch):
+        # perfbench reads autodiff.nodes_per_step from the make_op calls it wraps; an op built around make_op reads 0
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        from spans import Tracer
+        from workloads import make_inputs
+
+        inputs = make_inputs(name, 1, tmp_path, size="tiny")
+        batch, make_op, ops, nodes = inputs.train[: inputs.schedule.batch_size], ad.make_op, [], {}
+        monkeypatch.setattr(ad, "make_op", lambda data, parents, op, backward: (
+            ops.append(op), make_op(data, parents, op, backward))[1])
+        for scores in (graph_scores, gated_scores):
+            monkeypatch.setattr(model_module, "gated_scores", scores)
+            rng = np.random.default_rng(1)
+            model = GatedLocalLinear(inputs.config, rng)
+            ops.clear()
+            with Tracer() as tracer:  # one seeded training step
+                model.batch_loss(batch, k=inputs.schedule.k_coarse, tau=inputs.config.tau_coarse, rng=rng).backward()
+                Adam(model.parameters(), lr=inputs.schedule.adam_lr).step()
+            nodes[scores] = tracer.counts["model.batch_loss"]["nodes"]
+            assert nodes[scores] == len(ops)
+        assert ops.count("scores") == 1
+        assert nodes[graph_scores] - nodes[gated_scores] == 3
 
     def test_benchmark_tracer_times_the_trunk_inside_inference(self, monkeypatch):
         # perfbench reads model.explain.generate_ms and model.predict.rows_ms from model.rows spans under these

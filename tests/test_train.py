@@ -483,6 +483,16 @@ class TestNonFiniteLoss:
             coarse_to_fine_train(model, train, val, sched, np.random.default_rng(0))
         assert all(p.grad is None for p in model.parameters())  # backward never ran on the bad loss
 
+    def test_weights_whose_squares_overflow_stop_training_at_their_batch(self):
+        # a head bias of -1e200 squares to inf inside the soft gate: the gate and the loss are NaN, with no warning
+        cfg, train, val, _ = small_problem()
+        model = GatedLocalLinear(cfg, np.random.default_rng(0))
+        model.named_parameters()["head.bias"].data[0, 3] = -1e200
+        sched = TrainSchedule(k_coarse=4, batch_size=64, max_coarse_epochs=1, max_fine_epochs=1, patience=10)
+        with pytest.raises(NonFiniteLossError, match=r"phase 'coarse', epoch 1, batch 0"):
+            coarse_to_fine_train(model, train, val, sched, np.random.default_rng(0))
+        assert all(p.grad is None for p in model.parameters())
+
     def test_nan_parameters_stop_train_plain_before_backward(self):
         ds = make_synthetic(200, 6, seed=9)
         train, val, _ = split_dataset(ds.samples, [0.7, 0.15, 0.15], seed=1)
