@@ -59,10 +59,9 @@ class Vocabulary:
     """Contiguously indexed token table with a reserved out-of-vocabulary symbol."""
 
     tokens: list
-    oov_index: int = 0
     index: dict = field(init=False)
 
-    OOV = "<unk>"
+    OOV, oov_index = "<unk>", 0  # the out-of-vocabulary symbol and its index
 
     def __post_init__(self):
         self.index = {t: i for i, t in enumerate(self.tokens)}

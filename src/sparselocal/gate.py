@@ -10,16 +10,18 @@ There is one function per gate, each batched over rows of weights.
 
 - The soft gate, :func:`k_hot_gate_rows`, is the training relaxation
   over the ``(n, heads·d)`` rows of every head of a batch, each row with
-  its own gate count. Every draw is a relaxed simplex vector; only their
-  sum is returned. It is one autodiff op whose hand-written backward sums
-  each draw's softmax Jacobian, the mask updates treated as
-  gradient-stopped. A draw is the softmax
+  its own gate count. One draw loop serves every row; a row past its
+  count gets exact-zero draws. Every draw is a relaxed simplex vector;
+  only their sum is returned. It is one autodiff op whose hand-written
+  backward sums each draw's softmax Jacobian, the mask updates treated
+  as gradient-stopped. A draw is the softmax
   of ``(w**2 + lam) / tau`` over the live entries, which equals the
   paper's ``softmax((log pi + lam) / tau)``: ``log pi`` is ``w**2`` less
-  one constant per row, and a softmax ignores such a shift. The draws
-  run on a block of each row's live columns, bitwise equal to draws over
-  the full rows, so a bag-of-words mask with about 1% live entries pays
-  for those alone.
+  one constant per row, and a softmax ignores such a shift. The noise
+  ``lam`` has one source, the ``rng`` argument: serving it the same
+  uniforms again freezes or replays the gate. The draws run on a block
+  of each row's live columns, bitwise equal to draws over the full rows,
+  so a bag-of-words mask with about 1% live entries pays for those alone.
 - The hard gate, :func:`k_hot_gate`, is the inference-time behaviour
   over any ``(..., d)`` batch. The noise is dropped and each draw is the
   exact one-hot argmax. Noise-free greedy draws are exactly a top-k, so
@@ -43,9 +45,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import GateExhaustedError, ShapeError
-
-SENTINEL = -np.inf
-
 
 def _gumbel(u):
     """Standard Gumbel values -log(-log(u)) of uniforms u, clamped away from {0, 1}."""
@@ -84,41 +83,37 @@ def k_hot_gate(w, live, k):
     return gate.reshape(w.shape), order
 
 
-def k_hot_gate_rows(w, mask, k, tau, rng=None, noise=None):
+def k_hot_gate_rows(w, mask, k, tau, rng=None):
     """The soft gate for a batch of weight rows: every head's (n, heads·d) gate, the sum of its k draws.
 
     ``w`` holds the generator's (n, heads·d) rows, head c in columns
     c·d to (c+1)·d, and ``mask`` the (n, d) mask that every head of a
-    sample shares. Each draw is one masked softmax
-    ``softmax((w**2 + lam) / tau)`` over the live entries of each head,
-    whose winner is masked out before that head's next draw. ``k`` is one
-    gate count or one count per sample; sample i takes the first k[i] of
-    the max(k) draws, and a sample whose count is 0 gets the all-zero
-    gate. A sample past its count draws over all its entries, so the
-    softmax stays defined, and that draw is zeroed.
+    sample shares. ``k`` is one gate count or one count per sample;
+    sample i takes the first k[i] of the max(k) draws.
 
     One draw loop serves every head, on ``w`` read as (n·heads, d) rows:
-    row i·heads + c is head c of sample i. The draws run on a block of
-    each row's live columns, as wide as the largest live count, gathered
-    and scattered back once, so a sparse mask costs its live entries, not
-    d. A row's live columns come first, in index order, so a draw's first
-    maximum is the dense row's; a shorter row is padded with distinct dead
-    columns. The softmax's two row sums run over the block scattered into
-    a zero (n·heads, d) buffer: numpy's pairwise sum groups by position,
-    so only a full-width sum keeps the dense row's rounding. When some
-    sample is all live, the block is the rows: nothing is gathered or scattered.
-    The gate is one graph node over ``w``. Its backward adds each draw's
-    term ``s * (g - row_sum(g * s))`` in draw order, with the same row
-    sums, so ``w.grad`` has the bits of a graph of one node per step.
+    row i·heads + c is head c of sample i. Each draw is one masked softmax
+    ``softmax((w**2 + lam) / tau)`` with the entries no longer free at
+    -inf; its winner is masked out before the row's next draw. A row past
+    its count draws over all its entries, so the softmax stays defined,
+    and its stored draw is set to exact zeros; the rows that stop early
+    are listed per draw once, so equal counts cost nothing extra. The
+    draws run on a block of each row's live columns, as wide as the
+    largest live count (the rows themselves when some sample is all live):
+    a row's live columns first, in index order, then distinct dead ones.
+    The row sums run over the block scattered into a zero (n·heads, d)
+    buffer, as numpy's pairwise sum groups by position. The gate is one
+    graph node over ``w``; its backward adds each draw's softmax Jacobian
+    ``s * (g - row_sum(g * s))`` in draw order, so ``w.grad`` has the
+    bits of a graph of one node per step.
 
-    ``rng`` is a numpy ``Generator``; all noise is taken before the first
-    draw, head-major: max(k) (n, d) arrays of uniforms for head 0, then
-    head 1, and so on, each cut to the block's columns. ``noise``, when
-    given, holds at least max(k) pre-drawn Gumbel arrays of shape (n, d),
-    which every head uses, and overrides ``rng``; freezing it makes the
-    gate deterministic, which the finite-difference checks rely on.
-    Draw t of a call is ``gate(k=t+1) - gate(k=t)`` under the same noise,
-    up to the rounding of the sum.
+    ``rng``, the one noise source, is a numpy ``Generator`` or any object
+    whose ``random(out=)`` fills ``out`` with uniforms. All of it is taken
+    before the first draw, head-major: max(k) (n, d) uniform arrays for
+    head 0, then head 1, and so on, each cut to the block's columns.
+    Serving the same uniforms again freezes or replays the gate: under
+    uniforms ``u`` of shape (heads, max(k), n, d), draw t is the gate of
+    ``u[:, :t+1]`` at k=t+1 less that of ``u[:, :t]`` at k=t, up to rounding.
     """
     w = ad.as_tensor(w)
     live = np.asarray(mask) == 0
@@ -138,37 +133,25 @@ def k_hot_gate_rows(w, mask, k, tau, rng=None, noise=None):
         raise GateExhaustedError(
             f"k={int(k[row])} gates requested but row {row} has only {int(counts[row])} unmasked features"
         )
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError(f"temperature must be positive, got {tau}")
+    if rng is None:
+        raise ValueError("soft gating needs an rng")
     draws = int(k.max(initial=0))
-    if noise is None:
-        if rng is None:
-            raise ValueError("soft gating needs an rng or pre-drawn noise")
-    else:
-        noise = np.asarray(noise, dtype=np.float64)
-        if noise.shape[1:] != (n, d) or noise.shape[0] < draws:
-            raise ShapeError(
-                f"k_hot_gate_rows: noise {noise.shape} must hold at least {draws} draws "
-                f"of the per-head weights' shape {(n, d)}"
-            )
     if draws == 0:
         return ad.Tensor(np.zeros((n, heads * d)))
 
     width = int(counts.max(initial=0))
     # when some sample is all live, each block is its whole head and x[at] is x
     at = np.s_[:, :] if width == d else (np.arange(n)[:, None], live_block(live, width))
-    if noise is None:
-        lam = np.empty((heads, draws, n, width))
-        if width == d:  # every block is its rows: one call draws all of them, the same stream
-            rng.random(out=lam)
-        else:
-            uniform = np.empty((n, d))
-            for block in lam.reshape(-1, n, width):  # one (n, d) buffer: a (heads, draws, n, d) array faults pages in
-                block[...] = rng.random(out=uniform)[at]
-        lam = _gumbel(lam)
+    lam = np.empty((heads, draws, n, width))
+    if width == d:  # every block is its rows: one call draws all of them, the same stream
+        rng.random(out=lam)
     else:
-        lam = np.broadcast_to(noise[:draws][(..., *at)], (heads, draws, n, width))
-    lam = lam.transpose(1, 2, 0, 3).reshape(draws, n * heads, width) * (1.0 / tau)
+        uniform = np.empty((n, d))
+        for block in lam.reshape(-1, n, width):  # one (n, d) buffer: a (heads, draws, n, d) array faults pages in
+            block[...] = rng.random(out=uniform)[at]
+    lam = _gumbel(lam).transpose(1, 2, 0, 3).reshape(draws, n * heads, width) * (1.0 / tau)
     k, free = np.repeat(k, heads), np.repeat(live[at], heads, axis=0)
     # row i·heads + c is head c of sample i; when the block is the rows, nothing is scattered
     rows, spread, full = w.data.reshape(n * heads, d), (lambda a, out=None: a), None
@@ -184,26 +167,27 @@ def k_hot_gate_rows(w, mask, k, tau, rng=None, noise=None):
     def row_sum(a):
         return spread(a, full).sum(axis=1, keepdims=True)
 
-    every, first = bool((k == draws).all()), np.arange(0, free.size, width)  # first: each row's flat offset in free
+    first = np.arange(0, free.size, width)  # each row's flat offset in free
+    stops = {t: np.flatnonzero(k <= t) for t in range(int(k.min()), draws)}  # the rows past their count at draw t
     steps, gate = [], 0.0  # steps: each draw's softmax, kept for the backward
     with np.errstate(over="ignore", invalid="ignore"):  # a |w| above about 1.3e154 squares to inf: its row is NaN
         scaled = rows * rows * (1.0 / tau)
         for t in range(draws):
-            x = scaled + lam[t]
-            on = free if every else free | (t >= k)[:, None]  # a row past its count draws over all its entries...
-            m = np.max(np.where(on, x, SENTINEL), axis=1, keepdims=True)
-            e = np.where(on, np.exp(np.where(on, x, 0.0) - m), 0.0)
+            stop = stops.get(t)
+            if stop is not None:
+                free[stop] = True  # a stopped row draws over all its entries...
+            x = np.where(free, scaled + lam[t], -np.inf)
+            e = np.exp(x - np.max(x, axis=1, keepdims=True))
             steps.append(e / row_sum(e))
-            step = steps[t] if every else steps[t] * ((t < k)[:, None] * 1.0)  # ...and that draw is zeroed
-            won = first + np.argmax(step, axis=1)
-            free.reshape(-1)[won if every else won[t < k]] = False
-            gate = gate + step
+            if stop is not None:
+                steps[t][stop] = 0.0  # ...and that draw is exact zeros, NaN weights or not
+            free.reshape(-1)[first + np.argmax(steps[t], axis=1)] = False
+            gate = gate + steps[t]
 
     def backward(g):  # each draw's softmax Jacobian, summed in draw order; the mask updates are gradient-stopped
         g, total = g.reshape(n * heads, d)[at], 0.0
-        for t, s in enumerate(steps):
-            g_t = g if every else g * ((t < k)[:, None] * 1.0)
-            total = total + s * (g_t - row_sum(g_t * s))
+        for s in steps:
+            total = total + s * (g - row_sum(g * s))
         grad = spread(total * (1.0 / tau) * (2.0 * rows))
         ad.accumulate_grad(w, grad.reshape(w.data.shape), fresh=True)
 

@@ -320,11 +320,11 @@ class GatedLocalLinear(WeightGenerator):
         return rows[0] if self.config.heads == 1 else rows.reshape(self.config.heads, self.config.d)
 
     # -- losses ----------------------------------------------------------
-    def batch_loss(self, samples, k=None, tau=None, rng=None, noise=None, gated=True):
+    def batch_loss(self, samples, k=None, tau=None, rng=None, gated=True):
         """Mean soft-gated classification loss over a batch; the training objective.
 
-        Gate noise comes from ``rng`` or from pre-drawn ``noise`` of shape
-        (k, n, d). Per-sample gate counts are clamped to the number of
+        The gate's one noise source is ``rng``; a freshly seeded one gives
+        the same loss on every call. Per-sample gate counts are clamped to the number of
         unmasked features so short bag-of-words samples stay trainable;
         a sample with no unmasked features at all is an error.
         """
@@ -336,7 +336,7 @@ class GatedLocalLinear(WeightGenerator):
         if not gated:
             return self._losses(samples, w, None).mean()
         live = _live(samples, need=1)
-        g = gt.k_hot_gate_rows(w, ~live, np.minimum(k, live.sum(axis=1)), tau, rng=rng, noise=noise)
+        g = gt.k_hot_gate_rows(w, ~live, np.minimum(k, live.sum(axis=1)), tau, rng=rng)
         return self._losses(samples, w, g).mean()
 
     def _losses(self, samples, w, g):
@@ -455,7 +455,7 @@ class DirectClassifier(WeightGenerator):
             return ((y + 1) // 2).astype(np.int64)
         return _class_targets(samples, self.config.num_classes)
 
-    def batch_loss(self, samples, rng=None, **_ignored):
+    def batch_loss(self, samples, rng=None):
         y = self._class_indices(samples)
         logp = ad.log_softmax(self.rows([s.x for s in samples]), axis=1)
         return (ad.take_along(logp, y) * (-1.0)).mean()

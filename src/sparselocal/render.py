@@ -20,13 +20,14 @@ def _weight_color(weight, strongest):
     return color, alpha
 
 
-def render_image_svg(image, entries, side, path, cell=16):
+def render_image_svg(image, entries, side, path):
     """Weight heatmap over an image whose z features are square blocks.
 
     ``image`` is the (h, w) grayscale input in [0, 1]; ``entries`` are
     (feature_index, name, weight) with indices laid out row-major on a
     ``side`` x ``side`` grid.
     """
+    cell = 16  # pixels per grid cell
     image = np.asarray(image, dtype=np.float64)
     h, w = image.shape
     px = cell * side / max(h, w)

@@ -46,11 +46,12 @@ class _Optimizer:
 
 
 class Adam(_Optimizer):
-    """Adam with bias correction; lr 1e-3, betas (0.9, 0.999), eps 1e-8 by default."""
+    """Adam with bias correction, betas (0.9, 0.999) and eps 1e-8; lr 1e-3 by default."""
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr=1e-3):
         super().__init__(params, lr)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
         self.t = 0

@@ -12,6 +12,9 @@
   some row is past its count and a running-sum add, with the live-column
   block gathered and scattered by graph nodes. Its value and gradient are
   the bitwise reference for ``sparselocal.gate.k_hot_gate_rows``.
+- ``Replay``, a stand-in for the soft gate's rng that serves it given
+  uniforms, so a test can freeze the gate's noise or replay a batch's
+  draws one sample at a time.
 - The CNN trunk block as the graph the package built before the block
   became one op: ``conv2d``, for text a ``mul`` by the end mask,
   ``max_pool2d`` and ``relu``, one node each. Its value and gradients are
@@ -105,10 +108,31 @@ def masked_softmax(x, live, row_sum=row_sum):
     return ad.make_op(s, (x,), "masked_softmax", backward)
 
 
-def graph_gate_rows(w, mask, k, tau, rng=None, noise=None):
+class Replay:
+    """A stand-in for the soft gate's rng whose ``random(out=)`` serves given uniforms, in order, once.
+
+    The gate reads (heads, max(k), n, d) uniforms head-major, so
+    ``Replay(u)`` feeds a batched call the uniforms ``u``,
+    ``Replay(u[:, :k_i, i : i + 1])`` feeds sample i's one-sample call
+    the same draws, and ``Replay(u[:, :j])`` a call cut to j draws.
+    ``used`` counts the uniforms served and ``reads`` lists the shape of
+    each ``out`` asked for.
+    """
+
+    def __init__(self, uniforms):
+        self.stream, self.used, self.reads = np.ravel(uniforms), 0, []
+
+    def random(self, out):
+        out[...] = self.stream[self.used : self.used + out.size].reshape(out.shape)
+        self.used += out.size
+        self.reads.append(out.shape)
+        return out
+
+
+def graph_gate_rows(w, mask, k, tau, rng):
     """The soft gate of ``k_hot_gate_rows`` on valid arguments, as a graph of one node per step.
 
-    It draws the same noise from ``rng`` or ``noise``, runs the draws on
+    It draws the same noise from ``rng``, runs the draws on
     the same live-column block, and takes the softmax's row sums over a
     zero full-width buffer, so its gate and gradient are the reference's
     bits.
@@ -126,13 +150,10 @@ def graph_gate_rows(w, mask, k, tau, rng=None, noise=None):
     if width < d:
         cols = np.argsort(~live, axis=1, kind="stable")[:, :width]
         at = (np.arange(n)[:, None], cols)
-    if noise is None:
-        lam, uniform = np.empty((heads, draws, n, width)), np.empty((n, d))
-        for block in lam.reshape(-1, n, width):
-            block[...] = rng.random(out=uniform)[at]
-        lam = gt._gumbel(lam)
-    else:
-        lam = np.broadcast_to(np.asarray(noise, dtype=np.float64)[:draws][(..., *at)], (heads, draws, n, width))
+    lam, uniform = np.empty((heads, draws, n, width)), np.empty((n, d))
+    for block in lam.reshape(-1, n, width):
+        block[...] = rng.random(out=uniform)[at]
+    lam = gt._gumbel(lam)
     lam = lam.transpose(1, 2, 0, 3).reshape(draws, n * heads, width) * (1.0 / tau)
     k, free = np.repeat(k, heads), np.repeat(live[at], heads, axis=0)
     rows, block_sum = ad.reshape(w, (n * heads, d)), row_sum
@@ -178,7 +199,7 @@ def graph_scores(z, w, g=None):
 def finite_difference_grad(f, x, eps=1e-4):
     """Central-difference gradient of a scalar function of an array.
 
-    ``f`` must be deterministic (freeze any noise before calling) and is
+    ``f`` must be deterministic (seed any noise inside it) and is
     evaluated at 2 * x.size perturbed points. The same array object is
     passed to ``f`` every time with one coordinate displaced.
     """

@@ -142,13 +142,14 @@ def test_c1_gradient_oracle_suite(report):
     for tau in (1.0, 0.2):
         live = rng_g.random((3, 8)) < 0.5
         live[:, :2], live[:, -1] = True, False
-        noise = gt._gumbel(rng_g.random((2, 3, 8)))
+        seed_g = int(rng_g.integers(2**31))
         cg = rng_g.normal(size=(3, 16))
         wg = rng_g.uniform(0.2, 2.0, size=(3, 16)) * rng_g.choice([-1.0, 1.0], size=(3, 16))
-        worst["soft_gate"] = max(
-            worst.get("soft_gate", 0.0),
-            grad_error(lambda t: (gt.k_hot_gate_rows(t, ~live, [2, 1, 2], tau, noise=noise) * ad.Tensor(cg)).sum(), wg),
-        )
+
+        def gated(t):  # a freshly seeded rng: the same noise on every call
+            return (gt.k_hot_gate_rows(t, ~live, [2, 1, 2], tau, rng=np.random.default_rng(seed_g)) * ad.Tensor(cg)).sum()
+
+        worst["soft_gate"] = max(worst.get("soft_gate", 0.0), grad_error(gated, wg))
 
     # the conv block: an image block whose 2x2 pool drops the last row of its 5x6 map, and a ragged text block
     rng_c = np.random.default_rng(53)
@@ -179,16 +180,15 @@ def test_c1_gradient_oracle_suite(report):
                 grad_error(lambda t: (gated_scores(zs, t) * ad.Tensor(cs)).sum(), ws),
             )
 
-    # the full model end to end, both operating temperatures, frozen noise
+    # the full model end to end, both operating temperatures, the noise seeded afresh on every call
     for tau in (1.0, 0.1):
         rng_m = np.random.default_rng(17)
         cfg = ModelConfig(d=8, k=3, extractor={"kind": "vector", "dim": 10}, fc_width=6)
         model = GatedLocalLinear(cfg, rng_m)
         z = rng_m.normal(size=8)
         sample = Sample(id=0, x=np.concatenate([z, [1.0, 0.0]]), z=z, y=-1, m=np.zeros(8, dtype=np.int64))
-        noise = gt._gumbel(rng_m.random((3, 8)))
         worst[f"model tau={tau}"] = param_grad_error(
-            model, lambda: model.batch_loss([sample], tau=tau, noise=noise[:, None, :])
+            model, lambda: model.batch_loss([sample], tau=tau, rng=np.random.default_rng(18))
         )
 
     elapsed = time.monotonic() - start

@@ -17,7 +17,8 @@ from sparselocal import gate as gt
 from sparselocal.errors import GateExhaustedError, ShapeError
 
 from oracles import (
-    gate_step, grad_error, graph_gate_rows, masked_log_prob, masked_softmax, oracle_draws, square, update_mask,
+    Replay, gate_step, grad_error, graph_gate_rows, masked_log_prob, masked_softmax, oracle_draws, square,
+    update_mask,
 )
 
 EULER_MASCHERONI = 0.5772156649015329
@@ -105,16 +106,18 @@ class TestUpdateMask:
             assert set(np.unique(mask)) <= {0, 1}
 
 
-def prefix_gates(w, mask, k, tau, **source):
+def prefix_gates(w, mask, k, tau, rng=None, uniforms=None):
     """The gate of one call cut to its first j draws, for j = 0 .. max(k), as arrays.
 
-    Every call takes the same noise: a frozen ``noise`` as is, an ``rng``
-    as a copy taken before the call, which a one-head call reads as the
-    same uniforms. Draw t is then ``gates[t + 1] - gates[t]``.
+    Every call takes the same noise: the (heads, max(k), n, d)
+    ``uniforms`` cut to j draws, or an ``rng`` as a copy taken before the
+    call, which a one-head call reads as the same uniforms. Draw t is then
+    ``gates[t + 1] - gates[t]``.
     """
     k = np.broadcast_to(k, (np.shape(mask)[0],))
+    source = (lambda j: copy.deepcopy(rng)) if uniforms is None else (lambda j: Replay(uniforms[:, :j]))
     cuts = range(int(k.max(initial=0)) + 1)
-    return [gt.k_hot_gate_rows(w, mask, np.minimum(k, j), tau, **copy.deepcopy(source)).data for j in cuts]
+    return [gt.k_hot_gate_rows(w, mask, np.minimum(k, j), tau, rng=source(j)).data for j in cuts]
 
 
 def prefix_draws(w, mask, k, tau, **source):
@@ -195,11 +198,12 @@ class TestKHotGateSoft:
         mask = np.zeros(d, dtype=int)
         mask[rng.integers(d)] = 1
         k = 3
-        noise = gt._gumbel(rng.random((k, d)))
+        seed_draw = int(rng.integers(2**31))
         c = rng.normal(size=d)
 
         def objective(x):
-            gate = gt.k_hot_gate_rows(ad.as_tensor(x).reshape((1, d)), mask[None], k, tau=tau, noise=noise[:, None])
+            draws = np.random.default_rng(seed_draw)
+            gate = gt.k_hot_gate_rows(ad.as_tensor(x).reshape((1, d)), mask[None], k, tau=tau, rng=draws)
             return (gate * ad.Tensor(c[None])).sum()
 
         assert grad_error(objective, w0) <= 1e-4
@@ -208,8 +212,7 @@ class TestKHotGateSoft:
         rng = np.random.default_rng(42)
         w = ad.Tensor(np.array([[1.0, -2.0, 0.5, 3.0]]), requires_grad=True)
         mask = np.array([[0, 1, 0, 0]])
-        noise = gt._gumbel(rng.random((2, 4)))
-        gate = gt.k_hot_gate_rows(w, mask, 2, tau=0.7, noise=noise[:, None])
+        gate = gt.k_hot_gate_rows(w, mask, 2, tau=0.7, rng=rng)
         (gate * ad.Tensor(np.ones((1, 4)))).sum().backward()
         assert w.grad[0, 1] == 0.0
 
@@ -217,8 +220,7 @@ class TestKHotGateSoft:
         rng = np.random.default_rng(11)
         d = 10
         w = rng.uniform(0.3, 2.0, size=d) * rng.choice([-1.0, 1.0], size=d)
-        noise = gt._gumbel(rng.random((3, d)))
-        draws = prefix_draws(ad.Tensor(w[None]), np.zeros((1, d), dtype=int), 3, 1e-3, noise=noise[:, None])
+        draws = prefix_draws(ad.Tensor(w[None]), np.zeros((1, d), dtype=int), 3, 1e-3, rng=rng)
         assert len(draws) == 3
         for step in draws:
             assert step.max() >= 1.0 - 1e-6
@@ -229,14 +231,21 @@ class TestKHotGateSoft:
         gate = gt.k_hot_gate_rows([[1.0, -1e200, 3.0, 2.0]], np.array(mask), 2, 1.0, rng=np.random.default_rng(0))
         assert np.isnan(gate.data[0, np.array(mask[0]) == 0]).all()
 
-    def test_soft_requires_noise_source(self):
-        with pytest.raises(ValueError, match="rng or pre-drawn noise"):
-            gt.k_hot_gate_rows(np.ones((1, 4)), np.zeros((1, 4), dtype=int), 2, tau=1.0)
+    @pytest.mark.parametrize("mask, k", [
+        ([[0, 0, 1, 1], [1, 1, 1, 1]], [2, 0]),  # a dead sample, whose count is 0
+        ([[0, 0, 1, 1], [1, 0, 1, 1]], [2, 1]),  # a row clamped to its one live entry
+    ])
+    def test_a_row_past_its_count_gets_exact_zero_draws_even_when_its_weights_overflow(self, mask, k):
+        # row 1 draws over all its entries once past its count, where 1e200 squares to inf and its softmax to NaN
+        w = ad.Tensor(np.array([[1.0, 2.0, 3.0, 4.0], [1e200, 2.0, 3.0, 4.0]]), requires_grad=True)
+        gate = gt.k_hot_gate_rows(w, np.array(mask), k, 1.0, rng=np.random.default_rng(0))
+        assert gate.data[1].tobytes() == np.array([0.0, float(k[1]), 0.0, 0.0]).tobytes()
+        (gate * ad.Tensor(np.ones((2, 4)))).sum().backward()
+        assert np.isfinite(w.grad).all() and w.grad[1, 0] == 0.0
 
-    @pytest.mark.parametrize("shape", [(1, 4), (2, 5), (1, 1, 4), (4,)])
-    def test_noise_of_the_wrong_shape_is_a_shape_error(self, shape):
-        with pytest.raises(ShapeError, match=rf"noise \({shape[0]},.*weights' shape \(1, 4\)"):
-            gt.k_hot_gate_rows(np.ones((1, 4)), np.zeros((1, 4), dtype=int), 2, tau=1.0, noise=np.zeros(shape))
+    def test_soft_requires_noise_source(self):
+        with pytest.raises(ValueError, match="needs an rng"):
+            gt.k_hot_gate_rows(np.ones((1, 4)), np.zeros((1, 4), dtype=int), 2, tau=1.0)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_unrolled_single_draw_primitives(self, seed):
@@ -249,9 +258,9 @@ class TestKHotGateSoft:
             mask[rng.integers(d)] = 0
             k = int(rng.integers(1, int((mask == 0).sum()) + 1))
             tau = float(rng.uniform(0.1, 2.0))
-            noise = gt._gumbel(rng.random((k, d)))
-            draws = prefix_draws(w[None], mask[None], k, tau, noise=noise[:, None])
-            ref, order, _ = oracle_draws(w, mask, noise, tau)
+            u = rng.random((1, k, 1, d))
+            draws = prefix_draws(w[None], mask[None], k, tau, uniforms=u)
+            ref, order, _ = oracle_draws(w, mask, gt._gumbel(u[0, :, 0]), tau)
             assert len(draws) == k
             for t in range(k):
                 np.testing.assert_allclose(draws[t][0], ref[t], rtol=0, atol=1e-12)
@@ -266,11 +275,11 @@ class TestBatchedRows:
         w = rng.normal(size=(n, d))
         mask = (rng.random((n, d)) < 0.2).astype(int)
         mask[:, :k] = 0  # keep every row feasible
-        noise = gt._gumbel(rng.random((k, n, d)))
-        batched = gt.k_hot_gate_rows(ad.Tensor(w), mask, k, tau=0.8, noise=noise)
-        draws = prefix_draws(ad.Tensor(w), mask, k, 0.8, noise=noise)
+        u = rng.random((1, k, n, d))
+        batched = gt.k_hot_gate_rows(ad.Tensor(w), mask, k, tau=0.8, rng=Replay(u))
+        draws = prefix_draws(ad.Tensor(w), mask, k, 0.8, uniforms=u)
         for i in range(n):
-            ref, order, m = oracle_draws(w[i], mask[i], noise[:, i, :], 0.8)
+            ref, order, m = oracle_draws(w[i], mask[i], gt._gumbel(u[0, :, i]), 0.8)
             np.testing.assert_allclose(batched.data[i], np.sum(ref, axis=0), rtol=0, atol=1e-12)
             assert selection_order(draws, i) == order
             # drawing from an rng: a one-row batch takes one (1, d) Gumbel draw per step from it
@@ -287,14 +296,14 @@ class TestBatchedRows:
         n, d, k = 3, 6, 2
         w = rng.normal(size=(n, d))
         mask = np.zeros((n, d), dtype=int)
-        noise = gt._gumbel(rng.random((k, n, d)))
+        u = rng.random((1, k, n, d))
         c = rng.normal(size=(n, d))
 
         wt = ad.Tensor(w, requires_grad=True)
-        (gt.k_hot_gate_rows(wt, mask, k, tau=1.0, noise=noise) * ad.Tensor(c)).sum().backward()
+        (gt.k_hot_gate_rows(wt, mask, k, tau=1.0, rng=Replay(u)) * ad.Tensor(c)).sum().backward()
         for i in range(n):
             wi = ad.Tensor(w[i : i + 1], requires_grad=True)
-            gate = gt.k_hot_gate_rows(wi, mask[i : i + 1], k, tau=1.0, noise=noise[:, i : i + 1, :])
+            gate = gt.k_hot_gate_rows(wi, mask[i : i + 1], k, tau=1.0, rng=Replay(u[:, :, i : i + 1]))
             (gate * ad.Tensor(c[i : i + 1])).sum().backward()
             np.testing.assert_allclose(wt.grad[i], wi.grad[0], atol=1e-12)
 
@@ -308,8 +317,9 @@ class TestBatchedRows:
                                [4, 1, 3], tau=1.0, rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match="non-negative"):
             gt.k_hot_gate_rows(ad.Tensor(w), np.zeros((2, 4)), [1, -1], tau=1.0, rng=np.random.default_rng(0))
-        with pytest.raises(ValueError, match="temperature must be positive"):
-            gt.k_hot_gate_rows(ad.Tensor(w), np.zeros((2, 4)), 1, tau=0.0, rng=np.random.default_rng(0))
+        for tau in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="temperature must be positive"):
+                gt.k_hot_gate_rows(ad.Tensor(w), np.zeros((2, 4)), 1, tau=tau, rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_per_row_counts_match_per_vector_path(self, seed):
@@ -319,17 +329,17 @@ class TestBatchedRows:
         mask = (rng.random((n, d)) < 0.4).astype(int)
         mask[0] = 1  # a row with no live feature and a count of 0
         k = np.minimum(rng.integers(1, 5, size=n), (mask == 0).sum(axis=1))
-        noise = gt._gumbel(rng.random((int(k.max()), n, d)))
+        u = rng.random((1, int(k.max()), n, d))
         c = rng.normal(size=(n, d))
         wt = ad.Tensor(w, requires_grad=True)
-        batched = gt.k_hot_gate_rows(wt, mask, k, tau=0.6, noise=noise)
+        batched = gt.k_hot_gate_rows(wt, mask, k, tau=0.6, rng=Replay(u))
         (batched * ad.Tensor(c)).sum().backward()
         assert np.all(batched.data[0] == 0.0) and np.all(wt.grad[0] == 0.0)
         for i in range(1, n):
-            ref, _, _ = oracle_draws(w[i], mask[i], noise[: k[i], i], 0.6)
+            ref, _, _ = oracle_draws(w[i], mask[i], gt._gumbel(u[0, : k[i], i]), 0.6)
             np.testing.assert_allclose(batched.data[i], np.sum(ref, axis=0), rtol=0, atol=1e-12)
             wi = ad.Tensor(w[i : i + 1], requires_grad=True)
-            single = gt.k_hot_gate_rows(wi, mask[i : i + 1], int(k[i]), tau=0.6, noise=noise[: k[i], i : i + 1])
+            single = gt.k_hot_gate_rows(wi, mask[i : i + 1], int(k[i]), tau=0.6, rng=Replay(u[:, : k[i], i : i + 1]))
             (single * ad.Tensor(c[i : i + 1])).sum().backward()
             np.testing.assert_allclose(wt.grad[i], wi.grad[0], rtol=0, atol=1e-12)
 
@@ -339,10 +349,29 @@ class TestBatchedRows:
         np.testing.assert_array_equal(gate.data, np.zeros((2, 3)))
         assert not gate.requires_grad and len(ad._toposort(gate)) == 1
 
-    @pytest.mark.parametrize("shape", [(1, 2, 4), (2, 3, 4), (2, 2, 5), (2, 4)])
-    def test_noise_of_the_wrong_shape_is_a_shape_error(self, shape):
-        with pytest.raises(ShapeError, match=rf"noise \({shape[0]},.*weights' shape \(2, 4\)"):
-            gt.k_hot_gate_rows(ad.Tensor(np.ones((2, 4))), np.zeros((2, 4)), [1, 2], tau=1.0, noise=np.zeros(shape))
+
+    @pytest.mark.parametrize("heads, live_cols, k", [
+        (1, 4, 2),  # every entry live: each block is its whole row
+        (3, 4, 2),
+        (1, 2, 2),  # two live columns of four: a block narrower than the rows
+        (3, 2, [2, 1]),
+        (2, 2, [0, 1]),  # row 0 takes no draw: the stream is as long as the largest count's
+        (2, 4, 0),  # no draws at all: nothing is read
+    ])
+    def test_the_rng_is_read_as_one_n_by_d_array_per_head_and_draw_head_major(self, heads, live_cols, k):
+        rng = np.random.default_rng(64)
+        n, d = 2, 4
+        mask = np.zeros((n, d), dtype=int)
+        mask[:, live_cols:] = 1
+        w = rng.normal(size=(n, heads * d))
+        u = rng.random((heads, int(np.max(k)), n, d))
+        replay = Replay(u)
+        gate = gt.k_hot_gate_rows(w, mask, k, tau=0.8, rng=replay)
+        assert replay.used == u.size and all(shape[-2:] == (n, d) for shape in replay.reads)
+        for h in range(heads):  # head h's draws are u[h], whichever head reads first
+            cols = slice(h * d, (h + 1) * d)
+            alone = gt.k_hot_gate_rows(w[:, cols], mask, k, tau=0.8, rng=Replay(u[h : h + 1]))
+            assert np.array_equal(gate.data[:, cols], alone.data)
 
 
 class TestAllHeads:
@@ -366,25 +395,25 @@ class TestAllHeads:
         w0 = rng.normal(size=(n, heads * d))
         c = rng.normal(size=(n, heads * d))
         draws = int(k.max(initial=0))
-        noise = gt._gumbel(rng.random((draws, n, d)))
+        u = rng.random((heads, draws, n, d))
         seed_draw = int(rng.integers(2**31))
 
         def source():
-            return {"noise": noise} if frozen else {"rng": np.random.default_rng(seed_draw)}
+            return Replay(u) if frozen else np.random.default_rng(seed_draw)
 
         w = ad.Tensor(w0, requires_grad=True)
         all_heads = source()
-        gate = gt.k_hot_gate_rows(w, ~live, k, tau, **all_heads)
+        gate = gt.k_hot_gate_rows(w, ~live, k, tau, rng=all_heads)
         if gate.requires_grad:
             (gate * ad.Tensor(c)).sum().backward()
-        one = source()  # the per-head calls share one rng, head 0's draws first
+        one = source()  # the per-head calls share one noise source, head 0's draws first
         ref_gates, ref_prefixes, ref_grads = [], [], []
         for h in range(heads):
             cols = slice(h * d, (h + 1) * d)
             wh = ad.Tensor(w0[:, cols], requires_grad=True)
             if frozen:
-                ref_prefixes.append(prefix_gates(w0[:, cols], ~live, k, tau, noise=noise))
-            gh = gt.k_hot_gate_rows(wh, ~live, k, tau, **one)
+                ref_prefixes.append(prefix_gates(w0[:, cols], ~live, k, tau, uniforms=u[h : h + 1]))
+            gh = gt.k_hot_gate_rows(wh, ~live, k, tau, rng=one)
             if gh.requires_grad:
                 (gh * ad.Tensor(c[:, cols])).sum().backward()
             ref_gates.append(gh.data)
@@ -392,14 +421,14 @@ class TestAllHeads:
         assert gate.data.shape == (n, heads * d)
         assert np.array_equal(gate.data, np.concatenate(ref_gates, axis=1))
         if frozen:  # every prefix of the draws, so every draw, equals the per-head draws
-            prefixes = prefix_gates(w0, ~live, k, tau, noise=noise)
+            prefixes = prefix_gates(w0, ~live, k, tau, uniforms=u)
             assert len(prefixes) == draws + 1
             for j, prefix in enumerate(prefixes):
                 assert np.array_equal(prefix, np.concatenate([r[j] for r in ref_prefixes], axis=1))
         grad = np.zeros((n, heads * d)) if w.grad is None else w.grad
         assert np.array_equal(grad, np.concatenate(ref_grads, axis=1))
         if not frozen:  # both took the same number of uniforms
-            assert all_heads["rng"].random() == one["rng"].random()
+            assert all_heads.random() == one.random()
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_graph_size_does_not_grow_with_heads(self, sparse):
@@ -418,7 +447,7 @@ class TestAllHeads:
             gt.k_hot_gate_rows(np.ones(weights), np.zeros(mask), 1, tau=1.0, rng=np.random.default_rng(0))
 
 
-def dense_gate_rows(w, mask, k, tau, rng=None, noise=None):
+def dense_gate_rows(w, mask, k, tau, rng):
     """The soft gate with every draw over the full (n, d) rows, and those draws: the live-column block's reference."""
     w = ad.as_tensor(w)
     n, d = w.data.shape
@@ -428,7 +457,7 @@ def dense_gate_rows(w, mask, k, tau, rng=None, noise=None):
     gate, steps = None, []
     for t in range(int(k.max(initial=0))):
         active = t < k
-        lam = noise[t] if noise is not None else gt._gumbel(rng.random((n, d)))
+        lam = gt._gumbel(rng.random(out=np.empty((n, d))))
         step = masked_softmax(scaled + ad.Tensor(lam * (1.0 / tau)), live | ~active[:, None])
         if not active.all():
             step = step * ad.Tensor(np.broadcast_to(active[:, None], (n, d)) * 1.0)
@@ -461,9 +490,9 @@ def equal_count_bytes(gate_rows, case, seed_draw, frozen):
     """Gate bytes, ``w.grad`` bytes and the next uniform of the noise rng after one call on an equal_count_case."""
     w0, mask, k, tau, c = case
     draws = np.random.default_rng(seed_draw)
-    source = {"noise": gt._gumbel(draws.random((k, *mask.shape)))} if frozen else {"rng": draws}
+    heads = w0.shape[1] // mask.shape[1]
     w = ad.Tensor(w0, requires_grad=True)
-    gate = gate_rows(w, mask, k, tau, **source)
+    gate = gate_rows(w, mask, k, tau, rng=Replay(draws.random((heads, k, *mask.shape))) if frozen else draws)
     (gate * ad.Tensor(c)).sum().backward()
     return gate.data.tobytes(), w.grad.tobytes(), draws.random()  # the last: the same stream was used
 
@@ -501,12 +530,12 @@ class TestGraphReference:
 
             def source():
                 draws = np.random.default_rng(seed_draw)
-                return {"noise": gt._gumbel(draws.random((int(k.max(initial=0)), n, d)))} if frozen else {"rng": draws}
+                return Replay(draws.random((heads, int(k.max(initial=0)), n, d))) if frozen else draws
 
             got = []
             for gate_rows in (graph_gate_rows, gt.k_hot_gate_rows):
                 w = ad.Tensor(w0, requires_grad=True)
-                gate = gate_rows(w, ~live, k, tau, **source())
+                gate = gate_rows(w, ~live, k, tau, rng=source())
                 if gate.requires_grad:
                     (gate * ad.Tensor(c)).sum().backward()
                 got.append((gate.data.tobytes(), None if w.grad is None else w.grad.tobytes()))
@@ -533,20 +562,21 @@ class TestLiveColumnBlock:
             seed_draw = int(rng.integers(2**31))
             frozen = rng.random() < 0.5
 
+            uniforms = np.random.default_rng(seed_draw).random((1, int(k.max(initial=0)), n, d)) if frozen else None
+
             def source():
-                draws = np.random.default_rng(seed_draw)
-                return {"noise": gt._gumbel(draws.random((int(k.max(initial=0)), n, d)))} if frozen else {"rng": draws}
+                return Replay(uniforms) if frozen else np.random.default_rng(seed_draw)
 
             w_ref, w = ad.Tensor(w0, requires_grad=True), ad.Tensor(w0, requires_grad=True)
-            ref, ref_steps = dense_gate_rows(w_ref, ~live, k, tau, **source())
-            gate = gt.k_hot_gate_rows(w, ~live, k, tau, **source())
+            ref, ref_steps = dense_gate_rows(w_ref, ~live, k, tau, source())
+            gate = gt.k_hot_gate_rows(w, ~live, k, tau, source())
             for g in (ref, gate):
                 if g.requires_grad:
                     (g * ad.Tensor(c)).sum().backward()
             assert np.array_equal(gate.data, ref.data)
             assert (w.grad is None and w_ref.grad is None) or np.array_equal(w.grad, w_ref.grad)
             if frozen:  # the gate cut to j draws is the sum of the first j dense draws, so every draw is equal
-                prefixes = prefix_gates(w0, ~live, k, tau, **source())
+                prefixes = prefix_gates(w0, ~live, k, tau, uniforms=uniforms)
                 sums = np.cumsum([np.zeros((n, d))] + ref_steps, axis=0)  # sequential, in the gate's order
                 assert len(prefixes) == len(sums)
                 assert all(np.array_equal(a, b) for a, b in zip(prefixes, sums))
@@ -571,11 +601,11 @@ class TestLiveColumnBlock:
         live[:, -1] = False
         k = np.array([2, 1, 0]) if seed % 2 else 2
         w0 = rng.uniform(0.3, 2.0, size=(n, d)) * rng.choice([-1.0, 1.0], size=(n, d))
-        noise = gt._gumbel(rng.random((2, n, d)))
+        seed_draw = int(rng.integers(2**31))
         c = rng.normal(size=(n, d))
 
         def objective(x):
-            gate = gt.k_hot_gate_rows(ad.as_tensor(x), ~live, k, tau=tau, noise=noise)
+            gate = gt.k_hot_gate_rows(ad.as_tensor(x), ~live, k, tau=tau, rng=np.random.default_rng(seed_draw))
             return (gate * ad.Tensor(c)).sum()
 
         assert grad_error(objective, w0) <= 1e-4

@@ -12,11 +12,11 @@ from sparselocal import autodiff as ad
 from sparselocal import gate as gt
 from sparselocal import model as model_module
 from sparselocal.data import Sample
-from sparselocal.errors import GateExhaustedError, ShapeError
+from sparselocal.errors import GateExhaustedError
 from sparselocal.model import DirectClassifier, GatedLocalLinear, ModelConfig, gated_scores
 from sparselocal.train import Adam
 
-from oracles import graph_scores, oracle_draws, param_grad_error
+from oracles import Replay, graph_scores, oracle_draws, param_grad_error
 
 
 def vector_config(d=6, k=2, **kw):
@@ -182,16 +182,14 @@ class TestForwardLoss:
         cfg = ModelConfig(d=4, k=2, extractor={"kind": "vector", "dim": 6}, fc_width=5)
         model = GatedLocalLinear(cfg, rng)
         sample = vector_sample(rng, d=4, y=-1)
-        noise = gt._gumbel(rng.random((2, 4)))
-        assert param_grad_error(model, lambda: model.batch_loss([sample], tau=tau, noise=noise[:, None, :])) <= 1e-4
+        assert param_grad_error(model, lambda: model.batch_loss([sample], tau=tau, rng=np.random.default_rng(18))) <= 1e-4
 
     def test_multiclass_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(23)
         cfg = ModelConfig(d=4, k=2, extractor={"kind": "vector", "dim": 6}, fc_width=5, num_classes=3)
         model = GatedLocalLinear(cfg, rng)
         sample = vector_sample(rng, d=4, y=2)
-        noise = gt._gumbel(rng.random((2, 4)))
-        assert param_grad_error(model, lambda: model.batch_loss([sample], tau=1.0, noise=noise[:, None, :])) <= 1e-4
+        assert param_grad_error(model, lambda: model.batch_loss([sample], tau=1.0, rng=np.random.default_rng(24))) <= 1e-4
 
 
 class TestBatchPathConsistency:
@@ -200,10 +198,10 @@ class TestBatchPathConsistency:
         cfg = vector_config(d=5, k=2)
         model = GatedLocalLinear(cfg, rng)
         samples = [vector_sample(rng, d=5, y=int(rng.choice([-1, 1])), sid=i) for i in range(6)]
-        noise = gt._gumbel(rng.random((2, 6, 5)))
-        batch = model.batch_loss(samples, k=2, tau=0.7, noise=noise)
+        u = rng.random((1, 2, 6, 5))
+        batch = model.batch_loss(samples, k=2, tau=0.7, rng=Replay(u))
         singles = [
-            float(model.batch_loss([s], k=2, tau=0.7, noise=noise[:, i : i + 1, :]).data)
+            float(model.batch_loss([s], k=2, tau=0.7, rng=Replay(u[:, :, i : i + 1])).data)
             for i, s in enumerate(samples)
         ]
         assert float(batch.data) == pytest.approx(np.mean(singles), abs=1e-12)
@@ -217,22 +215,25 @@ class TestBatchPathConsistency:
             samples[2].m = np.array([0, 1, 1, 1, 1, 1, 0, 1])  # two live features
             counts = [min(3, s.live_count) for s in samples]
             assert set(counts) == {1, 2, 3}
-            noise = gt._gumbel(rng.random((3, len(samples), 8)))
-            batch = model.batch_loss(samples, k=3, tau=0.7, noise=noise)
+            u = rng.random((model.config.heads, 3, len(samples), 8))
+            batch = model.batch_loss(samples, k=3, tau=0.7, rng=Replay(u))
             singles = [
-                float(model.batch_loss([s], k=3, tau=0.7, noise=noise[:k_i, i : i + 1]).data)
+                float(model.batch_loss([s], k=3, tau=0.7, rng=Replay(u[:, :k_i, i : i + 1])).data)
                 for i, (s, k_i) in enumerate(zip(samples, counts))
             ]
             assert float(batch.data) == pytest.approx(np.mean(singles), rel=0, abs=1e-12)
 
-    def test_noise_of_the_wrong_shape_is_a_shape_error(self):
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    def test_the_gate_reads_one_uniform_array_per_head_and_draw_from_the_rng(self, num_classes):
+        # a sample clamped below k does not shorten the stream: the batch draws max(k) times
         rng = np.random.default_rng(38)
-        model = GatedLocalLinear(vector_config(d=5, k=2), rng)
-        samples = [vector_sample(rng, d=5, sid=i) for i in range(3)]
-        with pytest.raises(ShapeError, match=r"noise \(1, 3, 5\).*\(3, 5\)"):
-            model.batch_loss(samples, k=2, tau=1.0, noise=np.zeros((1, 3, 5)))
-        with pytest.raises(ShapeError, match=r"noise \(2, 4\).*\(1, 5\)"):
-            model.batch_loss(samples[:1], k=2, noise=np.zeros((2, 4)))
+        model = GatedLocalLinear(vector_config(d=5, k=2, num_classes=num_classes), rng)
+        samples = [vector_sample(rng, d=5, y=i % num_classes if num_classes > 2 else 1, sid=i) for i in range(3)]
+        samples[1].m = np.array([1, 1, 0, 1, 1])
+        heads = model.config.heads
+        replay = Replay(rng.random((heads, 2, 3, 5)))
+        model.batch_loss(samples, k=2, tau=1.0, rng=replay)
+        assert replay.used == heads * 2 * 3 * 5 and all(shape[-2:] == (3, 5) for shape in replay.reads)
 
     def test_sample_without_features_is_an_error(self):
         rng = np.random.default_rng(41)
@@ -468,6 +469,15 @@ class TestBatchedHardGate:
             assert label == ((1 if scores[0] >= 0 else -1) if num_classes == 2 else int(np.argmax(scores)))
         dead = [s for s in samples if s.live_count == 0]
         assert model.predict_labels(dead, mode="soft").tolist() == [empty] * len(dead)
+
+    def test_soft_label_of_a_dead_sample_is_the_empty_margins_when_its_weights_overflow(self):
+        # beside a live sample, the dead one draws past its count of 0 over weights whose squares are inf
+        rng = np.random.default_rng(79)
+        model = GatedLocalLinear(vector_config(d=4, k=2), rng)
+        model.named_parameters()["head.bias"].data[...] = -1e200
+        live, dead = vector_sample(rng, d=4, sid="live"), vector_sample(rng, d=4, sid="dead")
+        dead.m[:] = 1
+        assert model.predict_labels([live, dead], mode="soft")[1] == model.predict_labels([live, dead])[1] == 1
 
     def test_unknown_mode_is_rejected(self):
         rng = np.random.default_rng(76)
