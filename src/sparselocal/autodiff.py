@@ -13,15 +13,18 @@ gradient is ``ones((1, n)) @ g``. All data is
 kept in 64-bit floats; gradient checks against central finite
 differences are not reliable below that precision. The ops are those the
 models differentiate: add, mul, relu, softplus, matmul, sum/mean,
-log-softmax, reshape, concat, the row gather and take ops, and
-``conv_block``. That is the CNN trunk's conv (im2col + GEMM), max pool
-and relu as one op on (n, c, h, w) batches in any strides, in
+log-softmax, reshape, concat, the row gather and take ops, and the two
+CNN trunk ops. ``conv_block`` is the image trunk's conv (im2col + GEMM),
+max pool and relu as one op on (n, c, h, w) batches in any strides, in
 channels-last memory: its backward routes the gradient through relu and
 the pool straight into the conv GEMMs' buffer, and col2im is one GEMM
-per kernel tap. ``conv2d`` and ``max_pool2d`` share its code as graph
-ops of their own, which the benchmark's tracer patches by name. An op of
-its own, such as the soft gate, is built on :func:`make_op` with a
-hand-written backward.
+per kernel tap. ``sequence_conv_pool`` is the text trunk's: sequences of
+embedding rows laid one after another, each convolved over its own
+windows and max-pooled whole, then relu, so a batch pays for no padding
+past a sequence's end. ``conv2d`` and ``max_pool2d`` share
+``conv_block``'s code as graph ops of their own, which the benchmark's
+tracer patches by name. An op of its own, such as the soft gate, is
+built on :func:`make_op` with a hand-written backward.
 """
 
 from __future__ import annotations
@@ -270,17 +273,18 @@ def concat(parts, axis=0):
 
 
 def gather_rows(table, indices):
-    """Select rows of a 2-d table by integer index; rows may repeat."""
+    """Select rows of a 2-d table by a 1-d array of row numbers, each in [0, rows); rows may repeat."""
     table = as_tensor(table)
-    if table.data.ndim != 2:
-        raise ShapeError(f"gather_rows: table must be 2-d, got {table.data.shape}")
     idx = np.asarray(indices, dtype=np.int64)
+    if table.data.ndim != 2 or idx.ndim != 1:
+        raise ShapeError(f"gather_rows: table must be 2-d and indices 1-d, got {table.data.shape} and {idx.shape}")
     data = table.data[idx]
 
     def backward(g):
-        if table.requires_grad:
-            gt = np.zeros_like(table.data)
-            np.add.at(gt, idx, g)
+        if table.requires_grad:  # one bincount over row·m + column bins adds the rows in np.add.at's order
+            m = table.data.shape[1]
+            bins = (idx[:, None] * m + np.arange(m)).ravel()
+            gt = np.bincount(bins, weights=g.ravel(), minlength=table.data.size).reshape(table.data.shape)
             accumulate_grad(table, gt, fresh=True)
 
     return make_op(data, (table,), "gather_rows", backward)
@@ -363,10 +367,8 @@ def _conv(xd, kd, padding, name):
 
     # im2col in one copy; columns ordered (c, kh, kw) like the kernel rows. flat is column-major, so
     # it is copied along contiguous runs of a (c, n, h, w) view, and OpenBLAS gives each row of the
-    # product the same bits at every row count above one. Full-width kernels (ow == 1, as in text)
-    # pad into width-major (c, w, n, h) memory, so that a run is a column of oh entries, not one.
-    buf = np.zeros((c, w + 2 * pw, n, h + 2 * ph) if ow == 1 else (c, n, h + 2 * ph, w + 2 * pw))
-    buf = buf.transpose(0, 2, 3, 1) if ow == 1 else buf
+    # product the same bits at every row count above one.
+    buf = np.zeros((c, n, h + 2 * ph, w + 2 * pw))
     buf[:, :, ph : ph + h, pw : pw + w] = xd.transpose(1, 0, 2, 3)
     # the (kh, kw) windows of each (c, n) plane, sliding_window_view's array without its Python set-up
     windows = buf.shape[:2] + (oh, ow, kh, kw)
@@ -380,9 +382,9 @@ def _conv_grads(x, kernels, flat, g, padding):
     """Push dkernels, ``gflat.T @ flat``, and dx by col2im from g, the output gradient, as (n*oh*ow, c_out) gflat.
 
     col2im adds one GEMM per kernel tap, ``gflat @ K[:, :, i, j]``, into the
-    padded channels-last buffer as one ``ow * c`` run per output row; with
-    ow == 1 a tap is a kernel row. One input channel takes one GEMM for all
-    taps, as numpy's path for a one-column product rounds differently.
+    padded channels-last buffer as one ``ow * c`` run per output row. One
+    input channel takes one GEMM for all taps, as numpy's path for a
+    one-column product rounds differently.
     """
     kd = kernels.data
     gflat = g.transpose(0, 2, 3, 1).reshape(-1, kd.shape[0])
@@ -392,16 +394,15 @@ def _conv_grads(x, kernels, flat, g, padding):
         return
     n, c, h, w = x.data.shape
     (c_out, _, kh, kw), (oh, ow), (ph, pw) = kd.shape, g.shape[2:], padding
-    taps = kw if ow == 1 else kh * kw if c == 1 else 1  # per GEMM, in (kh, kw) order
+    taps = kh * kw if c == 1 else 1  # per GEMM, in (kh, kw) order
     # row-major (c_out, taps * c) blocks: each GEMM has the layout, and so the bits, of the one over all taps
     blocks = np.ascontiguousarray(kd.reshape(c_out, c, -1, taps).transpose(2, 0, 3, 1))
     dbuf, prod = np.zeros((n, h + 2 * ph, w + 2 * pw, c)), np.empty((n * oh * ow, taps * c))  # one product buffer
     for first, block in zip(range(0, kh * kw, taps), blocks):
         part = np.matmul(gflat, block.reshape(c_out, -1), out=prod).reshape(n, oh, ow, taps, c)
-        part = part.swapaxes(2, 3) if ow == 1 else part  # one output column: the kernel row is one add
-        for t in range(part.shape[3]):
+        for t in range(taps):
             i, j = divmod(first + t, kw)
-            dbuf[:, i : i + oh, j : j + part.shape[2]] += part[:, :, :, t]
+            dbuf[:, i : i + oh, j : j + ow] += part[:, :, :, t]
     accumulate_grad(x, dbuf[:, ph : ph + h, pw : pw + w].transpose(0, 3, 1, 2))
 
 
@@ -430,8 +431,6 @@ def _pool(xd, window, name):
     if wh > xd.shape[2] or ww > xd.shape[3]:
         raise ShapeError(f"{name}: window {(wh, ww)} exceeds input extent {xd.shape[2:]}")
     win = _windows(xd, wh, ww)
-    if ww == 1:  # windows down the rows only, as in the text trunk's global pool: one reduction, in the loop's order
-        return win, np.maximum.reduce(win[:, :, :, ::-1, :, 0], axis=3)
     pooled = win[:, :, :, -1, :, -1].copy(order="K")
     for i, j in reversed([divmod(t, ww) for t in range(wh * ww - 1)]):
         np.maximum(pooled, win[:, :, :, i, :, j], out=pooled)  # a tie returns the second operand, the earlier offset
@@ -446,15 +445,11 @@ def _route(xd, win, pooled, g, free):
     """
     dx = np.empty_like(xd) if win.size == xd.size else np.zeros_like(xd)
     hit = win == pooled[:, :, :, None, :, None]  # a NaN output equals nothing and routes none
-    if win.shape[5] == 1:  # windows down the rows only: the first hit is one argmax
-        first = np.argmax(hit, axis=3)[:, :, :, None]
-        hit = (np.arange(win.shape[3])[:, None, None] == first) & free[:, :, :, None, :, None]
-    else:
-        taken = ~free
-        for i, j in np.ndindex(win.shape[3], win.shape[5]):  # row-major: an earlier offset wins a tie
-            at = hit[:, :, :, i, :, j]
-            at &= ~taken
-            taken |= at
+    taken = ~free
+    for i, j in np.ndindex(win.shape[3], win.shape[5]):  # row-major: an earlier offset wins a tie
+        at = hit[:, :, :, i, :, j]
+        at &= ~taken
+        taken |= at
     np.multiply(g[:, :, :, None, :, None], hit, out=_windows(dx, win.shape[3], win.shape[5]))
     return dx
 
@@ -472,19 +467,73 @@ def max_pool2d(x, window):
                    lambda g: accumulate_grad(x, _route(x.data, win, pooled, g, pooled == pooled)))
 
 
-def conv_block(x, kernels, window, padding=0, keep=None):
-    """relu(max_pool2d(conv2d(x, kernels, padding) * keep, window)) as one op, bitwise the three ops'.
+def conv_block(x, kernels, window, padding=0):
+    """relu(max_pool2d(conv2d(x, kernels, padding), window)) as one op, bitwise the three ops'.
 
-    ``keep``, optional, is a boolean array that broadcasts against the conv
-    output. The backward routes g through relu and the pool into gflat.
+    The backward routes g through relu and the pool into gflat.
     """
     x, kernels = as_tensor(x), as_tensor(kernels)
     conv, flat, pad = _conv(x.data, kernels.data, padding, "conv_block")
     if not (_grad_enabled and (x.requires_grad or kernels.requires_grad)):
         del flat  # the backward's operand: free it before the pool allocates, as conv2d's dropped closure does
-    if keep is not None:
-        conv *= keep
     win, pooled = _pool(conv, window, "conv_block")
     live = pooled > 0  # relu's subgradient at exactly 0 is 0; _route lays its output out like conv, channels-last
     return make_op(np.where(live, pooled, 0.0), (x, kernels), "conv_block",
                    lambda g: _conv_grads(x, kernels, flat, _route(conv, win, pooled, g, live), pad))
+
+
+def sequence_conv_pool(x, lengths, kernels):
+    """relu of each sequence's maximum over its own conv windows: (n, c_out) from (T, e) rows and (c_out, 1, w, e) kernels.
+
+    ``x`` holds n sequences one after another, sequence i in its
+    ``lengths[i]`` rows, each at least w. im2col's flat is column-major over
+    every w consecutive rows, as ``conv2d``'s, so each conv value has the
+    bits of ``conv2d`` over the sequences padded to the longest; a window
+    across two sequences is formed but pooled by neither. The gradient goes
+    to each sequence's first maximal window where the maximum is above 0.
+    dkernels is the GEMM over that padded grid's windows, zeros past each
+    sequence's end, so its sums group the terms as ``conv2d``'s do; dx adds
+    one GEMM per kernel row, in row order.
+    """
+    x, kernels = as_tensor(x), as_tensor(kernels)
+    xd, kd = x.data, kernels.data
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if xd.ndim != 2 or kd.ndim != 4 or kd.shape[1] != 1 or kd.shape[3] != xd.shape[1]:
+        raise ShapeError(f"sequence_conv_pool: rows {xd.shape} and kernels {kd.shape} must be (T, e) and (c_out, 1, w, e)")
+    c_out, _, w, e = kd.shape
+    if lengths.ndim != 1 or lengths.sum() != len(xd) or (lengths < w).any():
+        raise ShapeError(f"sequence_conv_pool: lengths must be at least {w} and sum to the {len(xd)} rows")
+    n, m, starts = len(lengths), len(xd) - w + 1, np.cumsum(lengths) - lengths
+    # each sequence's first window, then the first across into the next: reduceat's odd rows, which are dropped
+    cuts = np.stack([starts, starts + lengths - (w - 1)], axis=1).ravel()[:-1]
+    # im2col: flat's column r·e + j is x's column j at row offset r, column-major as conv2d's flat
+    xt = np.ascontiguousarray(xd.T)
+    flat = np.concatenate([xt[:, r : r + m] for r in range(w)], out=np.empty((w * e, m))).T
+    conv = flat @ kd.reshape(c_out, -1).T
+    pooled = np.maximum.reduceat(conv, cuts, axis=0)[::2]
+    live = pooled > 0  # relu's subgradient at exactly 0 is 0; a NaN maximum is dead and routes nothing
+
+    def backward(g):
+        hit = np.where(conv == np.repeat(pooled, lengths, axis=0)[:m], np.arange(m)[:, None], m)
+        i, f = np.nonzero(live)
+        at = np.minimum.reduceat(hit, cuts, axis=0)[::2][i, f]  # each live sequence's first maximal window
+        if kernels.requires_grad:  # the padded grid: sequence i in columns i·span to i·span + lengths[i]
+            span = int(lengths.max())
+            grid = np.zeros((e, n, span))
+            grid.reshape(e, -1)[:, (np.arange(len(xd)) + np.repeat(np.arange(n) * span - starts, lengths))] = xt
+            out = span - w + 1
+            pflat = np.concatenate([grid[:, :, r : r + out] for r in range(w)], out=np.empty((w * e, n, out)))
+            gflat = np.zeros((n, out, c_out))
+            gflat[i, at - starts[i], f] = g[i, f]
+            accumulate_grad(kernels, (gflat.reshape(-1, c_out).T @ pflat.reshape(w * e, -1).T).reshape(kd.shape),
+                            fresh=True)
+        if x.requires_grad:
+            gflat = np.zeros((m, c_out))
+            gflat[at, f] = g[i, f]
+            blocks = np.ascontiguousarray(kd[:, 0].transpose(1, 0, 2))  # (w, c_out, e): kernel row r's block
+            dx, prod = np.zeros(xd.shape), np.empty((m, e))
+            for r, block in enumerate(blocks):
+                dx[r : r + m] += np.matmul(gflat, block, out=prod)
+            accumulate_grad(x, dx, fresh=True)
+
+    return make_op(np.where(live, pooled, 0.0), (x, kernels), "sequence_conv_pool", backward)

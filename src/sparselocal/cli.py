@@ -77,7 +77,7 @@ class LoadedData:
 
 
 def _emit(record, stream=None):
-    (stream or sys.stdout).write(json.dumps(record, sort_keys=True) + "\n")
+    (stream or sys.stdout).write(json.dumps(record, sort_keys=True, allow_nan=False) + "\n")  # standard JSON only
 
 
 def _read_json(path, what):
@@ -339,7 +339,11 @@ def cmd_explain(args):
     return 0
 
 
+BENCH_BATCH = 16  # samples per predict_labels call in bench's batched throughput
+
+
 def cmd_bench(args):
+    """Per k: explain latency over --reps single samples, then predict_labels throughput over --reps batches."""
     model, _header = load_checkpoint(args.checkpoint)
     data = load_manifest(args.dataset)
     pool = list(data.test) or data.all_samples
@@ -349,6 +353,7 @@ def cmd_bench(args):
     reps = args.reps
     if reps < 1:
         raise ConfigError(f"--reps must be at least 1, got {reps}")
+    batches = [[pool[(i * BENCH_BATCH + j) % len(pool)] for j in range(BENCH_BATCH)] for i in range(reps)]
     for k in _parse_k_list(args.k):
         usable = [s for s in pool if s.live_count >= k]
         if not usable:
@@ -361,6 +366,11 @@ def cmd_bench(args):
             start = time.perf_counter()
             model.explain(sample, k=k, feature_names=names)
             times[i] = time.perf_counter() - start
+        model.predict_labels(batches[0], k=k)  # warm-up
+        start = time.perf_counter()
+        for batch in batches:
+            model.predict_labels(batch, k=k)
+        batched = reps * BENCH_BATCH / (time.perf_counter() - start)
         _emit({
             "k": k,
             "reps": reps,
@@ -368,6 +378,8 @@ def cmd_bench(args):
             "sd_ms": float(times.std(ddof=1) * 1e3) if reps > 1 else 0.0,
             "p50_ms": float(np.percentile(times, 50) * 1e3),
             "p95_ms": float(np.percentile(times, 95) * 1e3),
+            "batch": BENCH_BATCH,
+            "batched_samples_per_s": batched,
         })
     return 0
 
@@ -405,7 +417,7 @@ def build_parser():
     p_explain.add_argument("--html", default=None)
     p_explain.set_defaults(fn=cmd_explain)
 
-    p_bench = sub.add_parser("bench", help="per-sample explanation latency")
+    p_bench = sub.add_parser("bench", help="per-sample explanation latency and batched prediction throughput")
     p_bench.add_argument("--checkpoint", required=True)
     p_bench.add_argument("--dataset", required=True)
     p_bench.add_argument("--k", default="1,5,10")

@@ -53,8 +53,25 @@ def _gumbel(u):
 
 
 def live_block(live, width):
-    """Each row's first ``width`` columns once its live ones move to the front, both parts in index order."""
-    return np.argsort(~live, axis=-1, kind="stable")[..., :width]
+    """Each row's first ``width`` columns once its live ones move to the front, both parts in index order.
+
+    That is ``argsort(~live, kind="stable")[..., :width]``, built from live
+    positions: the dead columns a block takes are among the row's first
+    ``width``. Each row of one boolean scan holds the row's live flags in
+    its first half and the inverted head in its second; a half is a power
+    of two, so a scan position's low bits are its column.
+    """
+    d = live.shape[-1]
+    width, rows = min(width, d), live.reshape(-1, d)
+    half = 1 << (d - 1).bit_length()
+    scan = np.zeros((len(rows), 2 * half), dtype=bool)
+    scan[:, :d] = rows
+    np.invert(rows[:, :width], out=scan[:, half : half + width])
+    at = np.flatnonzero(scan)  # row by row: the live columns, then the dead ones of the head
+    picks = np.searchsorted(at, np.arange(0, scan.size, 2 * half))[:, None] + np.arange(width)
+    np.take(at, picks, out=picks, mode="clip")  # each row has at least width entries; in place, one index at a time
+    picks &= half - 1
+    return picks.reshape(live.shape[:-1] + (width,))
 
 
 def k_hot_gate(w, live, k):

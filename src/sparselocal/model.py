@@ -162,15 +162,13 @@ class VectorExtractor:
 class TextExtractor:
     """Embedding, parallel 1-d convolutions of several widths, global max pooling.
 
-    A batch is encoded as one (n, 1, length, embed_dim) grid: every id
-    sequence is padded with ``pad_index`` (the out-of-vocabulary id) to
-    the batch's longest, and at least to the widest filter. Padding up to
-    that floor is part of a short sequence, as if the sample carried it.
-    Padding past a sequence's own end is cut out of the pool by zeroing
-    those convolution outputs before it. Relu follows the pool, so a
-    zero wins only a row whose own maximum is at most 0, and gives +0.0
-    with no gradient there; a sequence's own positions come first, so
-    each row and its gradient routing are those of the sequence alone.
+    A batch is encoded as its sequences' embedding rows one after another:
+    each id sequence is padded with ``pad_index`` (the out-of-vocabulary
+    id) up to the widest filter, as if the sample carried that padding,
+    and no further. One ``ad.sequence_conv_pool`` per filter width takes
+    relu of each sequence's maximum over its own windows, so each row and
+    its gradient are those of the sequence alone, and a batch pays only
+    for its own tokens.
     """
 
     def __init__(self, vocab_size, rng, embed_dim, filter_widths, filters, pad_index):
@@ -190,20 +188,11 @@ class TextExtractor:
 
     def __call__(self, xs):
         seqs = [np.asarray(x, dtype=np.int64) for x in xs]
-        n = len(seqs)
-        lengths = np.maximum([s.size for s in seqs], max(self.filter_widths))
-        span = int(lengths.max())
-        ids = np.full((n, span), self.pad_index, dtype=np.int64)
-        for i, s in enumerate(seqs):
-            ids[i, : s.size] = s
-        grid = ad.gather_rows(self.embed, ids.ravel()).reshape((n, 1, span, self.embed_dim))
-        ragged = bool((lengths < span).any())  # an unpadded batch (one sample, say) skips the mask
-        pooled = []
-        for w, kernels in zip(self.filter_widths, self.kernels):
-            out = span - w + 1
-            ends = (np.arange(out) < (lengths - w + 1)[:, None])[:, None, :, None] if ragged else None
-            pooled.append(ad.conv_block(grid, kernels, (out, 1), keep=ends).reshape((n, self.filters)))
-        return ad.concat(pooled, axis=1)
+        floor = max(self.filter_widths)
+        pad = np.full(floor, self.pad_index, dtype=np.int64)
+        emb = ad.gather_rows(self.embed, np.concatenate([part for s in seqs for part in (s, pad[s.size :])]))
+        lengths = np.maximum([s.size for s in seqs], floor)
+        return ad.concat([ad.sequence_conv_pool(emb, lengths, kernels) for kernels in self.kernels], axis=1)
 
     def params(self):
         out = {"extractor.embed": self.embed}

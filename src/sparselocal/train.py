@@ -135,11 +135,10 @@ def _batches(n, batch_size, rng):
         yield order[lo : lo + batch_size]
 
 
-def _check_finite(loss, phase, epoch, batch):
-    """Raise NonFiniteLossError before a NaN or infinite loss reaches backward()."""
-    value = float(loss.data)
+def _check_finite(value, what, where):
+    """Raise NonFiniteLossError on a NaN or infinite loss, before backward() or patience sees it."""
     if not math.isfinite(value):
-        raise NonFiniteLossError(f"loss is {value} in phase {phase!r}, epoch {epoch}, batch {batch}")
+        raise NonFiniteLossError(f"{what} is {value} in {where}")
     return value
 
 
@@ -171,7 +170,8 @@ def _run_phase(model, phase, optimizer, loss_fn, train, val, rng, log, *,
     loss and (when ``acc_k`` is set) their hard-gated accuracy at that k.
     The phase stops once validation loss has not improved for
     ``patience`` epochs; with no patience or no validation it runs all
-    ``epochs``.
+    ``epochs``. A NaN or infinite training or validation loss raises
+    ``NonFiniteLossError``, naming the phase and the epoch.
     """
     if not train:
         raise ValueError("training needs a non-empty train set")
@@ -184,13 +184,14 @@ def _run_phase(model, phase, optimizer, loss_fn, train, val, rng, log, *,
             batch = [train[i] for i in idx]
             zero_grads(params)
             loss = loss_fn(batch, rng)
-            value = _check_finite(loss, phase, len(log) + 1, b)
+            value = _check_finite(float(loss.data), "loss", f"phase {phase!r}, epoch {len(log) + 1}, batch {b}")
             loss.backward()
             optimizer.step()
             total += value * len(batch)
         record = {"epoch": len(log) + 1, **fields, "train_loss": total / len(train)}
         if val:
-            record["val_loss"] = _mean_loss(loss_fn, val, batch_size, rng)
+            record["val_loss"] = _check_finite(_mean_loss(loss_fn, val, batch_size, rng), "validation loss",
+                                               f"phase {phase!r}, epoch {record['epoch']}")
             if acc_k is not None:
                 record["val_acc"] = evaluate(model, val, k=acc_k)
         log.append(record)

@@ -18,8 +18,10 @@
 - The CNN trunk block as the graph the package built before the block
   became one op: ``conv2d``, for text a ``mul`` by the end mask,
   ``max_pool2d`` and ``relu``, one node each. Its value and gradients are
-  the bitwise reference for ``sparselocal.autodiff.conv_block``; the two
-  public ops it uses are checked against loop code in the autodiff tests.
+  the bitwise reference for ``sparselocal.autodiff.conv_block`` and, over
+  a batch of sequences padded to the longest with the end mask, for
+  ``sparselocal.autodiff.sequence_conv_pool``; the two public ops it uses
+  are checked against loop code in the autodiff tests.
 - The per-head scores z . (g * w) as the graph the model built before
   they became one op: z tiled per head, a mul by g, a mul by w, a
   reshape and a sum. Its value and gradients are the bitwise reference

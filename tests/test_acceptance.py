@@ -151,20 +151,20 @@ def test_c1_gradient_oracle_suite(report):
 
         worst["soft_gate"] = max(worst.get("soft_gate", 0.0), grad_error(gated, wg))
 
-    # the conv block: an image block whose 2x2 pool drops the last row of its 5x6 map, and a ragged text block
+    # the conv block, an image block whose 2x2 pool drops the last row of its 5x6 map, and the text trunk's
+    # op over two sequences of 7 and 5 rows
     rng_c = np.random.default_rng(53)
-    keep = (np.arange(5) < np.array([5, 3])[:, None])[:, None, :, None]
-    for name, x_shape, k_shape, window, padding, mask in (
-        ("conv_block", (2, 2, 5, 6), (3, 2, 3, 3), 2, 1, None),
-        ("conv_block_text", (2, 1, 7, 4), (3, 1, 3, 4), (5, 1), 0, keep),
+    for name, x_shape, k_shape, op in (
+        ("conv_block", (2, 2, 5, 6), (3, 2, 3, 3), lambda x, k: ad.conv_block(x, k, 2, padding=1)),
+        ("sequence_conv_pool", (12, 4), (3, 1, 3, 4), lambda x, k: ad.sequence_conv_pool(x, [7, 5], k)),
     ):
         for _ in range(6):
             xc, kc = rng_c.normal(size=x_shape), rng_c.normal(size=k_shape)
-            cc = rng_c.normal(size=ad.conv_block(xc, kc, window, padding, mask).data.shape)
+            cc = rng_c.normal(size=op(xc, kc).data.shape)
             worst[name] = max(
                 worst.get(name, 0.0),
-                grad_error(lambda t: (ad.conv_block(t, ad.Tensor(kc), window, padding, mask) * ad.Tensor(cc)).sum(), xc),
-                grad_error(lambda t: (ad.conv_block(ad.Tensor(xc), t, window, padding, mask) * ad.Tensor(cc)).sum(), kc),
+                grad_error(lambda t: (op(t, ad.Tensor(kc)) * ad.Tensor(cc)).sum(), xc),
+                grad_error(lambda t: (op(ad.Tensor(xc), t) * ad.Tensor(cc)).sum(), kc),
             )
 
     # the per-head scores z . (g * w), one head and three, gated on w and g and ungated on w

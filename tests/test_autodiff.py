@@ -278,7 +278,7 @@ class TestMaxPool:
     @pytest.mark.parametrize("layout", ["contiguous", "channels_last"])
     @pytest.mark.parametrize("x_shape,window", [((3, 4, 9, 1), (9, 1)), ((1, 4, 40, 1), (40, 1)), ((3, 4, 9, 1), (4, 1))])
     def test_single_axis_windows_with_nan_and_signed_zeros(self, x_shape, window, layout):
-        # the text trunk's global (out, 1) pool, a one-sample map and a ragged window whose last row is left out
+        # a global (out, 1) pool down the rows, a one-map batch and a ragged window whose last row is left out
         rng = np.random.default_rng(462)
         x = signed_integers(rng, x_shape, high=1)
         x[:, 0] = rng.choice([0.0, -0.0], size=x[:, 0].shape)  # windows of signed zeros alone, in both orders
@@ -327,7 +327,7 @@ class TestLoopReferences:
 
     CONV_CASES = [
         *[(x, k, 1) for x, k in DIGIT_BLOCKS],
-        ((3, 1, 12, 64), (32, 1, 3, 64), 0),  # text-style: full-width kernels over an embedding grid
+        ((3, 1, 12, 64), (32, 1, 3, 64), 0),  # full-width kernels over an embedding grid
         ((3, 1, 12, 64), (32, 1, 5, 64), 0),
         ((1, 1, 5, 64), (32, 1, 5, 64), 0),  # one window position
         ((1, 2, 6, 5), (3, 2, 3, 3), 0),  # one-map batches
@@ -335,12 +335,12 @@ class TestLoopReferences:
         ((2, 3, 6, 5), (4, 3, 3, 2), 0),
         ((2, 3, 6, 5), (4, 3, 3, 2), 1),
         ((2, 3, 6, 5), (4, 3, 3, 2), (0, 2)),
-        ((32, 1, 40, 64), (32, 1, 3, 64), 0),  # a perfbench text batch: full-width kernels, ow == 1
+        ((32, 1, 40, 64), (32, 1, 3, 64), 0),  # full-width kernels over a 32 x 40 grid, ow == 1
         ((32, 1, 40, 64), (32, 1, 5, 64), 0),
         ((2, 1, 9, 6), (4, 1, 3, 8), (1, 1)),  # full width through the padding
         ((3, 2, 7, 5), (4, 2, 2, 5), 0),  # full width over two channels
         ((1, 2, 8, 4), (3, 2, 3, 6), (2, 1)),  # one map, full width, padded
-        ((1, 1, 12, 64), (32, 1, 4, 64), 0),  # one map, as explain runs it
+        ((1, 1, 12, 64), (32, 1, 4, 64), 0),  # one map, full width
     ]
 
     @pytest.mark.parametrize("layout", ["contiguous", "channels_last"])
@@ -375,12 +375,12 @@ class TestLoopReferences:
         ((2, 3, 7, 5), 2),
         ((2, 3, 7, 5), (3, 1)),
         ((2, 3, 7, 5), (2, 3)),
-        ((3, 4, 9, 1), (9, 1)),  # the text trunk's global pool
+        ((3, 4, 9, 1), (9, 1)),  # a global pool down the rows
         ((3, 4, 9, 1), (4, 1)),  # ragged: the last row is left out
         ((2, 32, 14, 14), 2),  # digits block outputs
         ((1, 3, 7, 5), 2),  # one-map batches
         ((1, 3, 7, 5), (2, 3)),
-        ((1, 4, 40, 1), (40, 1)),  # one sample's global pool, as explain runs it
+        ((1, 4, 40, 1), (40, 1)),  # one map's global pool
     ]
 
     @pytest.mark.parametrize("layout", ["contiguous", "channels_last"])
@@ -433,24 +433,19 @@ class TestReluPoolCommute:
 class TestConvBlock:
     """conv_block's value and both gradients are bitwise those of the graph it replaced (``graph_conv_block``)."""
 
-    # (x, kernels, window, padding, text lengths or None): digits blocks, layer 3's 7 -> 3 pool dropping a row and
-    # a column, one-sample batches, uneven windows, and text grids with ragged, equal and one-sample lengths
+    # (x, kernels, window, padding): digits blocks, layer 3's 7 -> 3 pool dropping a row and a column,
+    # one-sample batches and uneven windows
     CASES = [
-        *[(x, k, 2, 1, None) for x, k in DIGIT_BLOCKS],
-        ((1, 1, 28, 28), (16, 1, 3, 3), 2, 1, None),
-        ((1, 32, 7, 7), (64, 32, 3, 3), 2, 1, None),
-        ((2, 3, 7, 8), (4, 3, 3, 2), (1, 2), 0, None),
-        ((3, 1, 12, 16), (8, 1, 3, 16), None, 0, [12, 7, 3]),
-        ((3, 1, 12, 16), (8, 1, 5, 16), None, 0, [12, 7, 5]),
-        ((2, 1, 9, 16), (8, 1, 4, 16), None, 0, [9, 9]),
-        ((1, 1, 5, 64), (32, 1, 5, 64), None, 0, [5]),
-        ((32, 1, 40, 64), (32, 1, 4, 64), None, 0, list(range(9, 41))),
+        *[(x, k, 2, 1) for x, k in DIGIT_BLOCKS],
+        ((1, 1, 28, 28), (16, 1, 3, 3), 2, 1),
+        ((1, 32, 7, 7), (64, 32, 3, 3), 2, 1),
+        ((2, 3, 7, 8), (4, 3, 3, 2), (1, 2), 0),
     ]
 
     @pytest.mark.parametrize("values", ["integers", "nan", "normal"])
     @pytest.mark.parametrize("layout", ["contiguous", "channels_last"])
-    @pytest.mark.parametrize("x_shape,k_shape,window,padding,lengths", CASES)
-    def test_value_and_gradients_equal_the_graph(self, x_shape, k_shape, window, padding, lengths, layout, values):
+    @pytest.mark.parametrize("x_shape,k_shape,window,padding", CASES)
+    def test_value_and_gradients_equal_the_graph(self, x_shape, k_shape, window, padding, layout, values):
         rng = np.random.default_rng(463)
         if values == "normal":
             x, k = rng.normal(size=x_shape), rng.normal(size=k_shape)
@@ -459,18 +454,12 @@ class TestConvBlock:
         if values == "nan":  # windows whose conv output is NaN, and a NaN in the kernel gradient
             x.reshape(-1)[rng.choice(x.size, size=3, replace=False)] = np.nan
         x = channels_last(x) if layout == "channels_last" else x
-        keep = None
-        if lengths is not None:  # the text trunk's global pool over positions before each sequence's end
-            out = x_shape[2] - k_shape[2] + 1
-            window = (out, 1)
-            if min(lengths) < x_shape[2]:
-                keep = (np.arange(out) < (np.array(lengths) - k_shape[2] + 1)[:, None])[:, None, :, None]
         results = []
         for op in (ad.conv_block, graph_conv_block):
             xt, kt = ad.Tensor(x, requires_grad=True), ad.Tensor(k, requires_grad=True)
-            out = op(xt, kt, window, padding=padding, keep=keep)
+            out = op(xt, kt, window, padding=padding)
             if not results:
-                assert out.op == "conv_block" and out._parents == (xt, kt)  # one node: no pool, relu or mul node
+                assert out.op == "conv_block" and out._parents == (xt, kt)  # one node: no pool or relu node
                 g = rng.normal(size=out.data.shape)
             (out * ad.Tensor(g)).sum().backward()
             results.append((out.data, xt.grad, kt.grad))
@@ -488,18 +477,114 @@ class TestConvBlock:
         assert out.data.tobytes() == graph_conv_block(x, k, 2, padding=1).data.tobytes()
 
     @pytest.mark.parametrize("seed", range(50))
-    @pytest.mark.parametrize("kind", ["image", "text"])
-    def test_gradients_match_finite_differences(self, kind, seed):
+    def test_gradients_match_finite_differences(self, seed):
         rng = np.random.default_rng(465 + seed)
-        x, k, keep = rng.normal(size=(2, 2, 5, 6)), rng.normal(size=(3, 2, 3, 3)), None
-        if kind == "text":  # full-width kernels, a ragged end mask and the global pool
-            x, k = rng.normal(size=(2, 1, 7, 4)), rng.normal(size=(3, 1, 3, 4))
-            keep = (np.arange(5) < np.array([5, 3])[:, None])[:, None, :, None]
-        window, padding = ((5, 1), 0) if kind == "text" else (2, 1)
-        c = rng.normal(size=ad.conv_block(x, k, window, padding=padding, keep=keep).data.shape)
+        x, k = rng.normal(size=(2, 2, 5, 6)), rng.normal(size=(3, 2, 3, 3))
+        c = rng.normal(size=ad.conv_block(x, k, 2, padding=1).data.shape)
 
         def loss(xt, kt):
-            return (ad.conv_block(xt, kt, window, padding, keep) * ad.Tensor(c)).sum()
+            return (ad.conv_block(xt, kt, 2, 1) * ad.Tensor(c)).sum()
+
+        assert grad_error(lambda t: loss(t, ad.Tensor(k)), x) <= TOL
+        assert grad_error(lambda t: loss(ad.Tensor(x), t), k) <= TOL
+
+
+class TestSequenceConvPool:
+    """The text trunk's op equals ``graph_conv_block`` over the padded grid with the end mask, bit for bit.
+
+    Each case is a batch of id lines, padded as the extractor pads them: a
+    line shorter than the widest filter takes pad ids up to it. The op
+    runs on the lines' embedding rows one after another, the reference on
+    the (n, 1, span, e) grid of every line padded to the longest, with the
+    conv outputs past each line's end zeroed before the global pool. Both
+    gather from the same table, so the table's gradient, the kernels'
+    gradient and the output are compared as bytes. The NaN row is an id
+    inside a line, not the pad id: a NaN pad row reaches the reference's
+    masked-out windows past every line's end, which the op never forms.
+    """
+
+    # (line lengths, filter width, widest filter, embed dim, filters)
+    CASES = [
+        ([12, 7, 3], 3, 5, 16, 8),  # a line shorter than the widest filter
+        ([12, 7, 3], 5, 5, 16, 8),
+        ([9, 9], 4, 5, 16, 8),  # equal lengths: no padding past any line's end
+        ([2], 3, 5, 16, 8),  # one sample, shorter than the widest filter
+        ([5], 5, 5, 64, 32),  # one sample, one window
+        ([0, 30, 1], 4, 5, 16, 8),  # an empty line is all pad ids
+        (list(range(9, 41)), 4, 5, 64, 32),  # a perfbench text training batch
+        ([24, 11, 40, 5, 17, 3, 30, 8, 22, 36, 14, 6, 28, 19, 2, 33], 3, 5, 64, 32),  # a predict batch
+    ]
+
+    @staticmethod
+    def _run(op, table, ids, lengths, kernels, g):
+        tt, kt = ad.Tensor(table, requires_grad=True), ad.Tensor(kernels, requires_grad=True)
+        out = op(tt, kt)
+        (out * ad.Tensor(g)).sum().backward()
+        return out, tt.grad, kt.grad
+
+    @pytest.mark.parametrize("values", ["integers", "nan", "normal"])
+    @pytest.mark.parametrize("lines,w,widest,e,f", CASES)
+    def test_value_and_gradients_equal_the_padded_graph(self, lines, w, widest, e, f, values):
+        rng = np.random.default_rng(466)
+        vocab, pad = 12, 0  # a small vocabulary: ids repeat within and across lines
+        if values == "normal":
+            table, kernels = rng.normal(size=(vocab, e)), rng.normal(size=(f, 1, w, e))
+        else:  # products of {-1, 0, 1}: exact and signed zeros, ties, all-negative windows
+            table, kernels = signed_integers(rng, (vocab, e), high=1), rng.integers(-1, 2, size=(f, 1, w, e)) * 1.0
+        seqs = [rng.integers(0, vocab, size=size) for size in lines]
+        if values == "nan":  # id 3 once, last in a line with windows past its end: the reference's masked windows
+            table[3, 1] = np.nan
+            for line in seqs:
+                line[line == 3] = 4
+            inner = [size for size in lines if widest <= size < max(lines)]
+            seqs[lines.index(min(inner) if inner else max(lines))][-1] = 3
+        lengths = np.maximum(lines, widest)
+        ids = np.concatenate([np.concatenate([s, np.full(n - s.size, pad)]) for s, n in zip(seqs, lengths)])
+        span = int(lengths.max())
+        grid = np.stack([np.concatenate([s, np.full(span - s.size, pad)]) for s in seqs])
+        out = span - w + 1
+        keep = (np.arange(out) < (lengths - w + 1)[:, None])[:, None, :, None]
+        g = rng.normal(size=(len(lines), f))
+
+        def op(tt, kt):
+            return ad.sequence_conv_pool(ad.gather_rows(tt, ids), lengths, kt)
+
+        def ref(tt, kt):
+            x = ad.gather_rows(tt, grid.ravel()).reshape((len(lines), 1, span, e))
+            return graph_conv_block(x, kt, (out, 1), keep=keep).reshape((len(lines), f))
+
+        got, want = self._run(op, table, ids, lengths, kernels, g), self._run(ref, table, grid, lengths, kernels, g)
+        assert got[0].op == "sequence_conv_pool" and len(got[0]._parents) == 2  # one node: no pool, relu or mul node
+        if values == "nan":
+            assert np.isnan(got[2]).any()  # the NaN reaches the kernel gradient through a window of its line
+        for a, b in zip(got, want):
+            a, b = getattr(a, "data", a), getattr(b, "data", b)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_inference_output_equals_training_and_holds_no_graph(self):
+        rng = np.random.default_rng(467)
+        x, k = rng.normal(size=(40, 16)), ad.Tensor(rng.normal(size=(8, 1, 3, 16)), requires_grad=True)
+        with ad.no_grad():
+            out = ad.sequence_conv_pool(x, [12, 5, 23], k)
+        assert out._parents == () and out._backward is None
+        assert out.data.tobytes() == ad.sequence_conv_pool(x, [12, 5, 23], k).data.tobytes()
+
+    @pytest.mark.parametrize("lengths,k_shape", [((12, 5), (3, 1, 3, 4)), ((13,), (3, 1, 5, 4)), ((5, 5), (3, 1, 5, 4))])
+    def test_rejects_bad_shapes(self, lengths, k_shape):
+        x = np.zeros((12, 4))
+        with pytest.raises(ShapeError):
+            ad.sequence_conv_pool(x, lengths, np.zeros(k_shape))
+        with pytest.raises(ShapeError):
+            ad.sequence_conv_pool(x, (12,), np.zeros((3, 1, 3, 5)))
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_gradients_match_finite_differences(self, seed):
+        rng = np.random.default_rng(465 + seed)
+        x, k = rng.normal(size=(12, 4)), rng.normal(size=(3, 1, 3, 4))
+        c = rng.normal(size=(2, 3))
+
+        def loss(xt, kt):
+            return (ad.sequence_conv_pool(xt, [7, 5], kt) * ad.Tensor(c)).sum()
 
         assert grad_error(lambda t: loss(t, ad.Tensor(k)), x) <= TOL
         assert grad_error(lambda t: loss(ad.Tensor(x), t), k) <= TOL
@@ -554,6 +639,24 @@ class TestStructuralOps:
         assert grad_error(lambda t: (ad.take_along(t, idx[:4] % 6) * ad.Tensor(c4)).sum(), x) <= TOL
         picks = np.argsort(rng.random((4, 6)), axis=1)[:, :3]  # distinct columns per row
         assert grad_error(lambda t: (ad.take_along(t, picks) * ad.Tensor(c2[:4, :3])).sum(), x) <= TOL
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_gather_gradient_equals_the_add_at_reference(self, seed):
+        # Zipf-repeated ids, as a text batch repeats its common words, and gradients with -0.0, NaN and +-1e300
+        rng = np.random.default_rng(720 + seed)
+        for _ in range(30):
+            rows, m = int(rng.integers(1, 40)), int(rng.integers(1, 9))
+            idx = np.minimum(rng.zipf(1.5, size=int(rng.integers(1, 200))) - 1, rows - 1)
+            g, kind = rng.normal(size=(idx.size, m)), rng.integers(0, 10, size=(idx.size, m))
+            g[kind == 0] = -0.0
+            g[kind == 1] = np.nan
+            g[kind == 2] = np.copysign(1e300, g[kind == 2])
+            t = ad.Tensor(rng.normal(size=(rows, m)), requires_grad=True)
+            with np.errstate(over="ignore", invalid="ignore"):  # 1e300 + 1e300 overflows, inf - inf is NaN
+                (ad.gather_rows(t, idx) * ad.Tensor(g)).sum().backward()
+                want = np.zeros((rows, m))
+                np.add.at(want, idx, g * 1.0)  # the gradient as the mul node hands it on
+            assert t.grad.tobytes() == accumulated(want).tobytes()
 
 
 class TestBackwardContract:

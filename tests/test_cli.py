@@ -1,5 +1,6 @@
 """CLI surface tests: artifacts, exit codes, output schema, checkpoint integrity."""
 
+import io
 import json
 import struct
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from sparselocal.checkpoint import load_checkpoint, save_checkpoint
-from sparselocal.cli import _sample_from_file, load_manifest, main
+from sparselocal.cli import _emit, _sample_from_file, load_manifest, main
 from sparselocal.data import write_idx_images, write_idx_labels
 from sparselocal.digits import make_digit_images
 from sparselocal.errors import CheckpointError, DataFormatError
@@ -506,6 +507,24 @@ class TestBenchCommand:
         assert all({"mean_ms", "sd_ms", "p50_ms", "p95_ms", "reps"} <= set(r) for r in records)
         assert all(np.isfinite(r["mean_ms"]) and r["mean_ms"] > 0 for r in records)
         assert all(0 < r["p50_ms"] <= r["p95_ms"] for r in records)
+
+    def test_batched_throughput_per_k(self, text_run, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(GatedLocalLinear, "predict_labels",
+                            lambda self, samples, k=None: calls.append((len(samples), k)) or np.ones(len(samples)))
+        code, records, _ = run_cli(
+            capsys, "bench", "--checkpoint", str(text_run / "model.ckpt"),
+            "--dataset", str(text_run / "manifest.json"), "--k", "1,2", "--reps", "5",
+        )
+        assert code == 0
+        assert [(r["k"], r["batch"]) for r in records] == [(1, 16), (2, 16)]
+        assert all(np.isfinite(r["batched_samples_per_s"]) and r["batched_samples_per_s"] > 0 for r in records)
+        assert calls == [(16, 1)] * 6 + [(16, 2)] * 6  # a warm-up batch, then one batch of 16 per rep
+
+    def test_non_finite_values_are_not_written(self):
+        # JSON has no NaN or infinity: a record holding one is an error, not a line other tools cannot parse
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _emit({"val_loss": float("nan")}, io.StringIO())
 
     @pytest.mark.parametrize("reps", ["0", "-1"])
     def test_reps_below_one_exits_two(self, synth_run, capsys, reps):

@@ -542,6 +542,34 @@ class TestGraphReference:
             assert got[0] == got[1]
 
 
+class TestLiveBlock:
+    """``live_block`` is the stable argsort of the dead flags, cut to the block width."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_equals_the_stable_argsort(self, seed):
+        rng = np.random.default_rng(9400 + seed)
+        for _ in range(200):
+            n, d = int(rng.integers(1, 9)), int(rng.integers(1, 60))
+            live = rng.random((n, d)) < rng.choice([0.02, 0.3, 0.9])
+            live[rng.random(n) < 0.2] = True  # all-live rows
+            live[rng.random(n) < 0.2] = False  # all-dead rows
+            width = int(rng.integers(0, d + 5))  # up to past d
+            if rng.random() < 0.5:  # a mask shared by its heads, as the hard gate passes it
+                live = live[:, None, :]
+            got = gt.live_block(live, width)
+            want = np.argsort(~live, axis=-1, kind="stable")[..., :width]
+            assert got.shape == want.shape and (got == want).all()
+
+    def test_one_row_and_the_degenerate_widths(self):
+        live = np.array([[False, True, False, False, True, False]])
+        assert gt.live_block(live, 4).tolist() == [[1, 4, 0, 2]]
+        assert gt.live_block(live, 1).tolist() == [[1]]  # a block narrower than the live count keeps the first
+        assert gt.live_block(live, 0).shape == (1, 0)
+        assert gt.live_block(live, 9).tolist() == [[1, 4, 0, 2, 3, 5]]  # width >= d: every column
+        assert gt.live_block(~live[0], 3).tolist() == [0, 2, 3]  # one 1-d row
+        assert gt.live_block(np.zeros((2, 3), dtype=bool), 2).tolist() == [[0, 1], [0, 1]]
+
+
 class TestLiveColumnBlock:
     """The gate drawn on each row's live columns equals the full-row draws bit for bit."""
 
@@ -758,6 +786,23 @@ class TestTopkSelect:
         g, order = gt.k_hot_gate(w[:3], live[:3], 3)  # with the dead entries used up, the live NaN is selected and opens
         assert order.tolist() == [1, 2, 0]
         np.testing.assert_array_equal(g, [1.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("heads", [1, 3])
+    def test_a_call_mixing_an_all_live_row_with_sparse_rows_orders_each_row_as_its_own_call(self, heads):
+        # the all-live row widens every row's block to d; each row still sorts as it would alone
+        rng = np.random.default_rng(9200 + heads)
+        n, d, k = 16, 1969, 10
+        live = rng.random((n, 1, d)) < 0.01
+        live[:, 0, :k] |= rng.random((n, k)) < 0.5
+        live[:, 0, rng.integers(0, d, size=k)] = True  # at least k live per row
+        live[5] = True
+        w = rng.normal(size=(n, heads, d))
+        w[:, :, 1::2] = -w[:, :, : d - 1 : 2]  # each odd column ties with the one before it
+        g, order = gt.k_hot_gate(w, live, k)
+        for i in range(n):
+            g_i, order_i = gt.k_hot_gate(w[i : i + 1], live[i : i + 1], k)
+            assert order[i : i + 1].tobytes() == order_i.tobytes()
+            assert g[i : i + 1].tobytes() == g_i.tobytes()
 
     @pytest.mark.parametrize("seed", range(10))
     def test_sparse_gate_equals_the_full_sort(self, seed):

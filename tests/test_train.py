@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -482,6 +483,21 @@ class TestNonFiniteLoss:
         with pytest.raises(NonFiniteLossError, match=where):
             coarse_to_fine_train(model, train, val, sched, np.random.default_rng(0))
         assert all(p.grad is None for p in model.parameters())  # backward never ran on the bad loss
+
+    @pytest.mark.parametrize("patience", [1, 10])
+    def test_a_non_finite_validation_loss_names_phase_and_epoch(self, patience):
+        # a finite training set and one inf validation feature: NaN < best is false, so patience once ended the
+        # phase without a word and the epoch record carried a NaN val_loss
+        cfg, train, val, _ = small_problem()
+        val = [replace(val[0], x=np.where(np.arange(val[0].x.size) == 2, np.inf, val[0].x)), *val[1:]]
+        model = GatedLocalLinear(cfg, np.random.default_rng(0))
+        sched = TrainSchedule(k_coarse=4, batch_size=64, max_coarse_epochs=3, max_fine_epochs=2, patience=patience)
+        records = []
+        with np.errstate(invalid="ignore"), pytest.raises(  # the inf meets +- weights in the first layer's product
+            NonFiniteLossError, match=r"validation loss is nan in phase 'coarse', epoch 1$"
+        ):
+            coarse_to_fine_train(model, train, val, sched, np.random.default_rng(0), progress=records.append)
+        assert records == []  # no record with a non-finite loss was passed on
 
     def test_weights_whose_squares_overflow_stop_training_at_their_batch(self):
         # a head bias of -1e200 squares to inf inside the soft gate: the gate and the loss are NaN, with no warning
