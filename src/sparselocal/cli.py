@@ -58,7 +58,7 @@ from .data import (
     split_dataset,
     text_sample,
 )
-from .errors import CheckpointError, ConfigError, DataFormatError, GateExhaustedError
+from .errors import CheckpointError, ConfigError, DataFormatError
 from .model import EXTRACTOR_DEFAULTS, GatedLocalLinear, ModelConfig
 from .render import render_image_svg, render_text_html
 from .train import TrainSchedule, coarse_to_fine_train, evaluate
@@ -331,10 +331,7 @@ def cmd_explain(args):
     if args.html:
         if data.dataset.kind != "text":
             raise ConfigError("--html is only available for text datasets")
-        tokens = sample.tokens
-        if tokens is None:
-            tokens = [data.dataset.vocab.tokens[i] for i in np.asarray(sample.x, dtype=int)]
-        render_text_html(tokens, data.dataset.vocab, explanation.entries, explanation.prediction, args.html)
+        render_text_html(sample.tokens, data.dataset.vocab, explanation.entries, explanation.prediction, args.html)
         _emit({"event": "wrote", "path": str(args.html)})
     return 0
 
@@ -434,7 +431,7 @@ def main(argv=None):
     except (ConfigError, CheckpointError, DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GateExhaustedError, ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:  # GateExhaustedError, NonFiniteScoreError and NonFiniteLossError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

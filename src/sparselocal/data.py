@@ -210,8 +210,9 @@ def build_text_dataset(path, min_freq=2, stopwords=None, counts=False):
     symbol at index 0 which substitutes for every other token. z is the
     bag-of-words vector over the vocabulary (binary presence by default,
     occurrence counts with ``counts=True``) and the mask flags exactly
-    the zero entries of z. Labels {-1, +1} select binary mode; other
-    label sets are mapped to class indices.
+    the zero entries of z. ``+1`` is read as ``1``. Two labels select
+    binary mode, the first in sorted order as -1 (so {-1, +1} keep their
+    signs); three or more are mapped to class indices in sorted order.
     """
     stopwords = STOPWORDS if stopwords is None else frozenset(stopwords)
     rows = []
@@ -223,7 +224,8 @@ def build_text_dataset(path, min_freq=2, stopwords=None, counts=False):
                 parts = line.rstrip("\n").split("\t", 1)
                 if len(parts) != 2 or not parts[0].strip():
                     raise DataFormatError(f"{path}:{lineno}: expected 'label<TAB>text'")
-                rows.append((lineno, parts[0].strip(), content_tokens(parts[1], stopwords)))
+                label = parts[0].strip()
+                rows.append((lineno, "1" if label == "+1" else label, content_tokens(parts[1], stopwords)))
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{path}: corpus is not UTF-8 text ({exc.reason})") from exc
     if not rows:
@@ -239,22 +241,15 @@ def build_text_dataset(path, min_freq=2, stopwords=None, counts=False):
     vocab = Vocabulary(tokens=[Vocabulary.OOV] + kept)
 
     label_set = sorted(set(label for _, label, _ in rows))
-    if set(label_set) <= {"-1", "+1", "1"} and len(label_set) == 2:
-        to_y = lambda s: -1 if s == "-1" else 1
-        num_classes = 2
-    elif len(label_set) == 2:
-        to_y = lambda s: -1 if s == label_set[0] else 1
-        num_classes = 2
-    else:
-        mapping = {s: i for i, s in enumerate(label_set)}
-        to_y = lambda s: mapping[s]
-        num_classes = len(label_set)
-
-    samples = [text_sample(f"line{lineno}", tokens, to_y(label), vocab, counts) for lineno, label, tokens in rows]
+    if len(label_set) < 2:
+        raise DataFormatError(f"{path}: a classifier needs at least two labels, got {label_set}")
+    # two labels are -1 and +1 in sorted order, and "-1" sorts before "1"; more are class indices
+    to_y = dict(zip(label_set, (-1, 1))) if len(label_set) == 2 else {s: i for i, s in enumerate(label_set)}
+    samples = [text_sample(f"line{lineno}", tokens, to_y[label], vocab, counts) for lineno, label, tokens in rows]
     return Dataset(
         kind="text",
         d=len(vocab),
-        num_classes=num_classes,
+        num_classes=len(label_set),
         feature_names=list(vocab.tokens),
         samples=samples,
         vocab=vocab,

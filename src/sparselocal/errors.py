@@ -25,5 +25,9 @@ class NonFiniteLossError(RuntimeError):
     """A training loss became NaN or infinite."""
 
 
+class NonFiniteScoreError(RuntimeError):
+    """A prediction's score is NaN or infinite."""
+
+
 class SolverError(RuntimeError):
     """A linear solver could not produce a solution."""

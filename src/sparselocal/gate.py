@@ -10,11 +10,11 @@ There is one function per gate, each batched over rows of weights.
 
 - The soft gate, :func:`k_hot_gate_rows`, is the training relaxation
   over the ``(n, heads·d)`` rows of every head of a batch, each row with
-  its own gate count. One draw loop serves every row; a row past its
-  count gets exact-zero draws. Every draw is a relaxed simplex vector;
-  only their sum is returned. It is one autodiff op whose hand-written
-  backward sums each draw's softmax Jacobian, the mask updates treated
-  as gradient-stopped. A draw is the softmax
+  its own gate count, clamped to its live features. One draw loop serves
+  every row; a row past its count gets exact-zero draws. Every draw is a
+  relaxed simplex vector; only their sum is returned. It is one autodiff
+  op whose hand-written backward sums each draw's softmax Jacobian, the
+  mask updates treated as gradient-stopped. A draw is the softmax
   of ``(w**2 + lam) / tau`` over the live entries, which equals the
   paper's ``softmax((log pi + lam) / tau)``: ``log pi`` is ``w**2`` less
   one constant per row, and a softmax ignores such a shift. The noise
@@ -25,8 +25,8 @@ There is one function per gate, each batched over rows of weights.
 - The hard gate, :func:`k_hot_gate`, is the inference-time behaviour
   over any ``(..., d)`` batch. The noise is dropped and each draw is the
   exact one-hot argmax. Noise-free greedy draws are exactly a top-k, so
-  the hard gate is computed in one step: an exact stable top-k over the
-  live ``w**2``, ties going to the lowest index.
+  the hard gate is computed in one step: an exact stable top-k of the
+  live ``w**2``, ranked by ``|w|``, ties going to the lowest index.
 
 The paper's formulas for one draw of a single vector, ``log pi``, the
 draw and the mask update, are written out in plain numpy in the tests'
@@ -44,7 +44,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .errors import GateExhaustedError, ShapeError
+from .errors import ShapeError
 
 def _gumbel(u):
     """Standard Gumbel values -log(-log(u)) of uniforms u, clamped away from {0, 1}."""
@@ -77,24 +77,25 @@ def live_block(live, width):
 def k_hot_gate(w, live, k):
     """The hard gate: a 0/1 gate over ``(..., d)`` weights and its ``(..., k)`` order.
 
-    A row's order is the stable sort of its keys, ``-w**2`` if live and
+    A row's order is the stable sort of its keys, ``-|w|`` if live and
     ``+inf`` if dead, cut to k: the k largest live ``w**2``, ties to the
     lowest index, then dead indices, then live NaN weights, which sort
-    after ``+inf``. The gate opens the selected live entries. ``live`` is
-    ``True`` or has ``w``'s number of axes. With some entry dead, only
-    each row's :func:`live_block` of all live and k dead columns is sorted.
+    after ``+inf``. A ``-w**2`` key sorts alike while every |w| is in
+    [1.5e-154, 1.3e154]; outside, squares under- or overflow and tie.
+    The gate opens the selected live entries. ``live`` is ``True`` or has
+    ``w``'s number of axes. With some entry dead, only each row's
+    :func:`live_block` of all live and k dead columns is sorted.
     """
     w, live = np.asarray(w, dtype=np.float64), np.asarray(live)
     rows = np.arange(0, w.size, w.shape[-1]).reshape(w.shape[:-1] + (1,))  # each row's flat offset
-    with np.errstate(over="ignore"):  # a |w| above about 1.3e154 squares to inf: its key -inf sorts first
-        if live.all():  # dense data: sort the rows themselves; every selected entry opens
-            order, opened = np.argsort(-(w * w), axis=-1, kind="stable")[..., :k], 1.0
-        else:
-            counts = live.sum(axis=-1, keepdims=True)
-            at = rows + live_block(live, int(counts.max()) + k)  # the flat positions of each row's block
-            key = np.where(np.arange(at.shape[-1]) < counts, -np.square(w.reshape(-1)[at]), np.inf)
-            sub = np.argsort(key, axis=-1, kind="stable")[..., :k]
-            order, opened = np.take_along_axis(at, sub, axis=-1) - rows, (sub < counts).ravel()
+    if live.all():  # dense data: sort the rows themselves; every selected entry opens
+        order, opened = np.argsort(-np.abs(w), axis=-1, kind="stable")[..., :k], 1.0
+    else:
+        counts = live.sum(axis=-1, keepdims=True)
+        at = rows + live_block(live, int(counts.max()) + k)  # the flat positions of each row's block
+        key = np.where(np.arange(at.shape[-1]) < counts, -np.abs(w.reshape(-1)[at]), np.inf)
+        sub = np.argsort(key, axis=-1, kind="stable")[..., :k]
+        order, opened = np.take_along_axis(at, sub, axis=-1) - rows, (sub < counts).ravel()
     gate = np.zeros(w.size)  # a flat scatter costs half of put_along_axis on one sample
     gate[(rows + order).ravel()] = opened
     return gate.reshape(w.shape), order
@@ -105,8 +106,9 @@ def k_hot_gate_rows(w, mask, k, tau, rng=None):
 
     ``w`` holds the generator's (n, heads·d) rows, head c in columns
     c·d to (c+1)·d, and ``mask`` the (n, d) mask that every head of a
-    sample shares. ``k`` is one gate count or one count per sample;
-    sample i takes the first k[i] of the max(k) draws.
+    sample shares. ``k`` is one gate count or one count per sample, each
+    clamped to the sample's live features; sample i takes the first k[i]
+    of the max(k) draws, so a sample with no live feature gets zeros.
 
     One draw loop serves every head, on ``w`` read as (n·heads, d) rows:
     row i·heads + c is head c of sample i. Each draw is one masked softmax
@@ -126,8 +128,8 @@ def k_hot_gate_rows(w, mask, k, tau, rng=None):
 
     ``rng``, the one noise source, is a numpy ``Generator`` or any object
     whose ``random(out=)`` fills ``out`` with uniforms. All of it is taken
-    before the first draw, head-major: max(k) (n, d) uniform arrays for
-    head 0, then head 1, and so on, each cut to the block's columns.
+    before the first draw, head-major, into one (n, d) buffer: max(k) (n, d)
+    uniform arrays for head 0, then head 1, and so on, each cut to the block.
     Serving the same uniforms again freezes or replays the gate: under
     uniforms ``u`` of shape (heads, max(k), n, d), draw t is the gate of
     ``u[:, :t+1]`` at k=t+1 less that of ``u[:, :t]`` at k=t, up to rounding.
@@ -143,17 +145,12 @@ def k_hot_gate_rows(w, mask, k, tau, rng=None):
     k = np.broadcast_to(np.asarray(k, dtype=np.int64), (n,))
     if (k < 0).any():
         raise ValueError(f"gate counts must be non-negative, got {int(k.min())}")
-    counts = live.sum(axis=1)
-    short = counts < k
-    if short.any():
-        row = int(np.argmax(short))
-        raise GateExhaustedError(
-            f"k={int(k[row])} gates requested but row {row} has only {int(counts[row])} unmasked features"
-        )
     if not tau > 0:
         raise ValueError(f"temperature must be positive, got {tau}")
     if rng is None:
         raise ValueError("soft gating needs an rng")
+    counts = live.sum(axis=1)
+    k = np.minimum(k, counts)
     draws = int(k.max(initial=0))
     if draws == 0:
         return ad.Tensor(np.zeros((n, heads * d)))
@@ -161,13 +158,9 @@ def k_hot_gate_rows(w, mask, k, tau, rng=None):
     width = int(counts.max(initial=0))
     # when some sample is all live, each block is its whole head and x[at] is x
     at = np.s_[:, :] if width == d else (np.arange(n)[:, None], live_block(live, width))
-    lam = np.empty((heads, draws, n, width))
-    if width == d:  # every block is its rows: one call draws all of them, the same stream
-        rng.random(out=lam)
-    else:
-        uniform = np.empty((n, d))
-        for block in lam.reshape(-1, n, width):  # one (n, d) buffer: a (heads, draws, n, d) array faults pages in
-            block[...] = rng.random(out=uniform)[at]
+    lam, uniform = np.empty((heads, draws, n, width)), np.empty((n, d))
+    for block in lam.reshape(-1, n, width):  # one (n, d) buffer: a (heads, draws, n, d) array faults pages in
+        block[...] = rng.random(out=uniform)[at]
     lam = _gumbel(lam).transpose(1, 2, 0, 3).reshape(draws, n * heads, width) * (1.0 / tau)
     k, free = np.repeat(k, heads), np.repeat(live[at], heads, axis=0)
     # row i·heads + c is head c of sample i; when the block is the rows, nothing is scattered

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import gate as gt
-from .errors import GateExhaustedError
+from .errors import GateExhaustedError, NonFiniteScoreError
 
 
 CHUNK = 256  # samples per inference pass; its memory scales with this, not with the list
@@ -291,6 +291,16 @@ def _live(samples, need=0):
     return live
 
 
+def _scores(batch, g, grid):
+    """Every head's score z . (g * w), (n, heads), with g * w formed at open gates only; each must be finite."""
+    z = np.array([s.z for s in batch], dtype=np.float64)
+    scores = np.vecdot(z[:, None, :], np.multiply(g, grid, out=np.zeros(grid.shape), where=g != 0))
+    if not math.isfinite(scores.sum()) and not np.isfinite(scores).all():  # finite scores can sum to inf
+        bad = [s.id for s, ok in zip(batch, np.isfinite(scores).all(axis=1)) if not ok]
+        raise NonFiniteScoreError(f"sample ids {bad[:5]} score NaN or inf: an open gate's weight or draw is not finite")
+    return scores
+
+
 class GatedLocalLinear(WeightGenerator):
     """Per-sample linear classifier whose weights pass through a k-hot gate."""
 
@@ -313,9 +323,9 @@ class GatedLocalLinear(WeightGenerator):
         """Mean soft-gated classification loss over a batch; the training objective.
 
         The gate's one noise source is ``rng``; a freshly seeded one gives
-        the same loss on every call. Per-sample gate counts are clamped to the number of
-        unmasked features so short bag-of-words samples stay trainable;
-        a sample with no unmasked features at all is an error.
+        the same loss on every call. The soft gate clamps each sample's
+        count to its unmasked features, so short bag-of-words samples stay
+        trainable; a sample with no unmasked features at all is an error.
         """
         if not samples:
             raise ValueError("batch_loss needs at least one sample")
@@ -324,8 +334,7 @@ class GatedLocalLinear(WeightGenerator):
         w = self.rows([s.x for s in samples])
         if not gated:
             return self._losses(samples, w, None).mean()
-        live = _live(samples, need=1)
-        g = gt.k_hot_gate_rows(w, ~live, np.minimum(k, live.sum(axis=1)), tau, rng=rng)
+        g = gt.k_hot_gate_rows(w, ~_live(samples, need=1), k, tau, rng=rng)
         return self._losses(samples, w, g).mean()
 
     def _losses(self, samples, w, g):
@@ -352,6 +361,8 @@ class GatedLocalLinear(WeightGenerator):
         (n, heads, min(k, d)) are ``order``; with it, soft draws at
         ``tau_fine`` and no order. Both clamp each count to the sample's
         live features, so a sample with none scores the empty sum, zero.
+        A NaN or inf weight at a closed gate never reaches a score, and a
+        score that is still not finite raises ``NonFiniteScoreError``.
         """
         if k < 1:
             raise ValueError(f"k must be at least 1, got {k}")
@@ -364,11 +375,9 @@ class GatedLocalLinear(WeightGenerator):
             if rng is None:
                 g, order = gt.k_hot_gate(grid, live[:, None, :], k)
             else:
-                counts = np.minimum(k, live.sum(axis=1))
-                g = gt.k_hot_gate_rows(grid.reshape(len(batch), -1), ~live, counts, self.config.tau_fine, rng=rng)
+                g = gt.k_hot_gate_rows(grid.reshape(len(batch), -1), ~live, k, self.config.tau_fine, rng=rng)
                 g, order = g.data.reshape(grid.shape), None
-            z = np.array([s.z for s in batch], dtype=np.float64)
-            yield batch, grid, np.vecdot(z[:, None, :], g * grid), order
+            yield batch, grid, _scores(batch, g, grid), order
             del grid, g, order  # the next chunk's trunk and gate run without this one's arrays
 
     def margin(self, sample, k=None):
@@ -390,8 +399,9 @@ class GatedLocalLinear(WeightGenerator):
         relaxed gates at ``tau_fine`` from ``rng`` (seed 0 when none is
         given) and exists for inspecting the training objective. Both
         gate a whole chunk at once. Gate counts clamp to each sample's
-        unmasked features; a sample with none gets the empty-sum margin
-        of zero.
+        unmasked features, so a sample with none scores zero; a NaN or
+        infinite score, as soft draws over overflowing weights give, raises
+        ``NonFiniteScoreError``.
         """
         k = self.config.k if k is None else int(k)
         if mode not in ("soft", "hard"):

@@ -380,6 +380,18 @@ class TestEvalCommand:
         assert code == 2 and "binary" in err
         assert records == []  # rejected before any gated row reaches stdout
 
+    def test_soft_scores_gone_nan_exit_one_without_a_traceback(self, synth_run, tmp_path, capsys):
+        # every weight near -1e200 squares to inf, so the soft draws are NaN; hard mode still scores finitely
+        model, _ = load_checkpoint(synth_run / "model.ckpt")
+        model.named_parameters()["head.bias"].data[...] = -1e200
+        save_checkpoint(tmp_path / "huge.ckpt", model, schedule=TrainSchedule())
+        args = ("eval", "--checkpoint", str(tmp_path / "huge.ckpt"), "--dataset", str(synth_run / "manifest.json"))
+        code, records, err = run_cli(capsys, *args, "--k", "1", "--mode", "soft")
+        assert code == 1 and records == []
+        assert err.startswith("error: sample ids [") and "not finite" in err and "Traceback" not in err
+        code, records, _ = run_cli(capsys, *args, "--k", "1")
+        assert code == 0 and [r["model"] for r in records] == ["gated"]
+
     def test_bad_checkpoint_version(self, synth_run, tmp_path, capsys):
         blob = bytearray((synth_run / "model.ckpt").read_bytes())
         blob[4:8] = struct.pack("<I", 99)

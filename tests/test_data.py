@@ -235,6 +235,18 @@ class TestTextPipeline:
         assert ds.num_classes == 3
         assert sorted(set(s.y for s in ds.samples)) == [0, 1, 2]
 
+    def test_plus_one_and_one_are_one_label(self, tmp_path):
+        path = self.write_corpus(tmp_path, ["-1\tfoo bar", "+1\tbar foo", "1\tfoo bar", "1\tbar foo"])
+        ds = build_text_dataset(path, min_freq=2)
+        assert ds.num_classes == 2
+        assert [s.y for s in ds.samples] == [-1, 1, 1, 1]
+
+    @pytest.mark.parametrize("labels", [["+1", "1"], ["pos", "pos"]])
+    def test_a_corpus_of_one_label_is_an_error(self, tmp_path, labels):
+        path = self.write_corpus(tmp_path, [f"{label}\tfoo bar" for label in labels])
+        with pytest.raises(DataFormatError, match=r"at least two labels, got \['(1|pos)'\]"):
+            build_text_dataset(path, min_freq=2)
+
     def test_custom_stopwords(self, tmp_path):
         path = self.write_corpus(tmp_path, ["+1\tzap foo bar", "-1\tzap bar foo"])
         ds = build_text_dataset(path, min_freq=2, stopwords={"zap"})

@@ -14,7 +14,7 @@ import pytest
 
 from sparselocal import autodiff as ad
 from sparselocal import gate as gt
-from sparselocal.errors import GateExhaustedError, ShapeError
+from sparselocal.errors import ShapeError
 
 from oracles import (
     Replay, gate_step, grad_error, graph_gate_rows, masked_log_prob, masked_softmax, oracle_draws, square,
@@ -307,14 +307,19 @@ class TestBatchedRows:
             (gate * ad.Tensor(c[i : i + 1])).sum().backward()
             np.testing.assert_allclose(wt.grad[i], wi.grad[0], atol=1e-12)
 
-    def test_infeasible_row_is_reported(self):
+    def test_short_rows_clamp_and_bad_arguments_are_reported(self):
+        # a row asked for more gates than it has live features gets exactly its live-count gate
+        w0 = np.random.default_rng(3).normal(size=(3, 4))
+        mask = np.array([[0, 0, 0, 0], [1, 1, 1, 0], [0, 1, 0, 1]])
+        got = []
+        for k in ([4, 2, 3], [4, 1, 2]):  # asked, then clamped by hand
+            w = ad.Tensor(w0, requires_grad=True)
+            gate = gt.k_hot_gate_rows(w, mask, k, tau=1.0, rng=np.random.default_rng(0))
+            (gate * ad.Tensor(np.arange(12.0).reshape(3, 4))).sum().backward()
+            got.append((gate.data.tobytes(), w.grad.tobytes()))
+        assert got[0] == got[1]
+        assert np.frombuffer(got[0][0])[4:8].tolist() == [0.0, 0.0, 0.0, 1.0]  # one draw over one live entry
         w = np.ones((2, 4))
-        mask = np.array([[0, 0, 0, 0], [1, 1, 1, 0]])
-        with pytest.raises(GateExhaustedError, match="row 1"):
-            gt.k_hot_gate_rows(ad.Tensor(w), mask, 2, tau=1.0, rng=np.random.default_rng(0))
-        with pytest.raises(GateExhaustedError, match="k=3 gates requested but row 2 has only 2"):
-            gt.k_hot_gate_rows(ad.Tensor(np.ones((3, 4))), [[0, 0, 0, 0], [1, 1, 1, 0], [0, 1, 0, 1]],
-                               [4, 1, 3], tau=1.0, rng=np.random.default_rng(0))
         with pytest.raises(ValueError, match="non-negative"):
             gt.k_hot_gate_rows(ad.Tensor(w), np.zeros((2, 4)), [1, -1], tau=1.0, rng=np.random.default_rng(0))
         for tau in (0.0, float("nan")):
@@ -353,6 +358,7 @@ class TestBatchedRows:
     @pytest.mark.parametrize("heads, live_cols, k", [
         (1, 4, 2),  # every entry live: each block is its whole row
         (3, 4, 2),
+        (2, 4, [2, 1]),  # all live, with a row that stops early
         (1, 2, 2),  # two live columns of four: a block narrower than the rows
         (3, 2, [2, 1]),
         (2, 2, [0, 1]),  # row 0 takes no draw: the stream is as long as the largest count's
@@ -367,7 +373,7 @@ class TestBatchedRows:
         u = rng.random((heads, int(np.max(k)), n, d))
         replay = Replay(u)
         gate = gt.k_hot_gate_rows(w, mask, k, tau=0.8, rng=replay)
-        assert replay.used == u.size and all(shape[-2:] == (n, d) for shape in replay.reads)
+        assert replay.used == u.size and replay.reads == [(n, d)] * (heads * int(np.max(k)))
         for h in range(heads):  # head h's draws are u[h], whichever head reads first
             cols = slice(h * d, (h + 1) * d)
             alone = gt.k_hot_gate_rows(w[:, cols], mask, k, tau=0.8, rng=Replay(u[h : h + 1]))
@@ -684,9 +690,9 @@ def hard_order(w, live, k):
     return gt.k_hot_gate(w, live, k)[1]
 
 
-def full_sort_gate(w, live, k):
-    """The hard gate as one stable argsort of every row's keys, then a gate multiplied by ``live``."""
-    order = np.argsort(np.where(live, -(w * w), np.inf), axis=-1, kind="stable")[..., :k]
+def full_sort_gate(w, live, k, key=lambda w: -np.abs(w)):
+    """The hard gate as one stable argsort of every row's keys (``-|w|`` where live), then a gate times ``live``."""
+    order = np.argsort(np.where(live, key(w), np.inf), axis=-1, kind="stable")[..., :k]
     gate = np.zeros(w.shape)
     np.put_along_axis(gate, order, 1.0, axis=-1)
     return gate * live, order
@@ -766,8 +772,8 @@ class TestTopkSelect:
         assert np.flatnonzero(g).tolist() == sorted(ref.tolist())
 
     def test_weights_whose_squares_overflow_sort_first(self):
-        # |w| above about 1.3e154 squares to inf, whose key -inf sorts first, ties to the lowest index;
-        # the call runs where warnings are errors, so an unguarded overflow would raise
+        # |w| above about 1.3e154 would square to inf; the -|w| key ranks them first, equal magnitudes to the
+        # lowest index, and the call runs where warnings are errors
         w = np.array([1.0, -1e200, 3.0, 1e200, 2.0])
         g, order = gt.k_hot_gate(w, True, 3)
         assert order.tolist() == [1, 3, 2]
@@ -775,6 +781,55 @@ class TestTopkSelect:
         g, order = gt.k_hot_gate(w, np.array([True, True, True, False, True]), 3)  # the live-block path
         assert order.tolist() == [1, 2, 4]
         np.testing.assert_array_equal(g, [0.0, 1.0, 1.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize("w", [[1e-170, 3e-170, 2e-170], [1e155, -3e155, 2e155]])
+    def test_magnitudes_whose_squares_under_or_overflow_are_not_tied(self, w):
+        # their squares are all 0 or all inf, which a w**2 key would tie and order [0, 1]
+        w = np.array(w + [9.0])
+        g, order = gt.k_hot_gate(w[:3], True, 2)  # the dense path
+        assert order.tolist() == [1, 2] and g.tolist() == [0.0, 1.0, 1.0]
+        g, order = gt.k_hot_gate(w, np.array([True, True, True, False]), 2)  # the live-block path
+        assert order.tolist() == [1, 2] and g.tolist() == [0.0, 1.0, 1.0, 0.0]
+
+    @pytest.mark.parametrize("exponents, shift", [((-300, -160), 500), ((160, 300), -500)], ids=["tiny", "huge"])
+    def test_the_order_is_the_top_k_of_w_squared_where_squares_leave_the_float_range(self, exponents, shift):
+        # scaling by 2**shift is exact and brings every |w| into the range where squares are exact and distinct
+        rng = np.random.default_rng(9300 + shift)
+        for _ in range(300):
+            w, live, k = sparse_gate_case(rng)
+            w = np.where(np.isfinite(w), np.sign(w) * 10.0 ** rng.uniform(*exponents, size=w.shape), w)
+            tie = rng.random(w[..., 1::2].shape) < 0.3  # an odd column takes its left neighbour's magnitude
+            w[..., 1::2] = np.where(tie, -w[..., : w.shape[-1] // 2 * 2 : 2], w[..., 1::2])
+            if rng.random() < 0.3:
+                live = np.ones_like(live)  # the dense path
+            g, order = gt.k_hot_gate(w, live, k)
+            want_g, want_order = full_sort_gate(w, live, k, key=lambda w: -np.square(np.ldexp(w, shift)))
+            assert order.tobytes() == want_order.tobytes() and g.tobytes() == want_g.tobytes()
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_the_order_equals_the_w_squared_key_wherever_squares_are_exact(self, seed):
+        # squaring is strictly monotone for |w| in [1.5e-154, 1.3e154], so -|w| and -w**2 sort alike there
+        rng = np.random.default_rng(9350 + seed)
+        lo, hi = 1.5e-154, 1.3e154
+        edges = np.array([lo, np.nextafter(lo, 1.0), hi, np.nextafter(hi, 0.0), 1.0, np.nextafter(1.0, 2.0)])
+        dense = 0
+        for _ in range(200):
+            w, live, k = sparse_gate_case(rng)
+            mag = np.clip(10.0 ** rng.uniform(np.log10(lo), np.log10(hi), size=w.shape), lo, hi)
+            pick = rng.random(w.shape)
+            mag = np.where(pick < 0.1, rng.choice(edges, size=w.shape), mag)  # the range's ends and their neighbours
+            above = np.minimum(np.nextafter(mag[..., :1], np.inf), hi)  # the double above each row's first magnitude
+            mag = np.where((pick > 0.9) & (rng.random(w.shape) < 0.5), above, mag)
+            mag[..., 1::2] = np.where(rng.random(mag[..., 1::2].shape) < 0.3, mag[..., : w.shape[-1] // 2 * 2 : 2],
+                                      mag[..., 1::2])  # equal magnitudes, of either sign
+            w = np.where(np.isnan(w) | (w == 0.0), w, rng.choice([-1.0, 1.0], size=w.shape) * mag)  # NaN and ±0 stay
+            if rng.random() < 0.3:
+                live = np.ones_like(live)
+            dense += bool(live.all())
+            g, order = gt.k_hot_gate(w, live, k)
+            want_g, want_order = full_sort_gate(w, live, k, key=lambda w: -(w * w))
+            assert order.tobytes() == want_order.tobytes() and g.tobytes() == want_g.tobytes()
+        assert 20 < dense < 180  # both the dense and the live-block path
 
     def test_a_live_nan_weight_sorts_after_the_dead_entries(self):
         # NaN keys sort after the dead entries' +inf, so the dead indices fill the order first
@@ -811,8 +866,7 @@ class TestTopkSelect:
         for _ in range(500):
             w, live, k = sparse_gate_case(rng)
             g, order = gt.k_hot_gate(w, live, k)
-            with np.errstate(over="ignore"):  # the reference squares without a guard
-                want_g, want_order = full_sort_gate(w, live, k)
+            want_g, want_order = full_sort_gate(w, live, k)
             assert order.tobytes() == want_order.tobytes() and order.shape == want_order.shape
             assert g.tobytes() == want_g.tobytes() and g.shape == want_g.shape
             blocked += int(live.sum(axis=-1).max()) + k < w.shape[-1] and not live.all()

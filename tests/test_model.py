@@ -12,9 +12,9 @@ from sparselocal import autodiff as ad
 from sparselocal import gate as gt
 from sparselocal import model as model_module
 from sparselocal.data import Sample
-from sparselocal.errors import GateExhaustedError
+from sparselocal.errors import GateExhaustedError, NonFiniteScoreError
 from sparselocal.model import DirectClassifier, GatedLocalLinear, ModelConfig, gated_scores
-from sparselocal.train import Adam
+from sparselocal.train import Adam, evaluate
 
 from oracles import Replay, graph_scores, oracle_draws, param_grad_error
 
@@ -471,13 +471,26 @@ class TestBatchedHardGate:
         assert model.predict_labels(dead, mode="soft").tolist() == [empty] * len(dead)
 
     def test_soft_label_of_a_dead_sample_is_the_empty_margins_when_its_weights_overflow(self):
-        # beside a live sample, the dead one draws past its count of 0 over weights whose squares are inf
+        # a dead sample's gate is exact zeros, so weights whose squares are inf never reach its score
+        rng = np.random.default_rng(79)
+        model = GatedLocalLinear(vector_config(d=4, k=2), rng)
+        model.named_parameters()["head.bias"].data[...] = -1e200
+        dead = vector_sample(rng, d=4, sid="dead")
+        dead.m[:] = 1
+        assert model.predict_labels([dead], mode="soft").tolist() == model.predict_labels([dead]).tolist() == [1]
+
+    def test_soft_scores_gone_nan_raise_naming_only_their_samples(self):
+        # the live sample's soft draws over weights whose squares are inf are NaN; the dead one beside it scores 0
         rng = np.random.default_rng(79)
         model = GatedLocalLinear(vector_config(d=4, k=2), rng)
         model.named_parameters()["head.bias"].data[...] = -1e200
         live, dead = vector_sample(rng, d=4, sid="live"), vector_sample(rng, d=4, sid="dead")
         dead.m[:] = 1
-        assert model.predict_labels([live, dead], mode="soft")[1] == model.predict_labels([live, dead])[1] == 1
+        assert model.predict_labels([live, dead]).tolist() == [-1, 1]  # hard: two finite weights of -1e200 each
+        for run in (lambda: model.predict_labels([live, dead], mode="soft"),
+                    lambda: evaluate(model, [live, dead], k=2, mode="soft", rng=np.random.default_rng(0))):
+            with pytest.raises(NonFiniteScoreError, match=r"sample ids \['live'\]"):
+                run()
 
     def test_unknown_mode_is_rejected(self):
         rng = np.random.default_rng(76)
@@ -518,6 +531,57 @@ class TestBatchedHardGate:
         with pytest.raises(GateExhaustedError, match="'short' has 2 unmasked features, fewer than k=3"):
             model.explain_batch([ok, short], k=3)
         assert model.explain_batch([], k=3) == []
+
+
+class TestNonFiniteWeights:
+    """A weight at a closed or masked column never reaches a score, so a prediction is the sum of its explanation."""
+
+    TOL = 1e-12  # |score - fsum(z_j w_j)| over fsum(|z_j w_j|), fixed before running: a few rounding steps of k terms
+
+    def assert_score_is_the_explanation_sum(self, model, sample):
+        explanation, scores = model.explain(sample), np.atleast_1d(model.margin(sample))
+        score = scores[0] if model.config.heads == 1 else scores[explanation.prediction]
+        terms = [sample.z[j] * w for j, _, w in explanation.entries]
+        assert np.isfinite(scores).all()
+        assert abs(score - math.fsum(terms)) <= self.TOL * math.fsum(map(abs, terms))
+        return explanation, scores
+
+    @pytest.mark.parametrize("bias, mask", [
+        (np.nan, [0, 0, 0, 0]),  # a live NaN weight sorts last, so k=2 leaves it closed
+        (np.nan, [1, 0, 0, 0]),
+        (np.inf, [1, 0, 0, 0]),  # 0 * inf is NaN, and numpy warns of an invalid value
+    ], ids=["nan-live", "nan-masked", "inf-masked"])
+    def test_a_non_finite_weight_at_a_closed_column_leaves_the_margin_finite(self, bias, mask):
+        rng = np.random.default_rng(85)
+        model = GatedLocalLinear(vector_config(d=4, k=2), rng)
+        model.named_parameters()["head.bias"].data[0, 0] = bias
+        sample = vector_sample(rng, d=4, sid="probe")
+        sample.m = np.array(mask)
+        explanation, (margin,) = self.assert_score_is_the_explanation_sum(model, sample)
+        assert 0 not in explanation.indices and explanation.prediction == margin
+        assert model.predict_labels([sample]).tolist() == [1 if margin >= 0 else -1]
+        assert evaluate(model, [sample], k=2) == float((1 if margin >= 0 else -1) == sample.y)
+
+    @pytest.mark.parametrize("num_classes", [2, 3])
+    def test_on_finite_weights_each_score_is_the_sum_of_its_explanation(self, num_classes):
+        rng = np.random.default_rng(86)
+        model = GatedLocalLinear(vector_config(d=8, k=3, num_classes=num_classes), rng)
+        samples = [s for s in masked_samples(rng, 8, 60, num_classes) if s.live_count >= 3]
+        assert len(samples) > 20
+        for sample in samples:
+            self.assert_score_is_the_explanation_sum(model, sample)
+
+    def test_a_selected_non_finite_weight_raises_naming_the_sample(self):
+        rng = np.random.default_rng(87)
+        model = GatedLocalLinear(vector_config(d=4, k=2), rng)
+        model.named_parameters()["head.bias"].data[0, 2] = np.inf
+        ok, bad = vector_sample(rng, d=4, sid="ok"), vector_sample(rng, d=4, sid="bad")
+        ok.m = np.array([0, 0, 1, 0])
+        assert np.isfinite(model.margin(ok))
+        for run in (lambda: model.margin(bad), lambda: model.explain_batch([ok, bad]),
+                    lambda: model.predict_labels([ok, bad])):
+            with pytest.raises(NonFiniteScoreError, match=r"sample ids \['bad'\]"):
+                run()
 
 
 class TestChunkedInference:
