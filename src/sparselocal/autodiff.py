@@ -19,9 +19,9 @@ max pool and relu as one op on (n, c, h, w) batches in any strides, in
 channels-last memory: its backward routes the gradient through relu and
 the pool straight into the conv GEMMs' buffer, and col2im is one GEMM
 per kernel tap. ``sequence_conv_pool`` is the text trunk's: sequences of
-embedding rows laid one after another, each convolved over its own
-windows and max-pooled whole, then relu, so a batch pays for no padding
-past a sequence's end. ``conv2d`` and ``max_pool2d`` share
+embedding rows laid one after another, each convolved by every filter
+width over its own windows and max-pooled whole, then relu, so a batch
+pays for no padding past a sequence's end. ``conv2d`` and ``max_pool2d`` share
 ``conv_block``'s code as graph ops of their own, which the benchmark's
 tracer patches by name. An op of its own, such as the soft gate, is
 built on :func:`make_op` with a hand-written backward.
@@ -482,58 +482,79 @@ def conv_block(x, kernels, window, padding=0):
                    lambda g: _conv_grads(x, kernels, flat, _route(conv, win, pooled, g, live), pad))
 
 
-def sequence_conv_pool(x, lengths, kernels):
-    """relu of each sequence's maximum over its own conv windows: (n, c_out) from (T, e) rows and (c_out, 1, w, e) kernels.
+def sequence_conv_pool(x, lengths, *kernels):
+    """relu of each sequence's maximum over its own conv windows, per kernel: (n, Σ c_out) from (T, e) rows.
 
     ``x`` holds n sequences one after another, sequence i in its
-    ``lengths[i]`` rows, each at least w. im2col's flat is column-major over
-    every w consecutive rows, as ``conv2d``'s, so each conv value has the
-    bits of ``conv2d`` over the sequences padded to the longest; a window
-    across two sequences is formed but pooled by neither. The gradient goes
-    to each sequence's first maximal window where the maximum is above 0.
+    ``lengths[i]`` rows, each at least as many as the widest kernel. Each
+    kernel is (c_out, 1, w, e); its outputs take the next c_out columns.
+    One im2col of the widest kernel's windows serves every kernel through
+    its first w·e columns. Its flat is column-major over every w
+    consecutive rows, as ``conv2d``'s, so each conv value has the bits of
+    ``conv2d`` over the sequences padded to the longest; a window across
+    two sequences is formed but pooled by neither. The gradient goes to
+    each sequence's first maximal window where the maximum is above 0.
     dkernels is the GEMM over that padded grid's windows, zeros past each
     sequence's end, so its sums group the terms as ``conv2d``'s do; dx adds
-    one GEMM per kernel row, in row order.
+    one GEMM per kernel row, in row order, and sums the kernels' dx in
+    kernel order, as one op per kernel would.
     """
-    x, kernels = as_tensor(x), as_tensor(kernels)
-    xd, kd = x.data, kernels.data
+    x, kernels = as_tensor(x), [as_tensor(k) for k in kernels]
+    xd = x.data
     lengths = np.asarray(lengths, dtype=np.int64)
-    if xd.ndim != 2 or kd.ndim != 4 or kd.shape[1] != 1 or kd.shape[3] != xd.shape[1]:
-        raise ShapeError(f"sequence_conv_pool: rows {xd.shape} and kernels {kd.shape} must be (T, e) and (c_out, 1, w, e)")
-    c_out, _, w, e = kd.shape
-    if lengths.ndim != 1 or lengths.sum() != len(xd) or (lengths < w).any():
-        raise ShapeError(f"sequence_conv_pool: lengths must be at least {w} and sum to the {len(xd)} rows")
-    n, m, starts = len(lengths), len(xd) - w + 1, np.cumsum(lengths) - lengths
-    # each sequence's first window, then the first across into the next: reduceat's odd rows, which are dropped
-    cuts = np.stack([starts, starts + lengths - (w - 1)], axis=1).ravel()[:-1]
-    # im2col: flat's column r·e + j is x's column j at row offset r, column-major as conv2d's flat
-    xt = np.ascontiguousarray(xd.T)
-    flat = np.concatenate([xt[:, r : r + m] for r in range(w)], out=np.empty((w * e, m))).T
-    conv = flat @ kd.reshape(c_out, -1).T
-    pooled = np.maximum.reduceat(conv, cuts, axis=0)[::2]
-    live = pooled > 0  # relu's subgradient at exactly 0 is 0; a NaN maximum is dead and routes nothing
+    shapes = [k.data.shape for k in kernels]
+    if not kernels or xd.ndim != 2 or any(len(s) != 4 or s[1] != 1 or s[3] != xd.shape[1] for s in shapes):
+        raise ShapeError(f"sequence_conv_pool: rows {xd.shape} and kernels {shapes} must be (T, e) and (c_out, 1, w, e)"
+                         " with at least one kernel")
+    (t, e), widths = xd.shape, [s[2] for s in shapes]
+    wide, narrow = max(widths), min(widths)
+    if lengths.ndim != 1 or lengths.sum() != t or (lengths < wide).any():
+        raise ShapeError(f"sequence_conv_pool: lengths must be at least {wide} and sum to the {t} rows")
+    n, starts = len(lengths), np.cumsum(lengths) - lengths
+    # im2col: flat's column r·e + j is x's column j at row offset r, column-major as conv2d's flat; the zero
+    # columns past x's end only fill the widest kernel's windows past T that narrower kernels' rows leave out
+    m = t - narrow + 1
+    xt = np.empty((e, t + wide - narrow))
+    xt[:, :t], xt[:, t:] = xd.T, 0.0
+    flat = np.concatenate([xt[:, r : r + m] for r in range(wide)], out=np.empty((wide * e, m))).T
+    convs, outs = [], []
+    for kd, w in zip((k.data for k in kernels), widths):
+        # each sequence's first window, then the first across into the next: reduceat's odd rows, which are dropped
+        cuts = np.stack([starts, starts + lengths - (w - 1)], axis=1).ravel()[:-1]
+        conv = flat[: t - w + 1, : w * e] @ kd.reshape(len(kd), -1).T
+        pooled = np.maximum.reduceat(conv, cuts, axis=0)[::2]
+        live = pooled > 0  # relu's subgradient at exactly 0 is 0; a NaN maximum is dead and routes nothing
+        convs.append((conv, cuts, pooled, live))
+        outs.append(np.where(live, pooled, 0.0))
 
     def backward(g):
-        hit = np.where(conv == np.repeat(pooled, lengths, axis=0)[:m], np.arange(m)[:, None], m)
-        i, f = np.nonzero(live)
-        at = np.minimum.reduceat(hit, cuts, axis=0)[::2][i, f]  # each live sequence's first maximal window
-        if kernels.requires_grad:  # the padded grid: sequence i in columns i·span to i·span + lengths[i]
-            span = int(lengths.max())
-            grid = np.zeros((e, n, span))
-            grid.reshape(e, -1)[:, (np.arange(len(xd)) + np.repeat(np.arange(n) * span - starts, lengths))] = xt
-            out = span - w + 1
-            pflat = np.concatenate([grid[:, :, r : r + out] for r in range(w)], out=np.empty((w * e, n, out)))
-            gflat = np.zeros((n, out, c_out))
-            gflat[i, at - starts[i], f] = g[i, f]
-            accumulate_grad(kernels, (gflat.reshape(-1, c_out).T @ pflat.reshape(w * e, -1).T).reshape(kd.shape),
-                            fresh=True)
+        dx, grid = None, None
+        columns = np.split(g, np.cumsum([len(k.data) for k in kernels])[:-1], axis=1)
+        for kernel, w, g_k, (conv, cuts, pooled, live) in zip(kernels, widths, columns, convs):
+            kd, mw, c_out = kernel.data, t - w + 1, g_k.shape[1]
+            hit = np.where(conv == np.repeat(pooled, lengths, axis=0)[:mw], np.arange(mw)[:, None], mw)
+            i, f = np.nonzero(live)
+            at = np.minimum.reduceat(hit, cuts, axis=0)[::2][i, f]  # each live sequence's first maximal window
+            if kernel.requires_grad:  # the padded grid: sequence i in columns i·span to i·span + lengths[i]
+                span = int(lengths.max())
+                if grid is None:
+                    grid = np.zeros((e, n, span))
+                    grid.reshape(e, -1)[:, np.arange(t) + np.repeat(np.arange(n) * span - starts, lengths)] = xt[:, :t]
+                out = span - w + 1
+                pflat = np.concatenate([grid[:, :, r : r + out] for r in range(w)], out=np.empty((w * e, n, out)))
+                gflat = np.zeros((n, out, c_out))
+                gflat[i, at - starts[i], f] = g_k[i, f]
+                accumulate_grad(kernel, (gflat.reshape(-1, c_out).T @ pflat.reshape(w * e, -1).T).reshape(kd.shape),
+                                fresh=True)
+            if x.requires_grad:
+                gflat = np.zeros((mw, c_out))
+                gflat[at, f] = g_k[i, f]
+                blocks = np.ascontiguousarray(kd[:, 0].transpose(1, 0, 2))  # (w, c_out, e): kernel row r's block
+                dk, prod = np.zeros(xd.shape), np.empty((mw, e))
+                for r, block in enumerate(blocks):
+                    dk[r : r + mw] += np.matmul(gflat, block, out=prod)
+                dx = dk if dx is None else np.add(dx, dk, out=dx)
         if x.requires_grad:
-            gflat = np.zeros((m, c_out))
-            gflat[at, f] = g[i, f]
-            blocks = np.ascontiguousarray(kd[:, 0].transpose(1, 0, 2))  # (w, c_out, e): kernel row r's block
-            dx, prod = np.zeros(xd.shape), np.empty((m, e))
-            for r, block in enumerate(blocks):
-                dx[r : r + m] += np.matmul(gflat, block, out=prod)
             accumulate_grad(x, dx, fresh=True)
 
-    return make_op(np.where(live, pooled, 0.0), (x, kernels), "sequence_conv_pool", backward)
+    return make_op(np.concatenate(outs, axis=1), (x, *kernels), "sequence_conv_pool", backward)

@@ -79,7 +79,7 @@ def load_checkpoint(path):
         header = json.loads(raw[12 : 12 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
-    payload = raw[12 + header_len :]
+    payload = memoryview(raw)[12 + header_len :]  # parameters are read in place, not copied out of raw
     _check_header(path, header, len(payload))
     digest = hashlib.sha256(payload).hexdigest()
     if digest != header["payload_sha256"]:
@@ -103,9 +103,8 @@ def load_checkpoint(path):
         shape = tuple(entry["shape"])
         if shape != tensor.data.shape:
             raise CheckpointError(f"{path}: shape mismatch for parameter {entry['name']!r}")
-        lo = entry["offset"]
-        values = np.frombuffer(payload[lo : lo + entry["nbytes"]], dtype=DTYPE)
-        tensor.data[...] = values.reshape(shape).astype(np.float64)
+        values = np.frombuffer(payload, dtype=DTYPE, count=entry["nbytes"] // 8, offset=entry["offset"])
+        tensor.data[...] = values.reshape(shape)
     return model, header
 
 

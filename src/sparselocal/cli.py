@@ -250,7 +250,7 @@ def cmd_eval(args):
         _emit({"model": "gated", "k": k, "mode": args.mode, "accuracy": acc})
     if args.dense:
         # the top-k of the dense weights is the hard gate over samples with every feature live
-        unmasked = [replace(s, m=np.zeros_like(s.m)) for s in data.test]
+        unmasked = [replace(s, m=np.zeros(s.d, dtype=np.int64)) for s in data.test]
         for k in ks:
             _emit({"model": "dense_topk", "k": k, "accuracy": evaluate(model, unmasked, k)})
     if args.baselines:

@@ -9,6 +9,7 @@ dependent explanations used as a testing oracle.
 
 from __future__ import annotations
 
+import functools
 import re
 import struct
 from dataclasses import dataclass, field
@@ -37,9 +38,30 @@ STOPWORDS = frozenset(
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
-@dataclass
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=8)
+def _all_live(d):
+    """The one read-only index array that every all-live sample of d features shares."""
+    return _frozen(np.arange(d))
+
+
+@dataclass(init=False)
 class Sample:
-    """One labelled example: rich representation x, simplified z, label y, mask m."""
+    """One labelled example: rich representation x, simplified z, label y, mask m (1 masks a feature).
+
+    A sample stores ``live``, the sorted indices of its unmasked features,
+    and z as ``values`` at the sorted indices ``support``: the live ones
+    plus any masked feature whose z is not zero. So a bag-of-words, live
+    exactly where z is not zero, holds memory per distinct word rather
+    than per vocabulary entry, and all-live samples of d features share
+    one ``live``. ``z`` and ``m`` read as read-only dense arrays built on
+    demand, bitwise those given except for the sign of a zero z at a
+    masked feature; assigning either re-derives the stored form.
+    """
 
     id: object
     x: object
@@ -49,9 +71,57 @@ class Sample:
     truth: int | None = None  # planted explanation index, synthetic data only
     tokens: list | None = None  # original words for text rendering, before OOV substitution
 
+    def __init__(self, id, x, z, y, m, truth=None, tokens=None):
+        self.id, self.x, self.y, self.truth, self.tokens = id, x, y, truth, tokens
+        self._store(z, m)
+
+    @classmethod
+    def from_live(cls, id, x, d, live, values, y, truth=None, tokens=None):
+        """A sample of d features, z being ``values`` at the sorted indices ``live`` and 0 at the masked rest.
+
+        ``live`` and ``values`` must be read-only arrays, which the sample
+        keeps as its own; no dense z or m is built.
+        """
+        s = cls.__new__(cls)
+        s.id, s.x, s.y, s.truth, s.tokens = id, x, y, truth, tokens
+        s.d, s.live, s.support, s.values = d, live, live, values
+        return s
+
+    def _store(self, z, m):
+        z, live = np.array(z, dtype=np.float64), np.asarray(m) == 0
+        if z.ndim != 1 or live.shape != z.shape:
+            raise ValueError(f"z and m must be 1-d and of one length, got shapes {z.shape} and {live.shape}")
+        support, live = np.flatnonzero(live | (z != 0)), np.flatnonzero(live)
+        self.d = z.size
+        self.live = _all_live(z.size) if live.size == z.size else _frozen(live)
+        self.support = self.live if support.size == live.size else _frozen(support)
+        self.values = _frozen(z if support.size == z.size else z[support])
+
+    @property
+    def z(self):
+        if self.support.size == self.d:
+            return self.values
+        z = np.zeros(self.d)
+        z[self.support] = self.values
+        return _frozen(z)
+
+    @z.setter
+    def z(self, z):
+        self._store(z, self.m)
+
+    @property
+    def m(self):
+        m = np.ones(self.d, dtype=np.int64)
+        m[self.live] = 0
+        return _frozen(m)
+
+    @m.setter
+    def m(self, m):
+        self._store(self.z, m)
+
     @property
     def live_count(self):
-        return int((np.asarray(self.m) == 0).sum())
+        return self.live.size
 
 
 @dataclass
@@ -165,7 +235,7 @@ def downsample_7x7(image):
 def image_sample(sample_id, image, y):
     """One image sample: 28x28 pixels scaled to [0, 1] as a one-channel map x, their 7x7 block means as z, all live."""
     x = np.asarray(image, dtype=np.float64) / 255.0
-    return Sample(id=sample_id, x=x[None], z=downsample_7x7(x), y=y, m=np.zeros(49, dtype=np.int64))
+    return Sample.from_live(sample_id, x[None], 49, _all_live(49), _frozen(downsample_7x7(x)), y)
 
 
 def load_image_dataset(images_path, labels_path, limit=None, id_prefix=""):
@@ -262,15 +332,14 @@ def text_sample(sample_id, tokens, y, vocab, counts=False):
     """One text sample from a stopword-filtered token list: token ids x, bag-of-words z and mask m.
 
     z holds binary presence, or occurrence counts with ``counts=True``;
-    the mask flags exactly the zero entries of z.
+    the mask flags exactly the zero entries of z. The sample is built
+    from the ids' distinct values alone, so its memory follows the words
+    the line holds, not the vocabulary.
     """
     ids = np.array([vocab.id_of(t) for t in tokens], dtype=np.int64)
-    z = np.zeros(len(vocab))
-    if ids.size:
-        np.add.at(z, ids, 1.0)
-    if not counts:
-        z = (z > 0).astype(np.float64)
-    return Sample(id=sample_id, x=ids, z=z, y=y, m=(z == 0).astype(np.int64), tokens=tokens)
+    live, occurrences = np.unique(ids, return_counts=True)
+    values = occurrences.astype(np.float64) if counts else np.ones(live.size)
+    return Sample.from_live(sample_id, ids, len(vocab), _frozen(live), _frozen(values), y, tokens=tokens)
 
 
 # --- synthetic oracle -------------------------------------------------------
@@ -291,23 +360,20 @@ def make_synthetic(n, d, seed):
         raise ValueError(f"synthetic data needs d >= 4, got {d}")
     rng = np.random.default_rng(seed)
     j_a, j_b = rng.choice(d, size=2, replace=False)
-    magnitudes = rng.uniform(0.1, 1.0, size=(n, d))
-    signs = rng.choice([-1.0, 1.0], size=(n, d))
-    z = magnitudes * signs
+    z = rng.uniform(0.1, 1.0, size=(n, d))  # magnitudes, then signed in place
+    z *= rng.choice([-1.0, 1.0], size=(n, d))
+    _frozen(z)  # each sample's z is a read-only row of it
     context = rng.random(n) < 0.5
+    xs = np.concatenate([z, np.where(context[:, None], [1.0, 0.0], [0.0, 1.0])], axis=1)  # z plus the context flag
     samples = []
-    zero_mask = np.zeros(d, dtype=np.int64)
     for i in range(n):
         if context[i]:
             y = 1 if z[i, j_a] > 0 else -1
             truth = int(j_a)
-            flag = [1.0, 0.0]
         else:
             y = 1 if -z[i, j_b] > 0 else -1
             truth = int(j_b)
-            flag = [0.0, 1.0]
-        x = np.concatenate([z[i], flag])
-        samples.append(Sample(id=i, x=x, z=z[i], y=y, m=zero_mask, truth=truth))
+        samples.append(Sample.from_live(i, xs[i], d, _all_live(d), z[i], y, truth=truth))
     names = [f"f{j}" for j in range(d)]
     return Dataset(kind="vector", d=d, num_classes=2, feature_names=names, samples=samples)
 

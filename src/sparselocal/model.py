@@ -165,10 +165,10 @@ class TextExtractor:
     A batch is encoded as its sequences' embedding rows one after another:
     each id sequence is padded with ``pad_index`` (the out-of-vocabulary
     id) up to the widest filter, as if the sample carried that padding,
-    and no further. One ``ad.sequence_conv_pool`` per filter width takes
-    relu of each sequence's maximum over its own windows, so each row and
-    its gradient are those of the sequence alone, and a batch pays only
-    for its own tokens.
+    and no further. One ``ad.sequence_conv_pool`` over every filter width
+    takes relu of each sequence's maximum over its own windows, so each
+    row and its gradient are those of the sequence alone, and a batch pays
+    only for its own tokens.
     """
 
     def __init__(self, vocab_size, rng, embed_dim, filter_widths, filters, pad_index):
@@ -192,7 +192,7 @@ class TextExtractor:
         pad = np.full(floor, self.pad_index, dtype=np.int64)
         emb = ad.gather_rows(self.embed, np.concatenate([part for s in seqs for part in (s, pad[s.size :])]))
         lengths = np.maximum([s.size for s in seqs], floor)
-        return ad.concat([ad.sequence_conv_pool(emb, lengths, kernels) for kernels in self.kernels], axis=1)
+        return ad.sequence_conv_pool(emb, lengths, *self.kernels)
 
     def params(self):
         out = {"extractor.embed": self.embed}
@@ -278,22 +278,32 @@ def gated_scores(z, w, g=None):
     return ad.make_op((zg * w3).sum(axis=2), (w,) if g is None else (g, w), "scores", backward)
 
 
-def _live(samples, need=0):
-    """Boolean (n, d) array of the samples' unmasked features, of which each sample needs ``need``."""
-    live = np.array([s.m for s in samples]) == 0
-    if need:
-        counts = live.sum(axis=1)
-        if (counts < need).any():
-            i = int(np.argmax(counts < need))
-            raise GateExhaustedError(
-                f"sample {samples[i].id!r} has {int(counts[i])} unmasked features, fewer than k={need}"
-            )
-    return live
+def _block(samples, d, need=0):
+    """A batch's (n, d) boolean live mask and z, each sample needing ``need`` unmasked features.
+
+    All-live samples stack their stored z; otherwise one scatter of the
+    samples' index lists fills each array.
+    """
+    counts = [s.live.size for s in samples]
+    if min(counts) < need:
+        i = next(i for i, c in enumerate(counts) if c < need)
+        raise GateExhaustedError(f"sample {samples[i].id!r} has {counts[i]} unmasked features, fewer than k={need}")
+    n = len(samples)
+    if min(counts) == d:
+        return np.ones((n, d), dtype=bool), np.array([s.values for s in samples])
+    rows = np.arange(0, n * d, d)
+    at = np.repeat(rows, counts) + np.concatenate([s.live for s in samples])
+    live = np.zeros(n * d, dtype=bool)
+    live[at] = True
+    if any(s.support is not s.live for s in samples):
+        at = np.repeat(rows, [s.support.size for s in samples]) + np.concatenate([s.support for s in samples])
+    z = np.zeros(n * d)
+    z[at] = np.concatenate([s.values for s in samples])
+    return live.reshape(n, d), z.reshape(n, d)
 
 
-def _scores(batch, g, grid):
+def _scores(batch, z, g, grid):
     """Every head's score z . (g * w), (n, heads), with g * w formed at open gates only; each must be finite."""
-    z = np.array([s.z for s in batch], dtype=np.float64)
     scores = np.vecdot(z[:, None, :], np.multiply(g, grid, out=np.zeros(grid.shape), where=g != 0))
     if not math.isfinite(scores.sum()) and not np.isfinite(scores).all():  # finite scores can sum to inf
         bad = [s.id for s, ok in zip(batch, np.isfinite(scores).all(axis=1)) if not ok]
@@ -323,28 +333,29 @@ class GatedLocalLinear(WeightGenerator):
         """Mean soft-gated classification loss over a batch; the training objective.
 
         The gate's one noise source is ``rng``; a freshly seeded one gives
-        the same loss on every call. The soft gate clamps each sample's
-        count to its unmasked features, so short bag-of-words samples stay
-        trainable; a sample with no unmasked features at all is an error.
+        the same loss on every call. The batch's live mask and z come from
+        its samples' index lists (see :func:`_block`). The soft gate clamps
+        each sample's count to its unmasked features, so short
+        bag-of-words samples stay trainable; a sample with no unmasked
+        features at all is an error.
         """
         if not samples:
             raise ValueError("batch_loss needs at least one sample")
         k = self.config.k if k is None else int(k)
         tau = self.config.tau_fine if tau is None else float(tau)
         w = self.rows([s.x for s in samples])
-        if not gated:
-            return self._losses(samples, w, None).mean()
-        g = gt.k_hot_gate_rows(w, ~_live(samples, need=1), k, tau, rng=rng)
-        return self._losses(samples, w, g).mean()
+        live, z = _block(samples, self.config.d, need=1 if gated else 0)
+        g = gt.k_hot_gate_rows(w, ~live, k, tau, rng=rng) if gated else None
+        return self._losses(samples, z, w, g).mean()
 
-    def _losses(self, samples, w, g):
-        """Per-sample losses from the generator rows w and their gate g; ``g=None`` opens every gate.
+    def _losses(self, samples, z, w, g):
+        """Per-sample losses from the (n, d) z, the generator rows w and their gate g; ``g=None`` opens every gate.
 
         Every head's score z . (g * w) is one :func:`gated_scores` op.
         Binary models take the logistic loss of the margin, multiclass
         models the softmax cross-entropy of the per-head scores.
         """
-        scores = gated_scores(np.array([s.z for s in samples], dtype=np.float64), w, g)
+        scores = gated_scores(z, w, g)
         if self.config.num_classes == 2:
             return ad.softplus(scores.reshape((len(samples),)) * ad.Tensor(-_binary_targets(samples)))
         picked = ad.take_along(ad.log_softmax(scores, axis=1), _class_targets(samples, self.config.num_classes))
@@ -354,9 +365,10 @@ class GatedLocalLinear(WeightGenerator):
     def _chunks(self, samples, k, rng=None, need=0):
         """The one inference pass: ``(batch, grid, scores, order)`` per ``CHUNK`` samples.
 
-        Per chunk: the live check (each sample needs ``need`` features),
-        the weight grid (n, heads, d) without a graph, one gate call for
-        every head, and the scores z . (g * w), shape (n, heads). Without
+        Per chunk: the live mask and z from the samples' index lists
+        (:func:`_block`; each sample needs ``need`` features), the weight
+        grid (n, heads, d) without a graph, one gate call for every head,
+        and the scores z . (g * w), shape (n, heads). Without
         ``rng`` the gate is the exact hard top-k, whose selected indices
         (n, heads, min(k, d)) are ``order``; with it, soft draws at
         ``tau_fine`` and no order. Both clamp each count to the sample's
@@ -369,7 +381,7 @@ class GatedLocalLinear(WeightGenerator):
         heads, d = self.config.heads, self.config.d
         for lo in range(0, len(samples), CHUNK):
             batch = samples[lo : lo + CHUNK]
-            live = _live(batch, need)
+            live, z = _block(batch, d, need)
             with ad.no_grad():
                 grid = self.rows([s.x for s in batch]).data.reshape(len(batch), heads, d)
             if rng is None:
@@ -377,8 +389,8 @@ class GatedLocalLinear(WeightGenerator):
             else:
                 g = gt.k_hot_gate_rows(grid.reshape(len(batch), -1), ~live, k, self.config.tau_fine, rng=rng)
                 g, order = g.data.reshape(grid.shape), None
-            yield batch, grid, _scores(batch, g, grid), order
-            del grid, g, order  # the next chunk's trunk and gate run without this one's arrays
+            yield batch, grid, _scores(batch, z, g, grid), order
+            del grid, g, order, live, z  # the next chunk's trunk and gate run without this one's arrays
 
     def margin(self, sample, k=None):
         """Hard-gated prediction: a signed margin (binary) or class scores.

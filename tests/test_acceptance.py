@@ -152,19 +152,24 @@ def test_c1_gradient_oracle_suite(report):
         worst["soft_gate"] = max(worst.get("soft_gate", 0.0), grad_error(gated, wg))
 
     # the conv block, an image block whose 2x2 pool drops the last row of its 5x6 map, and the text trunk's
-    # op over two sequences of 7 and 5 rows
+    # op over two sequences of 7 and 5 rows with filters of widths 3 and 2
     rng_c = np.random.default_rng(53)
-    for name, x_shape, k_shape, op in (
-        ("conv_block", (2, 2, 5, 6), (3, 2, 3, 3), lambda x, k: ad.conv_block(x, k, 2, padding=1)),
-        ("sequence_conv_pool", (12, 4), (3, 1, 3, 4), lambda x, k: ad.sequence_conv_pool(x, [7, 5], k)),
+    for name, x_shape, k_shapes, op in (
+        ("conv_block", (2, 2, 5, 6), [(3, 2, 3, 3)], lambda x, k: ad.conv_block(x, k, 2, padding=1)),
+        ("sequence_conv_pool", (12, 4), [(3, 1, 3, 4), (2, 1, 2, 4)],
+         lambda x, *k: ad.sequence_conv_pool(x, [7, 5], *k)),
     ):
         for _ in range(6):
-            xc, kc = rng_c.normal(size=x_shape), rng_c.normal(size=k_shape)
-            cc = rng_c.normal(size=op(xc, kc).data.shape)
+            xc, kcs = rng_c.normal(size=x_shape), [rng_c.normal(size=shape) for shape in k_shapes]
+            cc = rng_c.normal(size=op(xc, *kcs).data.shape)
+
+            def with_kernel(j, t):  # the op with kernel j the variable t and every other operand fixed
+                return op(ad.Tensor(xc), *[t if i == j else ad.Tensor(kc) for i, kc in enumerate(kcs)])
+
             worst[name] = max(
                 worst.get(name, 0.0),
-                grad_error(lambda t: (op(t, ad.Tensor(kc)) * ad.Tensor(cc)).sum(), xc),
-                grad_error(lambda t: (op(ad.Tensor(xc), t) * ad.Tensor(cc)).sum(), kc),
+                grad_error(lambda t: (op(t, *map(ad.Tensor, kcs)) * ad.Tensor(cc)).sum(), xc),
+                *[grad_error(lambda t: (with_kernel(j, t) * ad.Tensor(cc)).sum(), kc) for j, kc in enumerate(kcs)],
             )
 
     # the per-head scores z . (g * w), one head and three, gated on w and g and ungated on w

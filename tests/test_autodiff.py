@@ -561,6 +561,37 @@ class TestSequenceConvPool:
             a, b = getattr(a, "data", a), getattr(b, "data", b)
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("values", ["integers", "nan", "normal"])
+    @pytest.mark.parametrize("lines,widths", [
+        ([12, 7, 5], (3, 4, 5)),  # the text extractor's widths
+        ([9, 30, 6, 6], (5, 2, 3)),  # unsorted widths of unequal filter counts
+        ([5], (5, 1)),
+    ])
+    def test_several_widths_equal_one_op_per_width_concatenated(self, lines, widths, values):
+        # one call shares the widest width's im2col; each width alone forms its own
+        rng = np.random.default_rng(468)
+        e, total = 6, sum(lines)
+        if values == "normal":
+            x = rng.normal(size=(total, e))
+            kernels = [rng.normal(size=(2 + j, 1, w, e)) for j, w in enumerate(widths)]
+        else:
+            x = signed_integers(rng, (total, e), high=1)
+            kernels = [rng.integers(-1, 2, size=(2 + j, 1, w, e)) * 1.0 for j, w in enumerate(widths)]
+        if values == "nan":
+            x[lines[0] - 1, 2] = np.nan  # in the first line's last row, next to the second line's first windows
+        g = rng.normal(size=(len(lines), sum(len(k) for k in kernels)))
+
+        def run(op):
+            xt, kts = ad.Tensor(x, requires_grad=True), [ad.Tensor(k, requires_grad=True) for k in kernels]
+            out = op(xt, kts)
+            (out * ad.Tensor(g)).sum().backward()
+            return [out.data, xt.grad] + [kt.grad for kt in kts]
+
+        got = run(lambda xt, kts: ad.sequence_conv_pool(xt, lines, *kts))
+        want = run(lambda xt, kts: ad.concat([ad.sequence_conv_pool(xt, lines, kt) for kt in kts], axis=1))
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
     def test_inference_output_equals_training_and_holds_no_graph(self):
         rng = np.random.default_rng(467)
         x, k = rng.normal(size=(40, 16)), ad.Tensor(rng.normal(size=(8, 1, 3, 16)), requires_grad=True)
@@ -576,6 +607,10 @@ class TestSequenceConvPool:
             ad.sequence_conv_pool(x, lengths, np.zeros(k_shape))
         with pytest.raises(ShapeError):
             ad.sequence_conv_pool(x, (12,), np.zeros((3, 1, 3, 5)))
+        with pytest.raises(ShapeError):  # every line holds the widest kernel's window
+            ad.sequence_conv_pool(x, (7, 5), np.zeros((3, 1, 3, 4)), np.zeros((3, 1, 6, 4)))
+        with pytest.raises(ShapeError):
+            ad.sequence_conv_pool(x, (12,))
 
     @pytest.mark.parametrize("seed", range(50))
     def test_gradients_match_finite_differences(self, seed):
@@ -588,6 +623,19 @@ class TestSequenceConvPool:
 
         assert grad_error(lambda t: loss(t, ad.Tensor(k)), x) <= TOL
         assert grad_error(lambda t: loss(ad.Tensor(x), t), k) <= TOL
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_gradients_of_several_widths_match_finite_differences(self, seed):
+        rng = np.random.default_rng(565 + seed)
+        x, ka, kb = rng.normal(size=(12, 4)), rng.normal(size=(3, 1, 3, 4)), rng.normal(size=(2, 1, 2, 4))
+        c = rng.normal(size=(2, 5))
+
+        def loss(xt, kat, kbt):
+            return (ad.sequence_conv_pool(xt, [7, 5], kat, kbt) * ad.Tensor(c)).sum()
+
+        assert grad_error(lambda t: loss(t, ad.Tensor(ka), ad.Tensor(kb)), x) <= TOL
+        assert grad_error(lambda t: loss(ad.Tensor(x), t, ad.Tensor(kb)), ka) <= TOL
+        assert grad_error(lambda t: loss(ad.Tensor(x), ad.Tensor(ka), t), kb) <= TOL
 
 
 class TestReductions:

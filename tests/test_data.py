@@ -3,6 +3,7 @@
 import hashlib
 import re
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from sparselocal.data import (
     IMAGE_MAGIC,
     LABEL_MAGIC,
     STOPWORDS,
+    Sample,
     Vocabulary,
     binarize_labels,
     build_text_dataset,
@@ -303,6 +305,91 @@ class TestSynthetic:
         for sa, sb in zip(a.samples, b.samples):
             np.testing.assert_array_equal(sa.x, sb.x)
             assert sa.y == sb.y and sa.truth == sb.truth
+
+
+class TestSampleStorage:
+    """A sample keeps its live indices and the z values it needs; ``z`` and ``m`` read back what it was given."""
+
+    @staticmethod
+    def assert_reads_back(s, z, m):
+        z, m = np.asarray(z, dtype=np.float64), np.asarray(m, dtype=np.int64)
+        got_z, got_m = s.z, s.m
+        assert got_m.dtype == np.int64 and got_m.tobytes() == m.tobytes()
+        # the one exception: a zero z at a masked feature reads back as +0.0, whatever its sign
+        assert got_z.dtype == np.float64 and got_z.tobytes() == np.where((m != 0) & (z == 0), 0.0, z).tobytes()
+        assert s.live_count == int((m == 0).sum()) and s.live.tolist() == np.flatnonzero(m == 0).tolist()
+        assert not got_z.flags.writeable and not got_m.flags.writeable
+
+    def test_image_samples(self, tmp_path):
+        images = np.random.default_rng(11).integers(0, 256, size=(6, 28, 28), dtype=np.uint8)
+        write_idx_images(tmp_path / "img", images)
+        write_idx_labels(tmp_path / "lbl", np.arange(6))
+        ds = load_image_dataset(tmp_path / "img", tmp_path / "lbl")
+        for s, image in zip(ds.samples, images):
+            self.assert_reads_back(s, downsample_7x7(image / 255.0), np.zeros(49, dtype=np.int64))
+
+    @pytest.mark.parametrize("counts", [False, True])
+    def test_text_samples(self, tmp_path, counts):
+        path = tmp_path / "corpus.tsv"
+        path.write_text("+1\tred blue red green\n-1\tblue green zebra\n+1\tred red red\n-1\tthe of\n+1\tblue\n")
+        ds = build_text_dataset(path, min_freq=2, counts=counts)
+        assert [s.live_count for s in ds.samples] == [3, 3, 1, 0, 1]
+        for s in ds.samples:
+            z = np.zeros(ds.d)
+            np.add.at(z, s.x, 1.0)  # the dense bag-of-words of the line's ids
+            z = z if counts else (z > 0).astype(np.float64)
+            self.assert_reads_back(s, z, (z == 0).astype(np.int64))
+
+    def test_vector_samples(self):
+        ds = make_synthetic(20, 6, seed=2)
+        for s in ds.samples:
+            self.assert_reads_back(s, s.x[:6], np.zeros(6, dtype=np.int64))  # x is z plus the context flag
+
+    def test_user_built_masked_samples(self):
+        rng = np.random.default_rng(12)
+        specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324])
+        for trial in range(60):
+            d = int(rng.integers(1, 12))
+            z = np.where(rng.random(d) < 0.4, rng.choice(specials, size=d), rng.normal(size=d))
+            m = (rng.random(d) < [0.0, 1.0, rng.random()][trial % 3]).astype(np.int64)  # all live, all masked, mixed
+            s = Sample(id=trial, x=None, z=z, y=1, m=m)
+            self.assert_reads_back(s, z, m)
+            m2 = (rng.random(d) < 0.5).astype(np.int64)
+            s.m = m2
+            self.assert_reads_back(s, np.where((m != 0) & (z == 0), 0.0, z), m2)
+
+    def test_a_mask_write_changes_one_sample_only(self):
+        ds = make_synthetic(10, 6, seed=0)
+        with pytest.raises(ValueError, match="read-only"):
+            ds.samples[0].m[3] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            ds.samples[0].z[3] = 1.0
+        mask = np.array([0, 0, 0, 1, 0, 0])
+        ds.samples[5].m = mask
+        assert ds.samples[5].live_count == 5 and ds.samples[5].m.tolist() == mask.tolist()
+        assert all(s.live_count == 6 and not s.m.any() for i, s in enumerate(ds.samples) if i != 5)
+
+    def test_text_memory_follows_tokens_and_live_features_not_the_vocabulary(self, tmp_path):
+        # fixed before running: bytes a sample holds, against 16 per vocabulary entry (320 kB) for a dense z and m
+        base, per_item = 2048, 128
+        rng = np.random.default_rng(13)
+        vocab, lines = 20000, 200
+        occurrences = np.array_split(rng.permutation(np.repeat(np.arange(vocab), 2)), lines)  # each word twice
+        path = tmp_path / "corpus.tsv"
+        path.write_text("".join(f"{i % 2 * 2 - 1}\t{' '.join(f'w{j}' for j in line)}\n"
+                                for i, line in enumerate(occurrences)))
+        tracemalloc.start()
+        try:
+            ds = build_text_dataset(path, min_freq=2)
+            held = tracemalloc.get_traced_memory()[0]
+            samples, ds.samples = ds.samples, []
+            budget = sum(base + per_item * (len(s.tokens) + s.live_count) for s in samples)
+            del samples
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert ds.d == vocab + 1
+        assert freed <= budget, f"{freed / lines:.0f} bytes per sample, budget {budget / lines:.0f}"
 
 
 class TestSplit:

@@ -422,7 +422,7 @@ def masked_samples(rng, d, n, num_classes=2):
         s = vector_sample(rng, d=d, y=y, sid=i)
         s.m = (rng.random(d) < rng.uniform(0.0, 1.0)).astype(np.int64)
         if i % 7 == 0:
-            s.m[:] = 1
+            s.m = np.ones(d, dtype=np.int64)
         samples.append(s)
     return samples
 
@@ -476,7 +476,7 @@ class TestBatchedHardGate:
         model = GatedLocalLinear(vector_config(d=4, k=2), rng)
         model.named_parameters()["head.bias"].data[...] = -1e200
         dead = vector_sample(rng, d=4, sid="dead")
-        dead.m[:] = 1
+        dead.m = np.ones(4, dtype=np.int64)
         assert model.predict_labels([dead], mode="soft").tolist() == model.predict_labels([dead]).tolist() == [1]
 
     def test_soft_scores_gone_nan_raise_naming_only_their_samples(self):
@@ -485,7 +485,7 @@ class TestBatchedHardGate:
         model = GatedLocalLinear(vector_config(d=4, k=2), rng)
         model.named_parameters()["head.bias"].data[...] = -1e200
         live, dead = vector_sample(rng, d=4, sid="live"), vector_sample(rng, d=4, sid="dead")
-        dead.m[:] = 1
+        dead.m = np.ones(4, dtype=np.int64)
         assert model.predict_labels([live, dead]).tolist() == [-1, 1]  # hard: two finite weights of -1e200 each
         for run in (lambda: model.predict_labels([live, dead], mode="soft"),
                     lambda: evaluate(model, [live, dead], k=2, mode="soft", rng=np.random.default_rng(0))):
